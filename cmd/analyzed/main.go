@@ -76,8 +76,9 @@ type deltaPayload struct {
 // analyzeRequest is the POST /analyze body: exactly one of Project (full
 // analysis, opens/replaces the session) or Delta (requires Session).
 // SolverWorkers, when present, overrides the daemon's -solver-workers for
-// this request only (0 = sequential engine, >= 1 = sharded epoch engine;
-// reports are identical at every value, only the wall time changes).
+// this request only (the epoch engine's scan-worker count, 0 and 1 both
+// meaning one; reports are identical at every value, only the wall time
+// changes).
 type analyzeRequest struct {
 	Session       string          `json:"session,omitempty"`
 	Project       *projectPayload `json:"project,omitempty"`
@@ -543,7 +544,7 @@ func main() {
 		cacheDir       = flag.String("cache-dir", "", "persistent artifact cache directory shared across sessions (empty = in-memory only)")
 		approxDeadline = flag.Duration("approx-deadline", 2*time.Second, "per-worklist-item deadline of the pre-analysis; tripped items become contained faults and degrade their module's hints (0 = unlimited)")
 		maxSessions    = flag.Int("max-sessions", 64, "maximum resident sessions; opening one more evicts the least recently used")
-		solverWorkers  = flag.Int("solver-workers", 0, "constraint-solver workers per analysis (0 = sequential engine; >= 1 the sharded epoch engine — reports are identical at every value); overridable per request with \"solver_workers\"")
+		solverWorkers  = flag.Int("solver-workers", 0, "epoch-engine scan workers per analysis (0 and 1 both mean one worker — reports are identical at every value); overridable per request with \"solver_workers\"")
 		maxConcurrency = flag.Int("max-concurrency", 0, "maximum analyses running at once across all sessions (0 = NumCPU); excess requests queue")
 	)
 	flag.Parse()

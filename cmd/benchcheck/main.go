@@ -14,19 +14,16 @@
 //
 //   - parallel snapshots (BENCH_parallel.json, written by cmd/evaluate
 //     -mega -benchjson) are compared row-by-row per worker count, the
-//     workers >= 1 rows of the candidate must agree with each other
-//     exactly (the epoch engine is deterministic by construction), the
-//     workers=1 row may not cost more than -seq-tax over the candidate's
-//     own workers=0 row (the epoch engine's sequential-path tax), and
-//     -min-speedup / -min-parallel-share / -max-serial-share /
-//     -max-barrier-scale gate the scaling claim — all four only on hosts
-//     with GOMAXPROCS >= 4, where wall-clock speedups and sweep overlap
-//     are measurable at all (with one core the concurrent cycle sweep
-//     serializes into the tail's join wait and inflates the serial
-//     share). -max-serial-share caps the fraction of the workers=1 solve
-//     wall spent outside the parallel scan+winnow and apply phases;
-//     -max-barrier-scale caps the workers=4 apply+tail wall as a
-//     fraction of the workers=1 one, i.e. it fails when the pipelined
+//     rows of the candidate must agree with each other exactly (the epoch
+//     engine is deterministic by construction), and -min-speedup /
+//     -min-parallel-share / -max-serial-share / -max-barrier-scale gate the
+//     scaling claim — all four only on hosts with GOMAXPROCS >= 4, where
+//     wall-clock speedups and sweep overlap are measurable at all (with one
+//     core the concurrent cycle sweep serializes into the tail's join wait
+//     and inflates the serial share). -max-serial-share caps the fraction of
+//     the workers=1 solve wall spent outside the parallel scan+winnow and
+//     apply phases; -max-barrier-scale caps the workers=4 apply+tail wall as
+//     a fraction of the workers=1 one, i.e. it fails when the pipelined
 //     barrier stops scaling down with workers.
 //
 //   - delta snapshots (BENCH_delta.json, written by cmd/evaluate -delta
@@ -66,7 +63,6 @@ func (p *pairList) Set(v string) error { *p = append(*p, v); return nil }
 
 var (
 	tolerance  = flag.Float64("tolerance", 0.10, "allowed fractional counter drift against the reference")
-	seqTax     = flag.Float64("seq-tax", 0.10, "allowed fractional effort overhead of the epoch engine's workers=1 row over its workers=0 row")
 	minSpeed   = flag.Float64("min-speedup", 0, "minimum workers=1 / workers=4 solve-wall speedup (enforced only when the candidate was measured with GOMAXPROCS >= 4)")
 	minShare   = flag.Float64("min-parallel-share", 0, "minimum fraction of workers=1 solve wall spent in the parallel scan+winnow and apply phases")
 	maxSerial  = flag.Float64("max-serial-share", 0, "maximum fraction of workers=1 solve wall spent outside the parallel scan+winnow and apply phases")
@@ -130,19 +126,11 @@ func checkParallel(ref, got perf.ParallelSnapshot) {
 		gate(w+"redundant_deliveries_skipped", rr.RedundantSkipped, gr.RedundantSkipped, false)
 	}
 
-	// Determinism within the candidate: every epoch-engine row must agree
-	// exactly. No tolerance — divergence means the barrier leaked
-	// scheduling into the results.
-	var first *perf.ParallelRow
-	for i := range got.Rows {
-		r := &got.Rows[i]
-		if r.SolverWorkers < 1 {
-			continue
-		}
-		if first == nil {
-			first = r
-			continue
-		}
+	// Determinism within the candidate: every row must agree exactly. No
+	// tolerance — divergence means the barrier leaked scheduling into the
+	// results.
+	for i := 1; i < len(got.Rows); i++ {
+		r, first := &got.Rows[i], &got.Rows[0]
 		if r.SolveIterations != first.SolveIterations || r.TokensDelivered != first.TokensDelivered ||
 			r.CyclesCollapsed != first.CyclesCollapsed || r.RedundantSkipped != first.RedundantSkipped ||
 			r.Epochs != first.Epochs || r.CrossShard != first.CrossShard ||
@@ -151,19 +139,6 @@ func checkParallel(ref, got perf.ParallelSnapshot) {
 				r.SolverWorkers, first.SolverWorkers)
 			failed = true
 		}
-	}
-
-	// Sequential-path tax: the epoch engine at workers=1 may not do more
-	// than -seq-tax extra solver effort over the sequential engine.
-	if seq, par := got.Row(0), got.Row(1); seq != nil && par != nil {
-		lim := float64(seq.TokensDelivered) * (1 + *seqTax)
-		status := "ok"
-		if float64(par.TokensDelivered) > lim {
-			status = "REGRESSION"
-			failed = true
-		}
-		fmt.Printf("  %-30s seq %12d  par %12d  (limit %9.0f)  %s\n",
-			"workers=1 effort tax", seq.TokensDelivered, par.TokensDelivered, lim, status)
 	}
 
 	if *minSpeed > 0 {

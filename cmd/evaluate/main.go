@@ -105,10 +105,9 @@ func main() {
 		whyMiss  = flag.Bool("why-missed", false, "root-cause every dynamic edge the extended static graph misses (provenance engine) and print the ranked fix list")
 		csvDir   = flag.String("csv", "", "also write figure/table data as CSV files into this directory")
 		workers  = flag.Int("workers", 0, "parallel benchmark workers (0 = NumCPU)")
-		solverW  = flag.Int("solver-workers", 0, "constraint-solver scan workers per benchmark (0 = sequential engine; >=1 the sharded epoch engine — reports are identical at every value)")
+		solverW  = flag.Int("solver-workers", 0, "epoch-engine scan workers per benchmark (0 and 1 both mean one worker — reports are identical at every value)")
 		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson the perf.ParallelSnapshot is written there (BENCH_parallel.json)")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
-		incr     = flag.Bool("incremental", true, "solve baseline once and resume with hint deltas (-incremental=false forces the legacy two-pass analysis; reports are identical)")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (parses, hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
 		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and -benchjson writes the snapshot (BENCH_delta.json)")
 		perfF    = flag.Bool("perf", false, "print pipeline perf counters (phase times, parse-cache hits, solver effort)")
@@ -181,7 +180,6 @@ func main() {
 	outs, err := experiments.RunCorpusOpts(benches, experiments.Options{
 		WithDynCG:      needDyn,
 		Workers:        nWorkers,
-		TwoPass:        !*incr,
 		ApproxDeadline: *approxDeadline,
 		DynCGDeadline:  *dyncgDeadline,
 		WithAblation:   *ablation,
@@ -253,9 +251,9 @@ func main() {
 		experiments.RenderTable3(w, outs)
 	}
 	// The dyn-CG subset of the evaluated benchmarks. Reusing the same
-	// *Benchmark pointers (rather than regenerating via corpus.WithDynCG)
-	// lets the ablation hit the per-project dynamic-call-graph memo
-	// populated by the main corpus run.
+	// *Benchmark values (rather than regenerating via corpus.WithDynCG)
+	// keeps each one paired with its outcome, whose dynamic call graph the
+	// ablation reuses.
 	var dynBenches []*corpus.Benchmark
 	for _, b := range benches {
 		if b.HasDynCG {

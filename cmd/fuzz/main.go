@@ -43,7 +43,7 @@ func main() {
 		verbose  = flag.Bool("v", false, "print the generated program of every failure")
 		faults   = flag.Bool("faults", false, "sixth oracle: inject one deterministic fault per seed and check containment")
 		delta    = flag.Bool("delta", false, "seventh oracle: mutate one file per seed through a resident delta session and check re-analysis == from-scratch")
-		solverW  = flag.Int("solver-workers", 0, "constraint-solver scan workers per oracle run (0 = sequential engine; >=1 the sharded epoch engine — graphs are identical at every value)")
+		solverW  = flag.Int("solver-workers", 0, "epoch-engine scan workers per oracle run (0 and 1 both mean one worker — graphs are identical at every value)")
 		tiers    = flag.String("tiers", "", "comma-separated feature tiers (generators,combinators,proxy,esm): fuzz the feature-tier grammar instead of the core one ('all' = every tier)")
 		annotate = flag.String("annotate", "", "root-cause annotator: attribute every unsound-edge reproducer in this directory via the provenance engine, embed cause:/chain: headers, rewrite the files, and exit")
 	)

@@ -84,7 +84,7 @@ func approxKey(fp string, opts Options) string {
 // determinism guarantees, asserted corpus-wide in CI).
 func outcomeKey(fp string, opts Options, b *corpus.Benchmark) string {
 	return cache.Fingerprint("outcome", schemaVersion, fp,
-		fmt.Sprintf("dyn=%t twopass=%t abl=%t", opts.WithDynCG && b.HasDynCG, opts.TwoPass, opts.WithAblation),
+		fmt.Sprintf("dyn=%t abl=%t", opts.WithDynCG && b.HasDynCG, opts.WithAblation),
 		opts.ApproxDeadline.String(), opts.DynCGDeadline.String())
 }
 

@@ -59,8 +59,13 @@ type Outcome struct {
 	// baseCondensation is the baseline-final cycle structure over
 	// generation-time constraint variables (static.Result.Condensation),
 	// reused to pre-unify later solves of the same project (ablation arm,
-	// §6 extension variants). Nil on the two-pass path.
+	// §6 extension variants).
 	baseCondensation [][]static.Var
+
+	// dyn is the dynamic call graph this evaluation built, carried so
+	// RunAblationReusing does not build it again. Nil when no graph was
+	// built or the outcome came from the artifact cache.
+	dyn *dyncg.Result
 
 	// Name-only ablation arm, precomputed by the main run as a rolled-back
 	// third phase of the incremental solve (Options.WithAblation) so that
@@ -80,12 +85,12 @@ func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
 	return runBenchmark(b, Options{WithDynCG: withDyn})
 }
 
-// runBenchmark evaluates one benchmark. With opts.TwoPass false (the
-// default path), baseline and extended run as one incremental solve
-// (static.AnalyzeBoth): constraints are generated once, the baseline
-// fixpoint is snapshotted, and the [DPR]/[DPW] hint deltas resume the same
-// solver — the outcome is identical to the two-pass path (asserted by the
-// differential test in internal/static), only cheaper.
+// runBenchmark evaluates one benchmark. Baseline and extended run as one
+// incremental solve (static.AnalyzeBoth): constraints are generated once,
+// the baseline fixpoint is snapshotted, and the [DPR]/[DPW] hint deltas
+// resume the same solver — the outcome is identical to two from-scratch
+// analyses (asserted by the differential tests here and in internal/static),
+// only cheaper.
 //
 // Robustness: faults contained during the pre-analysis (recovered panics,
 // per-item deadline aborts when opts.ApproxDeadline is set, corrupt module
@@ -156,37 +161,23 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	}
 
 	var base, ext, abl *static.Result
-	if opts.TwoPass {
-		base, err = static.Analyze(b.Project, static.Options{Mode: static.Baseline, SolverWorkers: opts.SolverWorkers})
-		if err != nil {
-			return nil, fmt.Errorf("%s: baseline: %w", b.Project.Name, err)
-		}
-		ext, err = static.Analyze(b.Project, static.Options{
-			Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
-			SolverWorkers: opts.SolverWorkers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: extended: %w", b.Project.Name, err)
-		}
+	sopts := static.Options{
+		Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
+		SolverWorkers: opts.SolverWorkers,
+	}
+	// Piggy-back the §4 name-only arm on the incremental solve exactly when
+	// RunAblationReusing could consume it: a clean run of a dynamic-CG
+	// benchmark whose hints carry [DPW] writes (without them the arm equals
+	// the relational one and needs no solve).
+	if opts.WithAblation && opts.WithDynCG && b.HasDynCG &&
+		len(degrade) == 0 && len(out.Faults) == 0 &&
+		static.WriteHintsApply(hintSet) {
+		base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
 	} else {
-		sopts := static.Options{
-			Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
-			SolverWorkers: opts.SolverWorkers,
-		}
-		// Piggy-back the §4 name-only arm on the incremental solve exactly
-		// when RunAblationReusing could consume it: a clean run of a
-		// dynamic-CG benchmark whose hints carry [DPW] writes (without
-		// them the arm equals the relational one and needs no solve).
-		if opts.WithAblation && opts.WithDynCG && b.HasDynCG &&
-			len(degrade) == 0 && len(out.Faults) == 0 &&
-			static.WriteHintsApply(hintSet) {
-			base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
-		} else {
-			base, ext, err = static.AnalyzeBoth(b.Project, sopts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
-		}
+		base, ext, err = static.AnalyzeBoth(b.Project, sopts)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
 	}
 	out.Faults = append(out.Faults, ext.Faults...)
 	out.DegradedModules = ext.DegradedModules
@@ -207,6 +198,7 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: dyncg: %w", b.Project.Name, err)
 		}
+		out.dyn = dr
 		out.DynEdges = dr.Graph.NumEdges()
 		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
 		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
@@ -228,41 +220,20 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	return out, nil
 }
 
-// dynEntry is one memoized dynamic call-graph build.
-type dynEntry struct {
-	once sync.Once
-	res  *dyncg.Result
-	err  error
-}
+// buildDynCG is dyncg.Build, a variable so tests can count builds.
+var buildDynCG = dyncg.Build
 
-// dynMemo caches dynamic call graphs per *modules.Project, so an
-// evaluation that needs a project's dynamic graph in several places
-// (RunBenchmark accuracy, RunAblation precision) builds it at most once.
-// Keyed by project pointer: corpus generation returns fresh projects per
-// call, so reuse requires passing the same benchmarks to both runs (as
-// cmd/evaluate does).
-var dynMemo sync.Map
-
-// dynBuilds counts actual dynamic call-graph builds (memo misses).
-var dynBuilds atomic.Int64
-
-// dynGraph returns the (memoized) dynamic call graph of a benchmark. The
-// options of the first caller for a project win (the memo stores one build
-// per project); all callers in one evaluation pass the same options, so
-// this is only observable when mixing configurations in one process.
+// dynGraph builds a benchmark's dynamic call graph and charges it to the
+// dyncg phase counters. A consumer that needs the graph of an evaluated
+// benchmark takes it from the Outcome instead of building it again.
 func dynGraph(b *corpus.Benchmark, opts dyncg.Options) (*dyncg.Result, error) {
-	e, _ := dynMemo.LoadOrStore(b.Project, &dynEntry{})
-	ent := e.(*dynEntry)
-	ent.once.Do(func() {
-		dynBuilds.Add(1)
-		alloc0 := perf.TotalAllocBytes()
-		ent.res, ent.err = dyncg.Build(b.Project, opts)
-		if ent.err == nil {
-			perf.Global().AddPhase(perf.PhaseDynCG, ent.res.Duration)
-			perf.Global().AddPhaseAlloc(perf.PhaseDynCG, perf.TotalAllocBytes()-alloc0)
-		}
-	})
-	return ent.res, ent.err
+	alloc0 := perf.TotalAllocBytes()
+	res, err := buildDynCG(b.Project, opts)
+	if err == nil {
+		perf.Global().AddPhase(perf.PhaseDynCG, res.Duration)
+		perf.Global().AddPhaseAlloc(perf.PhaseDynCG, perf.TotalAllocBytes()-alloc0)
+	}
+	return res, err
 }
 
 // Options configures a corpus evaluation run.
@@ -275,11 +246,6 @@ type Options struct {
 	// sequential run regardless of the worker count: benchmarks share no
 	// state, and outcomes are collected by input position.
 	Workers int
-	// TwoPass forces the legacy two-pass baseline/extended analysis (each
-	// from scratch) instead of the incremental baseline→extended resume.
-	// Reports are identical either way; the flag exists for cross-checking
-	// and for timing the two paths against each other.
-	TwoPass bool
 	// ApproxDeadline is the per-worklist-item wall-clock deadline of the
 	// pre-analysis (0 = unlimited). Items that trip it are aborted, recorded
 	// as deadline faults, and their modules degrade to baseline-only hints.
@@ -290,11 +256,10 @@ type Options struct {
 	// WithAblation piggy-backs the §4 name-only ablation arm on each
 	// eligible benchmark's incremental solve (baseline solved once, two
 	// rolled-back deltas), so a later RunAblationReusing pass consumes it
-	// without solving anything. Ignored on the two-pass path.
+	// without solving anything.
 	WithAblation bool
-	// SolverWorkers selects the constraint-solver propagation engine per
-	// benchmark: 0 is the sequential pop loop, >= 1 the sharded epoch
-	// engine with that many scan workers (see internal/static/parallel.go).
+	// SolverWorkers is the epoch engine's scan-worker count per benchmark
+	// (static.Options.SolverWorkers; 0 and 1 both mean one worker).
 	// Reports are identical for every value; this multiplies with Workers,
 	// so corpus runs usually pick one axis of parallelism, not both.
 	SolverWorkers int
@@ -558,9 +523,12 @@ func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, 
 	out.NameOnlyEdges = abl.Graph.NumEdges()
 	out.NameOnlyMonomorphic = abl.Metrics().MonomorphicPct
 	if b.HasDynCG {
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
-			return nil, err
+		dr := prior.dyn
+		if dr == nil {
+			// An outcome served from the artifact cache carries no graph.
+			if dr, err = dynGraph(b, dyncg.Options{}); err != nil {
+				return nil, err
+			}
 		}
 		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
 	}

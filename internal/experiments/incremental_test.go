@@ -5,13 +5,59 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/approx"
+	"repro/internal/callgraph"
 	"repro/internal/corpus"
+	"repro/internal/dyncg"
+	"repro/internal/modules"
+	"repro/internal/static"
 )
+
+// twoPassOutcome evaluates one benchmark the way runBenchmark would without
+// the incremental resume: baseline and extended are two from-scratch
+// static.Analyze calls. Only the fields strip compares are filled in.
+func twoPassOutcome(t *testing.T, b *corpus.Benchmark) *Outcome {
+	t.Helper()
+	name := b.Project.Name
+	out := &Outcome{Name: name, HasDynCG: b.HasDynCG}
+	st, err := corpus.ComputeStats(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Stats = st
+	ar, err := approx.Run(b.Project, approx.Options{})
+	if err != nil {
+		t.Fatalf("%s: approx: %v", name, err)
+	}
+	out.HintCount = ar.Hints.Count()
+	out.VisitedRatio = ar.VisitedRatio()
+	base, err := static.Analyze(b.Project, static.Options{Mode: static.Baseline})
+	if err != nil {
+		t.Fatalf("%s: baseline: %v", name, err)
+	}
+	ext, err := static.Analyze(b.Project, static.Options{
+		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
+	})
+	if err != nil {
+		t.Fatalf("%s: extended: %v", name, err)
+	}
+	out.Base, out.Ext = base.Metrics(), ext.Metrics()
+	if b.HasDynCG {
+		dr, err := dyncg.Build(b.Project, dyncg.Options{})
+		if err != nil {
+			t.Fatalf("%s: dyncg: %v", name, err)
+		}
+		out.DynEdges = dr.Graph.NumEdges()
+		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
+		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
+	}
+	return out
+}
 
 // TestIncrementalMatchesTwoPassOutcomes asserts the combined
 // baseline+extended path produces outcomes — and therefore rendered
 // reports, which are pure functions of the timing-free outcome fields —
-// identical to the legacy two-pass path.
+// identical to two from-scratch analyses per benchmark.
 func TestIncrementalMatchesTwoPassOutcomes(t *testing.T) {
 	// Fresh benchmark sets per path so neither run sees warm parse caches.
 	incBenches := slice(t, 6)
@@ -21,9 +67,9 @@ func TestIncrementalMatchesTwoPassOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := RunCorpusOpts(twoBenches, Options{WithDynCG: true, Workers: 1, TwoPass: true})
-	if err != nil {
-		t.Fatal(err)
+	two := make([]*Outcome, len(twoBenches))
+	for i, b := range twoBenches {
+		two[i] = twoPassOutcome(t, b)
 	}
 	if len(inc) != len(two) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(inc), len(two))
@@ -55,28 +101,46 @@ func TestIncrementalMatchesTwoPassOutcomes(t *testing.T) {
 	}
 }
 
-// TestDynCGMemoBuildsOnce asserts that one project's dynamic call graph is
-// built at most once per evaluation, however many consumers ask for it.
+// TestDynCGMemoBuildsOnce asserts that one evaluation — a corpus run and
+// the ablation pass that reuses its outcome — builds a project's dynamic
+// call graph exactly once, and that nothing outlives the evaluation: a
+// second evaluation of the same project builds it again.
 func TestDynCGMemoBuildsOnce(t *testing.T) {
+	builds := 0
+	saved := buildDynCG
+	buildDynCG = func(p *modules.Project, opts dyncg.Options) (*dyncg.Result, error) {
+		builds++
+		return saved(p, opts)
+	}
+	defer func() { buildDynCG = saved }()
+
+	// A benchmark whose ablation arms differ, so RunAblationReusing needs
+	// the dynamic graph for the name-only precision.
 	var b *corpus.Benchmark
 	for _, cand := range corpus.WithDynCG() {
-		b = cand
-		break
+		ar, err := approx.Run(cand.Project, approx.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if static.WriteHintsApply(ar.Hints) {
+			b = cand
+			break
+		}
 	}
 	if b == nil {
-		t.Fatal("no dyn-CG benchmark available")
+		t.Fatal("no dyn-CG benchmark with [DPW] write hints available")
 	}
-	before := dynBuilds.Load()
-	if _, err := RunBenchmark(b, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunBenchmark(b, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunAblation(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := dynBuilds.Load() - before; got != 1 {
-		t.Fatalf("dynamic call graph built %d times, want 1", got)
+	for eval := 1; eval <= 2; eval++ {
+		builds = 0
+		outs, err := RunCorpusOpts([]*corpus.Benchmark{b}, Options{WithDynCG: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunAblationReusing(b, outs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if builds != 1 {
+			t.Fatalf("evaluation %d built the dynamic call graph %d times, want 1", eval, builds)
+		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // DefaultMegaWorkers are the worker-count arms of the standard mega-tier
-// scaling run: the sequential engine (0) as the baseline, then the epoch
-// engine at 1, 2, and 4 scan workers.
-var DefaultMegaWorkers = []int{0, 1, 2, 4}
+// scaling run: the epoch engine at 1, 2, and 4 scan workers.
+var DefaultMegaWorkers = []int{1, 2, 4}
 
 // RunMegaBench runs the solver-scaling benchmark: one baseline analysis of
 // the mega-project tier (corpus.Mega) per worker count, collected into a
@@ -20,12 +19,12 @@ var DefaultMegaWorkers = []int{0, 1, 2, 4}
 // project from scratch so no parse cache or solver state leaks between
 // arms.
 //
-// The parallel engine is deterministic across worker counts by
-// construction, so the effort and structure counters of every workers >= 1
-// row must agree exactly; RunMegaBench returns an error (rather than a
-// snapshot) when they do not, making any nondeterminism a hard failure of
-// the benchmark itself. Wall times and scheduling diagnostics (steals,
-// phase splits) are the only fields allowed to vary.
+// The epoch engine is deterministic across worker counts by construction, so
+// the effort and structure counters of every row must agree exactly;
+// RunMegaBench returns an error (rather than a snapshot) when they do not,
+// making any nondeterminism a hard failure of the benchmark itself. Wall
+// times and scheduling diagnostics (steals, phase splits) are the only fields
+// allowed to vary.
 func RunMegaBench(nModules int, workers []int) (*perf.ParallelSnapshot, error) {
 	if len(workers) == 0 {
 		workers = DefaultMegaWorkers
@@ -56,29 +55,28 @@ func RunMegaBench(nModules int, workers []int) (*perf.ParallelSnapshot, error) {
 			CyclesCollapsed:  res.Structure.CyclesCollapsed,
 			RedundantSkipped: res.Structure.RedundantSkipped,
 		}
-		if w >= 1 {
-			if ref == nil {
-				r := row
-				ref = &r
-			} else if row.SolveIterations != ref.SolveIterations ||
-				row.TokensDelivered != ref.TokensDelivered ||
-				row.CyclesCollapsed != ref.CyclesCollapsed ||
-				row.RedundantSkipped != ref.RedundantSkipped ||
-				row.Epochs != ref.Epochs ||
-				row.CrossShard != ref.CrossShard ||
-				row.AsyncSweeps != ref.AsyncSweeps {
-				return nil, fmt.Errorf(
-					"mega workers=%d: deterministic counters diverged from workers=%d: %+v vs %+v",
-					w, ref.SolverWorkers, row, *ref)
-			}
+		if ref == nil {
+			r := row
+			ref = &r
+		} else if row.SolveIterations != ref.SolveIterations ||
+			row.TokensDelivered != ref.TokensDelivered ||
+			row.CyclesCollapsed != ref.CyclesCollapsed ||
+			row.RedundantSkipped != ref.RedundantSkipped ||
+			row.Epochs != ref.Epochs ||
+			row.CrossShard != ref.CrossShard ||
+			row.AsyncSweeps != ref.AsyncSweeps {
+			return nil, fmt.Errorf(
+				"mega workers=%d: deterministic counters diverged from workers=%d: %+v vs %+v",
+				w, ref.SolverWorkers, row, *ref)
 		}
 		snap.Rows = append(snap.Rows, row)
 	}
 
-	if r0, r4 := snap.Row(0), snap.Row(4); r0 != nil && r4 != nil && r4.SolveWallMS > 0 {
-		snap.SpeedupAt4 = r0.SolveWallMS / r4.SolveWallMS
+	r1 := snap.Row(1)
+	if r4 := snap.Row(4); r1 != nil && r4 != nil && r4.SolveWallMS > 0 {
+		snap.SpeedupAt4 = r1.SolveWallMS / r4.SolveWallMS
 	}
-	if r1 := snap.Row(1); r1 != nil && r1.SolveWallMS > 0 {
+	if r1 != nil && r1.SolveWallMS > 0 {
 		snap.ParallelShare = (r1.ScanMS + r1.ApplyMS) / r1.SolveWallMS
 	}
 	return snap, nil

@@ -4,35 +4,30 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"repro/internal/perf"
 )
 
-// TestRunMegaBench runs a scaled-down mega tier across the sequential
-// engine and several epoch-engine worker counts. RunMegaBench itself fails
-// on any counter divergence between parallel rows, so this test mostly
-// checks the snapshot's shape; it additionally pins that the sequential
-// engine agrees with the parallel rows on this workload (effort parity on
-// the mega tier is what BENCH_parallel.json records).
+// TestRunMegaBench runs a scaled-down mega tier across several
+// epoch-engine worker counts. RunMegaBench itself fails on any counter
+// divergence between rows, so this test mostly checks the snapshot's shape.
 func TestRunMegaBench(t *testing.T) {
-	snap, err := RunMegaBench(120, []int{0, 1, 2, 4})
+	snap, err := RunMegaBench(120, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(snap.Rows))
+	if len(snap.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(snap.Rows))
 	}
 	if snap.MegaModules < 80 {
 		t.Fatalf("mega project has %d modules, want a solver-bound project", snap.MegaModules)
 	}
-	seq, par := snap.Row(0), snap.Row(1)
-	if seq == nil || par == nil {
-		t.Fatal("missing workers=0 or workers=1 row")
-	}
-	if par.SolveIterations != seq.SolveIterations || par.TokensDelivered != seq.TokensDelivered {
-		t.Fatalf("epoch engine effort differs from sequential on mega: %d iters / %d tokens vs %d / %d",
-			par.SolveIterations, par.TokensDelivered, seq.SolveIterations, seq.TokensDelivered)
+	par := snap.Row(1)
+	if par == nil {
+		t.Fatal("missing workers=1 row")
 	}
 	if par.Epochs == 0 {
-		t.Fatal("workers=1 row recorded no epochs — sequential path ran instead")
+		t.Fatal("workers=1 row recorded no epochs")
 	}
 	if snap.ParallelShare <= 0 || snap.ParallelShare >= 1 {
 		t.Fatalf("parallel share %v outside (0, 1)", snap.ParallelShare)
@@ -49,16 +44,26 @@ func TestRunMegaBench(t *testing.T) {
 }
 
 // TestCorpusSolverWorkersDeterministic runs a corpus slice through the full
-// evaluation pipeline with the sequential solver and with the epoch engine
-// at several worker counts, and requires the rendered report bytes to be
-// identical — the tentpole's 0-byte report-diff guarantee, end to end.
+// evaluation pipeline at the default solver setting (0) and at several
+// epoch-engine worker counts, and requires the rendered report bytes, the
+// outcomes and the solver-effort counters to be identical — the 0-byte
+// report-diff guarantee, end to end — with the epoch engine running at
+// every setting.
 func TestCorpusSolverWorkersDeterministic(t *testing.T) {
-	render := func(solverWorkers int) ([]byte, []*Outcome) {
+	type effort struct{ iterations, tokens, epochs int64 }
+	render := func(solverWorkers int) ([]byte, []*Outcome, effort) {
+		before := perf.Global().Snapshot()
 		outs, err := RunCorpusOpts(slice(t, 6), Options{
 			WithDynCG: true, Workers: 1, SolverWorkers: solverWorkers,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		after := perf.Global().Snapshot()
+		eff := effort{
+			iterations: after.SolveIterations - before.SolveIterations,
+			tokens:     after.TokensDelivered - before.TokensDelivered,
+			epochs:     after.SolverEpochs - before.SolverEpochs,
 		}
 		var buf bytes.Buffer
 		RenderTable1(&buf, outs)
@@ -68,20 +73,28 @@ func TestCorpusSolverWorkersDeterministic(t *testing.T) {
 		RenderFigure(&buf, outs, 7)
 		RenderTable2(&buf, outs)
 		RenderSummary(&buf, Aggregate(outs))
-		return buf.Bytes(), outs
+		return buf.Bytes(), outs, eff
 	}
 
-	refBytes, refOuts := render(0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		gotBytes, gotOuts := render(workers)
+	workerCounts := []int{0, 1, 2, 4, 8}
+	refBytes, refOuts, refEff := render(workerCounts[0])
+	if refEff.epochs == 0 {
+		t.Fatalf("solver workers=%d: the epoch engine ran no epochs", workerCounts[0])
+	}
+	for _, workers := range workerCounts[1:] {
+		gotBytes, gotOuts, gotEff := render(workers)
 		if !bytes.Equal(refBytes, gotBytes) {
-			t.Fatalf("solver workers=%d: rendered report differs from sequential solver", workers)
+			t.Fatalf("solver workers=%d: rendered report differs from solver workers=%d", workers, workerCounts[0])
 		}
 		for i := range refOuts {
 			if !reflect.DeepEqual(strip(refOuts[i]), strip(gotOuts[i])) {
-				t.Fatalf("solver workers=%d: outcome %d differs from sequential solver:\nseq: %+v\npar: %+v",
-					workers, i, strip(refOuts[i]), strip(gotOuts[i]))
+				t.Fatalf("solver workers=%d: outcome %d differs from solver workers=%d:\nref: %+v\ngot: %+v",
+					workers, i, workerCounts[0], strip(refOuts[i]), strip(gotOuts[i]))
 			}
+		}
+		if gotEff != refEff {
+			t.Fatalf("solver workers=%d: effort counters %+v differ from solver workers=%d: %+v",
+				workers, gotEff, workerCounts[0], refEff)
 		}
 	}
 }

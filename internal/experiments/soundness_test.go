@@ -15,9 +15,9 @@ import (
 
 // soundnessSolverWorkers selects the solver engine for the corpus
 // soundness sweep via REPRO_SOLVER_WORKERS, so CI can run the identical
-// oracle against the sequential engine and the parallel epoch engine. The
-// known-gap snapshot must hold verbatim for every value: the engines
-// produce identical call graphs.
+// oracle with concurrent epoch-engine workers. The known-gap snapshot must
+// hold verbatim for every value: every worker count produces identical
+// call graphs.
 func soundnessSolverWorkers(t *testing.T) int {
 	v := os.Getenv("REPRO_SOLVER_WORKERS")
 	if v == "" {

@@ -54,8 +54,8 @@ func (r *WhyMissedReport) Unattributed() int {
 // RunWhyMissed runs the full pipeline — dynamic call graph, approximate
 // interpretation, incremental baseline→extended analysis with provenance —
 // on every benchmark with dynamic ground truth and attributes each missed
-// edge via the provenance journal. solverWorkers selects the solver engine
-// (attribution output is identical at every value).
+// edge via the provenance journal. solverWorkers is the epoch engine's
+// worker count (attribution output is identical at every value).
 func RunWhyMissed(bs []*corpus.Benchmark, solverWorkers int) (*WhyMissedReport, error) {
 	rep := &WhyMissedReport{}
 	var all []fuzz.RootCause

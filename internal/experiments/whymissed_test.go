@@ -51,10 +51,10 @@ func TestWhyMissedAttributionComplete(t *testing.T) {
 	}
 }
 
-// TestWhyMissedDeterministicAcrossWorkers renders the full attribution
-// report under the sequential engine and the parallel epoch engine: the
-// output — causes, frontiers, chains, fix ranking — must be byte-identical
-// at every -solver-workers value.
+// TestWhyMissedDeterministicAcrossWorkers renders the full attribution report
+// at the default solver setting and at several epoch-engine worker counts:
+// the output — causes, frontiers, chains, fix ranking — must be
+// byte-identical at every -solver-workers value.
 func TestWhyMissedDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three corpus sweeps; skipped with -short")

@@ -66,13 +66,13 @@ func (f *Failure) String() string {
 	return fmt.Sprintf("seed %d [%s] %s", f.Seed, f.Bucket, f.Detail)
 }
 
-// solverWorkers is the constraint-solver engine every oracle run uses:
-// 0 the sequential engine, >= 1 the sharded epoch engine with that many
-// scan workers. Set once by Run (from Options.SolverWorkers) before any
-// worker starts; the oracles themselves are engine-agnostic — the static
-// analysis must produce identical graphs at every value, so a fuzzing
-// sweep under a parallel engine is the same differential search plus an
-// implicit engine-equivalence check against the dynamic ground truth.
+// solverWorkers is the epoch engine's scan-worker count every oracle run
+// uses (0 and 1 both mean one worker). Set once by Run (from
+// Options.SolverWorkers) before any worker starts; the oracles themselves
+// are worker-count-agnostic — the static analysis must produce identical
+// graphs at every value, so a fuzzing sweep with concurrent workers is the
+// same differential search plus an implicit equivalence check against the
+// dynamic ground truth.
 var solverWorkers int
 
 // CheckSeed generates the program for seed and checks every oracle.
@@ -374,10 +374,9 @@ type Options struct {
 	// static.DeltaSession and the run checks that delta re-analysis is
 	// indistinguishable from a from-scratch restart.
 	Delta bool
-	// SolverWorkers selects the static solver engine for every oracle run
-	// (0 = sequential, >= 1 = the epoch engine with that many scan
-	// workers). Graphs are identical either way; failures found under one
-	// engine reproduce under the other.
+	// SolverWorkers is the epoch engine's scan-worker count for every
+	// oracle run (0 and 1 both mean one worker). Graphs are identical at
+	// every value; failures found under one reproduce under any other.
 	SolverWorkers int
 	// Tiers switches every seed to the feature-tier grammar
 	// (testgen.GenFeatureProject) weighted toward the named tiers. Mutually

@@ -40,8 +40,7 @@ func TestFeatureTierSmoke(t *testing.T) {
 }
 
 // TestFeatureTierSolverWorkersIdentical: the tier grammar must report the
-// exact same failures whatever the constraint-solver parallelism — the
-// sharded epoch engine and the sequential engine are interchangeable.
+// exact same failures whatever the epoch engine's worker count.
 func TestFeatureTierSolverWorkersIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three differential runs; skipped with -short")
@@ -54,7 +53,7 @@ func TestFeatureTierSolverWorkersIdentical(t *testing.T) {
 			continue
 		}
 		if len(rep.Failures) != len(base.Failures) {
-			t.Fatalf("solver-workers %d: %d failures vs %d with sequential engine",
+			t.Fatalf("solver-workers %d: %d failures vs %d with solver-workers 0",
 				w, len(rep.Failures), len(base.Failures))
 		}
 		for i := range rep.Failures {

@@ -8,10 +8,9 @@ import (
 
 // ParallelRow is one worker-count arm of a mega-tier scaling run. Effort
 // and structure counters (SolveIterations, TokensDelivered, ...) must be
-// identical across every row of a snapshot — the parallel engine is
+// identical across every row of a snapshot — the epoch engine is
 // deterministic by construction — so cmd/benchcheck treats any divergence
-// as a regression. SolverWorkers 0 is the untouched sequential engine;
-// 1..n run the epoch engine with that many workers.
+// as a regression. SolverWorkers is the epoch engine's worker count.
 type ParallelRow struct {
 	SolverWorkers int `json:"solver_workers"`
 
@@ -45,13 +44,10 @@ type ParallelSnapshot struct {
 
 	Rows []ParallelRow `json:"rows"`
 
-	// SpeedupAt4 is rows[workers=0].SolveWallMS / rows[workers=4].SolveWallMS
+	// SpeedupAt4 is rows[workers=1].SolveWallMS / rows[workers=4].SolveWallMS
 	// as measured on this host: the solver-phase speedup of the epoch
-	// engine at 4 workers over the sequential engine it replaces.
-	// Two effects compound in it — epoch-batched cycle collapse (present
-	// even at workers=1, on any host) and actual scan/apply concurrency
-	// (needs cores); wall-clock gates on it are meaningful only when
-	// MaxProcs >= 4.
+	// engine at 4 workers over its own one-worker run. It needs cores, so
+	// wall-clock gates on it are meaningful only when MaxProcs >= 4.
 	SpeedupAt4 float64 `json:"speedup_at_4,omitempty"`
 
 	// ParallelShare is the fraction of workers=1 solve wall time spent in

@@ -77,13 +77,12 @@ type Counters struct {
 	edgesDeduped      atomic.Int64
 	redundantSkipped  atomic.Int64
 
-	// Parallel-solver activity (zero when the sequential engine ran):
-	// epochs crossed, chunks stolen across workers, deliveries whose target
-	// landed in a different shard than the source, concurrent Tarjan sweeps
-	// launched, and the wall time split between the pipeline phases — the
-	// read-only scan+winnow, the shard-owned parallel apply pass, and the
-	// serial reconciliation tail — plus the sweep compute time hidden
-	// behind the parallel phases.
+	// Epoch-engine activity: epochs crossed, chunks stolen across workers,
+	// deliveries whose target landed in a different shard than the source,
+	// concurrent Tarjan sweeps launched, and the wall time split between the
+	// pipeline phases — the read-only scan+winnow, the shard-owned parallel
+	// apply pass, and the serial reconciliation tail — plus the sweep compute
+	// time hidden behind the parallel phases.
 	solverEpochs         atomic.Int64
 	solverSteals         atomic.Int64
 	solverCrossShard     atomic.Int64
@@ -259,7 +258,7 @@ type Snapshot struct {
 	SolveIterations int64 `json:"solve_iterations"`
 	TokensDelivered int64 `json:"tokens_delivered"`
 
-	// Incremental split (zero when the two-pass path ran).
+	// Incremental split (zero when only from-scratch analyses ran).
 	SolveIterationsBase  int64 `json:"solve_iterations_baseline,omitempty"`
 	SolveIterationsDelta int64 `json:"solve_iterations_delta,omitempty"`
 	TokensDeliveredBase  int64 `json:"tokens_delivered_baseline,omitempty"`
@@ -276,11 +275,10 @@ type Snapshot struct {
 	EdgesDeduped      int64 `json:"edges_deduped,omitempty"`
 	RedundantSkipped  int64 `json:"redundant_deliveries_skipped,omitempty"`
 
-	// Parallel-solver activity (zero when the sequential engine ran).
-	// SolverEpochs, SolverCrossShard, and SolverAsyncSweeps are
-	// deterministic for a given worker count; SolverSteals and the phase
-	// times (scan+winnow / parallel apply / serial tail / sweep overlap)
-	// are scheduling-dependent diagnostics.
+	// Epoch-engine activity. SolverEpochs, SolverCrossShard, and
+	// SolverAsyncSweeps are deterministic at every worker count;
+	// SolverSteals and the phase times (scan+winnow / parallel apply /
+	// serial tail / sweep overlap) are scheduling-dependent diagnostics.
 	SolverEpochs         int64   `json:"solver_epochs,omitempty"`
 	SolverSteals         int64   `json:"solver_steals,omitempty"`
 	SolverCrossShard     int64   `json:"solver_cross_shard_deliveries,omitempty"`

@@ -69,15 +69,13 @@ type Options struct {
 	// switch exists so differential tests can compare the substituting run
 	// against the plain engine.
 	DisableCopyElim bool
-	// SolverWorkers selects the propagation engine. 0 (the default) runs
-	// the sequential pop loop; k ≥ 1 runs the sharded epoch engine
-	// (parallel.go) with k scan workers. Results are byte-identical for
-	// every value — the constraint system is monotone, so every schedule
-	// reaches the same least fixpoint — and all k ≥ 1 runs additionally
-	// produce identical solver-effort and structure counters (the epoch
-	// schedule does not depend on the worker count). Phases that must run
-	// in exact no-unify mode (the rolled-back ablation arm) always use the
-	// sequential engine regardless of this setting.
+	// SolverWorkers is the number of scan workers of the sharded epoch
+	// engine (parallel.go) that propagates constraints; 0 and 1 both mean
+	// one worker, with every epoch run inline. Results, solver-effort and
+	// structure counters are identical for every value: the epoch schedule
+	// does not depend on the worker count. Phases that must run in exact
+	// no-unify mode (the rolled-back ablation arm) use the solver's plain
+	// pop loop regardless of this setting.
 	SolverWorkers int
 	// Provenance enables the constraint-provenance journal: every issued
 	// constraint records the rule chain that produced it (rule id, source
@@ -114,8 +112,8 @@ type Result struct {
 	// Structure reports the solver's cycle-collapse activity for this run
 	// (cumulative across phases on the incremental path).
 	Structure StructureStats
-	// Parallel reports the epoch engine's activity; zero when the
-	// sequential engine ran (SolverWorkers == 0).
+	// Parallel reports the epoch engine's activity (cumulative across
+	// phases on the incremental path).
 	Parallel ParallelSolveStats
 	// SolveWall is the wall-clock time spent inside solver fixpoint
 	// propagation for this result's phase(s) — the quantity the parallel
@@ -346,14 +344,12 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 	return a
 }
 
-// recordParallelStats flushes the epoch engine's counters (when it ran) to
-// the global perf counters and returns them for the Result.
+// recordParallelStats flushes the epoch engine's counters to the global
+// perf counters and returns them for the Result.
 func (a *analyzer) recordParallelStats() ParallelSolveStats {
 	ps := a.s.parallelStats()
-	if a.s.par != nil {
-		perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
-			ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
-	}
+	perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
+		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
 	return ps
 }
 

@@ -11,9 +11,8 @@ import (
 // the full analysis and pins the end-to-end behavior the tier exists for:
 // the ring constraints actually collapse (cycles_collapsed > 0) and the
 // deliveries queued to ring members before their collapse are
-// short-circuited afterwards (redundant_deliveries_skipped > 0) — on the
-// sequential engine and identically-resulting on the epoch engine at every
-// worker count.
+// short-circuited afterwards (redundant_deliveries_skipped > 0) — at the
+// default solver setting and identically-resulting at every worker count.
 func TestCyclicTierRedundantSkipped(t *testing.T) {
 	spec := testgen.GenCyclicProject(7, 3, 5)
 	project := &modules.Project{
@@ -40,7 +39,7 @@ func TestCyclicTierRedundantSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Graph.Equal(ref.Graph) {
-			t.Fatalf("workers %d: call graph differs from sequential on cyclic tier", workers)
+			t.Fatalf("workers %d: call graph differs from the default run on cyclic tier", workers)
 		}
 		if got.Structure.RedundantSkipped == 0 {
 			t.Fatalf("workers %d: no redundant deliveries skipped on cyclic tier", workers)

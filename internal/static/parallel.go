@@ -1,9 +1,9 @@
 package static
 
-// The sharded, work-stealing propagation engine. It computes the same least
-// fixpoint as the sequential pop loop in solve(), with the same counter
-// values for any worker count ≥ 1, by splitting each round of propagation
-// into a pipeline of phases:
+// The sharded, work-stealing propagation engine: the solver's only
+// unifying engine. It computes the least fixpoint with the same counter
+// values for any worker count, by splitting each round of propagation into
+// a pipeline of phases:
 //
 //   - a scan phase that is strictly read-only over solver state: the pending
 //     frontier (everything queued since the last round) is partitioned into
@@ -44,8 +44,8 @@ package static
 //     old per-delivery delta scan disappear from the serial path entirely.
 //
 // Batched Tarjan cycle sweeps run concurrently with the parallel phases: a
-// sweep is launched between epochs (at the same deterministic points the
-// sequential engine would run collapseAllSCCs) as a read-only traversal of
+// sweep is launched between epochs (at deterministic points of the
+// sweepInterval cadence or a large LCD batch) as a read-only traversal of
 // the epoch-frozen edge/parent state on its own goroutine, joined at the
 // start of the serial tail (before triggers mutate edge lists), and its
 // components are collapsed at the next between-epoch point — edges only get
@@ -53,33 +53,24 @@ package static
 //
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
-// incremental baseline→extended resume exact. Determinism: proposal slots
-// are keyed by (shard, sequence), which depends only on the epoch-start
-// state, never on which worker scanned or applied a chunk or in what order;
-// ownership splits (shard mod workers) change which goroutine performs an
-// operation but not its position in the fixed replay order, and everything
-// order-sensitive (queue scheduling, LCD notes, triggers) runs in the serial
-// tail. Hence reports *and* effort counters are identical across worker
-// counts, and identical between the concurrent path and the inline path
-// used for small frontiers.
-//
-// Relative to the sequential engine, results (token sets, trigger firings,
-// call graphs) are identical, but effort counters may differ slightly: the
-// sequential loop can collapse a detected cycle before the very next pop,
-// while the epoch engine collapses between epochs (and a concurrent sweep's
-// components land one epoch after its launch), so on cycle-dense inputs some
-// deliveries that the sequential engine short-circuits are still paid here
-// (and vice versa). cmd/benchcheck bounds this divergence at workers=1
-// rather than demanding equality, which would serialize the engine.
+// incremental baseline→extended resume exact, and the one the property
+// tests check against the no-unify reference solver. Determinism: proposal
+// slots are keyed by (shard, sequence), which depends only on the
+// epoch-start state, never on which worker scanned or applied a chunk or in
+// what order; ownership splits (shard mod workers) change which goroutine
+// performs an operation but not its position in the fixed replay order, and
+// everything order-sensitive (queue scheduling, LCD notes, triggers) runs in
+// the serial tail. Hence reports *and* effort counters are identical across
+// worker counts, and identical between the concurrent path and the inline
+// path used for small frontiers.
 //
 // A collapsed SCC never spans shards: sharding hashes the union-find
 // representative, so every member of a unified group lands wherever its
 // representative lands. All unification (LCD, sweep reconciliation) runs
-// between epochs on the solver goroutine, exactly like the sequential
-// engine runs it between pops.
+// between epochs on the solver goroutine.
 //
-// The exact no-unify mode (rollback windows, the reference engine) falls
-// back to the sequential pop loop — see solve().
+// The exact no-unify mode (rollback windows, the reference solver) runs the
+// plain pop loop in solve() instead.
 
 import (
 	"sync"
@@ -101,15 +92,13 @@ const (
 	epochChunk = 64
 
 	// cycleEpochCap bounds the deliveries consumed per epoch while lazy
-	// cycle detection has pending evidence. The sequential engine collapses
-	// a detected cycle before the very next pop; unbounded epochs would
-	// defer that collapse past the whole frontier and pay every redundant
-	// delivery in between. Shrinking epochs only while cycles are actively
-	// being discovered keeps the effort counters within a small factor of
-	// the sequential engine's without giving up scan width on the
-	// cycle-quiet frontiers that dominate real projects. The policy reads
-	// only solver state, which evolves identically at every worker count,
-	// so determinism across worker counts is preserved.
+	// cycle detection has pending evidence. Unbounded epochs would defer a
+	// detected cycle's collapse past the whole frontier and pay every
+	// redundant delivery in between. Shrinking epochs only while cycles are
+	// actively being discovered keeps that cost small without giving up
+	// scan width on the cycle-quiet frontiers that dominate real projects.
+	// The policy reads only solver state, which evolves identically at
+	// every worker count, so determinism across worker counts is preserved.
 	cycleEpochCap = 128
 )
 
@@ -182,9 +171,9 @@ func (s *solver) findRO(v Var) Var {
 
 // pushTask is a deferred addEdge prefix push: deliver from's first lim
 // processed tokens across the new from→to edge. Tasks are recorded when a
-// tail-time trigger adds an edge (the sequential engine pushes inline at
-// that point) and executed as scan work in the next epoch, which moves the
-// membership checks — the dominant cost on dispatch-dense graphs, where
+// tail-time trigger adds an edge (addEdge outside a tail pushes inline) and
+// executed as scan work in the next epoch, which moves the membership
+// checks — the dominant cost on dispatch-dense graphs, where
 // most flow happens through call-resolution edges discovered mid-solve —
 // onto the workers. Because the tail runs after every delivery of its epoch
 // advanced `delivered`, lim covers the whole epoch, including tokens the
@@ -252,10 +241,10 @@ type chunkOut struct {
 	// deliveries entirely, as the serial barrier did.
 	live []bool
 	// lcdDests are the destinations whose sets already contained the token
-	// at scan time — the sequential engine's lazy-cycle-detection signal —
-	// delimited per delivery by lcdEnds. The tail replays them through
-	// noteLCD so cycle detection sees the same redundant-delivery evidence
-	// the sequential engine would, just at epoch rather than pop granularity.
+	// at scan time — the lazy-cycle-detection signal — delimited per
+	// delivery by lcdEnds. The tail replays them through noteLCD in the
+	// fixed order, so cycle detection sees the same redundant-delivery
+	// evidence at every worker count.
 	lcdDests []Var
 	lcdEnds  []int32
 
@@ -437,25 +426,23 @@ func newParallelEngine(workers int) *parallelEngine {
 	}
 }
 
-// configureParallel switches the solver to the epoch engine with the given
-// worker count (≤ 0 keeps the sequential engine).
+// configureParallel sets the epoch engine's worker count; workers ≤ 1 runs
+// every epoch inline on the solver goroutine. Results and deterministic
+// counters are the same at every value.
 func (s *solver) configureParallel(workers int) {
-	if workers > 0 {
-		s.par = newParallelEngine(workers)
-	} else {
-		s.par = nil
-	}
+	s.par = newParallelEngine(workers)
 }
 
-// solveParallel is the epoch-engine counterpart of the sequential pop loop
-// in solve. Between epochs it runs the LCD/sweep cadence (with batched
-// Tarjan sweeps handed to a concurrent worker); within an epoch the
-// frontier is scanned, winnowed, and applied in parallel, then reconciled
-// by the serial tail.
+// solveParallel runs propagation to a fixpoint on the epoch engine. Between
+// epochs it runs the LCD/sweep cadence (with batched Tarjan sweeps handed to
+// a concurrent worker); within an epoch the frontier is scanned, winnowed,
+// and applied in parallel, then reconciled by the serial tail.
 func (s *solver) solveParallel() {
 	p := s.par
-	// Entry sweep, as in the sequential engine: synchronous, since there is
-	// no parallel work to overlap it with yet.
+	// Entry sweep: collapse every cycle the constraint generator (or a
+	// previous solve round plus injected deltas) built statically, before
+	// any token crosses its edges. Synchronous, since there is no parallel
+	// work to overlap it with yet.
 	s.collapseAllSCCs()
 	for s.head < len(s.queue) || len(p.pushTasks) > 0 || p.sweepLive || p.sweepDone {
 		if p.sweepDone {
@@ -484,19 +471,19 @@ func (s *solver) solveParallel() {
 		}
 		if !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
 			// Collapse round: every epoch that produced cycle evidence gets
-			// one, like the sequential engine collapsing before the next pop.
+			// one before the next epoch consumes more of the frontier.
 			// Deferred pushes never wait for it and never run inline for it —
 			// they are materialized (prefixes copied) so unification cannot
 			// invalidate them, and they stay parallel scan work.
 			periodic := s.iterations >= s.nextSweep
 			if periodic || len(s.lcdPending) >= lcdSweepBatch {
 				// Batched resolution: a whole-graph Tarjan sweep subsumes the
-				// per-pair searches (see runLCD). With a large frontier queued
-				// it runs concurrently with the next epoch's parallel phases
+				// per-pair searches (see lcdSweepBatch). With a large frontier
+				// queued it runs concurrently with the next epoch's parallel phases
 				// instead of on the critical path — the evidence is consumed
 				// now (the pairs are already in lcdChecked) and the components
 				// land after the next tail; with a small frontier it runs
-				// synchronously, like the sequential engine's sweep.
+				// synchronously.
 				s.lcdPending = s.lcdPending[:0]
 				if periodic {
 					s.nextSweep = s.iterations + s.sweepInterval()
@@ -690,7 +677,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 		s.queue = s.queue[:0]
 		s.head = 0
 	} else if s.head >= queueCompactMin && s.head*2 >= len(s.queue) {
-		// Same compaction policy as the sequential pop loop.
+		// Same compaction policy as the no-unify pop loop in solve.
 		m := copy(s.queue, s.queue[s.head:])
 		s.queue = s.queue[:m]
 		s.head = 0
@@ -1191,9 +1178,9 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 					if idx < st.delivered {
 						live = false
 					} else {
-						// Exact sequential accounting: every non-self edge was
-						// one delivery attempt, every self-edge one redundant
-						// skip.
+						// Exact per-delivery accounting: every non-self edge
+						// was one delivery attempt, every self-edge one
+						// redundant skip.
 						acc.delivered += int64(out.edgeCnt[di] - out.selfCnt[di])
 						acc.redundant += int64(out.selfCnt[di])
 						if idx != st.delivered {
@@ -1242,7 +1229,7 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 }
 
 // applyPushChunk performs worker wi's owned share of a push chunk: winning
-// token inserts into each task's destination, with the sequential addEdge's
+// token inserts into each task's destination, with the inline addEdge push's
 // exact accounting — every token of the frozen prefix was one delivery
 // attempt (accumulated by the destination's owner so it is added exactly
 // once).
@@ -1377,11 +1364,5 @@ func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	}
 }
 
-// parallelStats snapshots the epoch engine's counters so far (zero when
-// the sequential engine is configured).
-func (s *solver) parallelStats() ParallelSolveStats {
-	if s.par == nil {
-		return ParallelSolveStats{}
-	}
-	return s.par.stats
-}
+// parallelStats snapshots the epoch engine's counters so far.
+func (s *solver) parallelStats() ParallelSolveStats { return s.par.stats }

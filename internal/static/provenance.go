@@ -207,11 +207,11 @@ func (a *analyzer) popCtx(prev provRecord) {
 
 // onTokenCtx registers a trigger that fires under the rule context that was
 // ambient at registration time. This is the linchpin of provenance
-// determinism: a trigger may fire during the sequential pop loop, inside an
-// epoch barrier, or synchronously while the registration replays already-
-// delivered tokens — the journaled context is the registration-time one in
-// every case, and the previous ambient context is restored afterwards so a
-// synchronous replay cannot bleed its label into the caller's remaining
+// determinism: a trigger may fire in an epoch's serial tail, during a merge,
+// in the no-unify pop loop, or synchronously while the registration replays
+// already-delivered tokens — the journaled context is the registration-time
+// one in every case, and the previous ambient context is restored afterwards
+// so a synchronous replay cannot bleed its label into the caller's remaining
 // constraints. With provenance off this is exactly solver.onToken.
 func (a *analyzer) onTokenCtx(v Var, fn func(Token)) {
 	j := a.s.prov

@@ -101,8 +101,8 @@ func provenanceFingerprint(t *testing.T, workers int) string {
 }
 
 // TestProvenanceDeterministicAcrossWorkers runs the provenance-enabled
-// pipeline under the sequential engine and the parallel epoch engine at
-// several widths: every journal-derived answer — chains, frontiers, token
+// pipeline at the default solver setting and at several epoch-engine
+// widths: every journal-derived answer — chains, frontiers, token
 // descriptions, journal sizes — must be identical at every value.
 func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
 	want := provenanceFingerprint(t, 0)

@@ -63,8 +63,7 @@ const sccSweepInterval = 1024
 // 1024 until ~4k variables, so every corpus project keeps the exact
 // historical cadence), scaled linearly with graph size beyond that so the
 // O(V+E) pass stays a bounded fraction of solve time on mega-scale
-// projects. The sequential and epoch engines share this policy, so their
-// sweep cadences agree.
+// projects.
 func (s *solver) sweepInterval() int64 {
 	if v := int64(s.nVars) / 4; v > sccSweepInterval {
 		return v
@@ -98,12 +97,14 @@ const (
 //     is the classic Hardekopf/Lin signal that w may already flow back into
 //     v; the first redundant delivery per (v,w) pair triggers a bounded
 //     reachability search and collapses the cycle it finds;
-//   - periodically: every sccSweepInterval iterations (and at every solve
+//   - periodically: every sweepInterval iterations (and at every solve
 //     entry) a full Tarjan sweep over the condensed graph collapses the
 //     SCCs lazy detection missed.
 //
-// All merging happens between queue pops, never inside one, so edge and
-// trigger iteration state is never invalidated mid-delivery.
+// Propagation runs on the epoch engine (parallel.go), which does all
+// merging between epochs, never inside one, so edge and trigger iteration
+// state is never invalidated mid-delivery. The exact no-unify mode
+// (rollback windows, the reference solver) runs a plain pop loop instead.
 type solver struct {
 	chunks [][]varState
 	nVars  int
@@ -138,7 +139,7 @@ type solver struct {
 	noUnify bool
 
 	// Lazy cycle detection: candidate edges whose delivery was redundant,
-	// checked (once per pair, ever) between pops.
+	// checked (once per pair, ever) between epochs.
 	lcdPending []edgePair
 	lcdChecked map[edgePair]struct{}
 	// nextSweep is the iteration count at which the next periodic SCC
@@ -152,9 +153,9 @@ type solver struct {
 	// what keeps the O(V+E) periodic sweep off the solver's critical path
 	// on large projects whose propagation phase adds no edges.
 	sccDirty bool
-	// par, when non-nil, routes solve through the sharded epoch engine
-	// (parallel.go). The exact no-unify mode (rollback windows, the
-	// reference engine) always takes the sequential pop loop: rollback
+	// par is the sharded epoch engine (parallel.go) that solve runs while
+	// unification is on. The exact no-unify mode (rollback windows, the
+	// reference solver) takes the pop loop in solve instead: rollback
 	// depends on append-only mutation, and the epoch engine's value is
 	// moot without collapsing anyway.
 	par *parallelEngine
@@ -275,16 +276,19 @@ type delivery struct {
 // edgePair identifies a directed constraint edge for lazy cycle detection.
 type edgePair struct{ from, to Var }
 
+// newSolver builds a solver on the epoch engine with one worker; see
+// configureParallel for more.
 func newSolver() *solver {
 	return &solver{
 		queue:     make([]delivery, 0, 1024),
 		nextSweep: sccSweepInterval,
+		par:       newParallelEngine(1),
 	}
 }
 
-// newReferenceSolver builds a solver with cycle collapsing disabled: the
-// exact propagation behavior of the pre-condensation engine, used as the
-// differential oracle by the unification property tests.
+// newReferenceSolver builds a solver with cycle collapsing disabled: plain
+// FIFO propagation in the pop loop, used as the differential oracle by the
+// unification and epoch-engine property tests.
 func newReferenceSolver() *solver {
 	s := newSolver()
 	s.noUnify = true
@@ -360,7 +364,7 @@ func (s *solver) addEdge(from, to Var) {
 	}
 	st.appendEdge(to)
 	s.sccDirty = true
-	if s.par != nil && s.par.deferPush && st.delivered > 0 {
+	if s.par.deferPush && st.delivered > 0 {
 		// Inside a parallel barrier the prefix push is deferred into a scan
 		// task of the next epoch, so its membership checks run on the
 		// workers instead of serially here. The prefix [0:delivered] is
@@ -406,36 +410,25 @@ func (s *solver) onToken(v Var, fn func(Token)) {
 	// prefix below delivered is immutable (appends go after it, merge
 	// swaps stay at or beyond it) and st is chunk-stable, so st.tokens[i]
 	// for i < n keeps its value even if fn appends (and reallocates) the
-	// slice. delivered itself only advances inside solve's pop loop, never
-	// from within a trigger, so n is stable across the replay.
+	// slice. delivered itself only advances in solve's pop loop or the epoch
+	// engine's apply pass, never from within a trigger, so n is stable
+	// across the replay.
 	n := st.delivered
 	for i := 0; i < n; i++ {
 		fn(st.tokens[i])
 	}
 }
 
-// solve runs propagation to a fixpoint.
+// solve runs propagation to a fixpoint on the epoch engine, or — in the
+// exact no-unify mode — in a plain FIFO pop loop. Without unification every
+// queue entry is a token appended to its variable's pending suffix in queue
+// order, so each pop processes exactly that variable's next pending token.
 func (s *solver) solve() {
-	if s.par != nil && !s.noUnify {
+	if !s.noUnify {
 		s.solveParallel()
 		return
 	}
-	if !s.noUnify {
-		// Entry sweep: collapse every cycle the constraint generator (or a
-		// previous solve round plus injected deltas) built statically,
-		// before any token crosses its edges.
-		s.collapseAllSCCs()
-	}
 	for s.head < len(s.queue) {
-		if !s.noUnify {
-			if len(s.lcdPending) > 0 {
-				s.runLCD()
-			}
-			if s.iterations >= s.nextSweep {
-				s.collapseAllSCCs()
-				s.nextSweep = s.iterations + s.sweepInterval()
-			}
-		}
 		d := s.queue[s.head]
 		s.head++
 		s.iterations++
@@ -451,32 +444,8 @@ func (s *solver) solve() {
 		// extend this variable's own edge and trigger lists while we
 		// iterate, so re-check the lengths each step.
 		st := s.state(v)
-		idx := st.indexOf(d.t)
-		if idx < st.delivered {
-			// Already processed by the representative: this delivery was
-			// addressed to a member before its cycle collapsed (or is the
-			// merge-time re-queue of a token the other side had pending).
-			s.redundantSkipped++
-			continue
-		}
-		if idx != st.delivered {
-			// Out-of-append-order processing after a merge: swap the token
-			// into the prefix position so tokens[:delivered] stays exactly
-			// the processed set. Swaps never touch the immutable prefix, so
-			// frozen checkpoint views survive.
-			st.swapTokens(idx, st.delivered)
-		}
 		for i := 0; i < len(st.edges); i++ {
-			to := s.find(st.edges[i])
-			if to == v {
-				// Self-edge under condensation: the token is here already.
-				s.redundantSkipped++
-				continue
-			}
-			if !s.addTokenRep(to, d.t) && !s.noUnify {
-				// Redundant delivery: the lazy-cycle-detection signal.
-				s.noteLCD(v, to)
-			}
+			s.addTokenRep(s.find(st.edges[i]), d.t)
 		}
 		// Mark delivered before running triggers so a trigger registering
 		// further triggers on this variable does not re-fire for d.t.
@@ -521,25 +490,20 @@ func (s *solver) noteLCD(from, to Var) {
 	s.lcdPending = append(s.lcdPending, key)
 }
 
-// lcdSweepBatch is the pending-candidate count past which runLCD abandons
-// per-pair searches for one full Tarjan sweep: each search may visit up to
-// lcdSearchBudget nodes, so a large batch costs more than the linear sweep
-// that collapses every cycle (including ones the bounded searches would
-// miss) in a single pass.
+// lcdSweepBatch is the pending-candidate count past which solveParallel
+// abandons per-pair searches for one full Tarjan sweep: each search may
+// visit up to lcdSearchBudget nodes, so a large batch costs more than the
+// linear sweep that collapses every cycle (including ones the bounded
+// searches would miss) in a single pass.
 const lcdSweepBatch = 32
 
-// runLCD processes pending cycle candidates. For a candidate edge v→w, a
-// cycle exists iff w reaches v; the bounded search returns the discovered
-// path w…v, which together with the v→w edge forms the cycle to collapse.
-// Batches past lcdSweepBatch are resolved by a whole-graph SCC sweep
-// instead — strictly more collapsing for strictly less work.
+// runLCD processes a small batch of pending cycle candidates (fewer than
+// lcdSweepBatch). For a candidate edge v→w, a cycle exists iff w reaches v;
+// the bounded search returns the discovered path w…v, which together with
+// the v→w edge forms the cycle to collapse.
 func (s *solver) runLCD() {
 	pending := s.lcdPending
 	s.lcdPending = s.lcdPending[:0]
-	if len(pending) >= lcdSweepBatch {
-		s.collapseAllSCCs()
-		return
-	}
 	for _, cand := range pending {
 		v, w := s.find(cand.from), s.find(cand.to)
 		if v == w {
@@ -783,7 +747,6 @@ type sweepScratch struct {
 	onStack []bool
 	stack   []Var
 	frames  []sweepFrame
-	comps   [][]Var
 }
 
 type sweepFrame struct {
@@ -791,103 +754,21 @@ type sweepFrame struct {
 	edge int
 }
 
-// collapseAllSCCs runs an iterative Tarjan SCC pass over the condensed
-// graph and unifies every multi-member component. This is the backstop for
-// cycles lazy detection misses: ones closed by edges added after their
-// redundant deliveries happened, and ones beyond the LCD search budget.
+// collapseAllSCCs runs a Tarjan SCC pass over the condensed graph and
+// unifies every multi-member component. This is the backstop for cycles
+// lazy detection misses: ones closed by edges added after their redundant
+// deliveries happened, and ones beyond the LCD search budget.
 func (s *solver) collapseAllSCCs() {
-	n := s.nVars
-	if n == 0 || !s.sccDirty {
+	if !s.sccDirty {
 		// Clean graph: the previous sweep left the representative graph
 		// acyclic and no edge has been added since, so there is nothing a
 		// Tarjan pass could collapse.
 		return
 	}
-	sw := &s.sweep
-	if cap(sw.index) < n {
-		sw.index = make([]int32, n)
-		sw.lowlink = make([]int32, n)
-		sw.onStack = make([]bool, n)
-	}
-	sw.index = sw.index[:n]
-	sw.lowlink = sw.lowlink[:n]
-	sw.onStack = sw.onStack[:n]
-	for i := range sw.index {
-		sw.index[i] = 0
-		sw.onStack[i] = false
-	}
-	sw.stack = sw.stack[:0]
-	sw.comps = sw.comps[:0]
-	var next int32 = 1
-
-	for root := 0; root < n; root++ {
-		rv := Var(root)
-		if s.parent[rv] != rv || sw.index[root] != 0 {
-			continue
-		}
-		sw.frames = append(sw.frames[:0], sweepFrame{v: rv})
-		for len(sw.frames) > 0 {
-			f := &sw.frames[len(sw.frames)-1]
-			v := f.v
-			if f.edge == 0 {
-				sw.index[v] = next
-				sw.lowlink[v] = next
-				next++
-				sw.stack = append(sw.stack, v)
-				sw.onStack[v] = true
-			}
-			st := s.state(v)
-			advanced := false
-			for f.edge < len(st.edges) {
-				w := s.find(st.edges[f.edge])
-				f.edge++
-				if w == v {
-					continue
-				}
-				if sw.index[w] == 0 {
-					sw.frames = append(sw.frames, sweepFrame{v: w})
-					advanced = true
-					break
-				}
-				if sw.onStack[w] && sw.index[w] < sw.lowlink[v] {
-					sw.lowlink[v] = sw.index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v is finished.
-			if sw.lowlink[v] == sw.index[v] {
-				// Pop the component.
-				var comp []Var
-				for {
-					w := sw.stack[len(sw.stack)-1]
-					sw.stack = sw.stack[:len(sw.stack)-1]
-					sw.onStack[w] = false
-					if comp != nil || w != v {
-						comp = append(comp, w)
-					}
-					if w == v {
-						break
-					}
-				}
-				if comp != nil {
-					sw.comps = append(sw.comps, comp)
-				}
-			}
-			sw.frames = sw.frames[:len(sw.frames)-1]
-			if len(sw.frames) > 0 {
-				p := &sw.frames[len(sw.frames)-1]
-				if sw.lowlink[v] < sw.lowlink[p.v] {
-					sw.lowlink[p.v] = sw.lowlink[v]
-				}
-			}
-		}
-	}
 	// Collapse after the sweep so the traversal never sees a half-merged
 	// graph. Components are disjoint, so order does not matter for
 	// correctness; iteration order is deterministic (discovery order).
-	for _, comp := range sw.comps {
+	for _, comp := range sccComponents(s, s.nVars, &s.sweep) {
 		s.collapse(comp)
 	}
 	// The representative graph is acyclic now; the next sweep can be

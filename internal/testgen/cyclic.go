@@ -12,8 +12,8 @@ import (
 // ring into one representative, after which the still-queued deliveries are
 // short-circuited — so an analysis of this project must end with a nonzero
 // redundant_deliveries_skipped counter and one collapsed cycle per ring.
-// It is the regression workload for the cycle-collapsing machinery of both
-// solver engines (the corpus proper is cycle-light; see Benchmark tiers).
+// It is the regression workload for the solver's cycle-collapsing machinery
+// (the corpus proper is cycle-light; see Benchmark tiers).
 //
 // Deterministic: equal arguments generate equal projects. rings and
 // ringLen are clamped to at least 1 and 2 respectively.
