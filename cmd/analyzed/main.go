@@ -20,7 +20,8 @@
 //
 // Residency is bounded: at most -max-sessions sessions stay resident
 // (opening one more evicts the least recently used), and a client can
-// close a session eagerly with DELETE /session?id=.
+// close a session eagerly with DELETE /session?id=. An /analyze body over
+// 64 MiB is refused with 413.
 //
 // Isolation: each request runs under a panic guard (a panicking analysis
 // returns 500 and the daemon lives on), the pre-analysis runs with the
@@ -42,6 +43,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -146,6 +148,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// maxRequestBytes caps an /analyze request body. A declared length over
+// the cap is refused before any byte is read; a chunked body is cut off
+// at the cap. The largest corpus project encodes to well under a
+// megabyte, so the cap only stops runaway or hostile clients.
+const maxRequestBytes = 64 << 20
+
 // session is one resident project plus the memoized pre-analysis of its
 // current content fingerprint. Requests against one session serialize:
 // sess.mu guards every read and write of the resident project — delta
@@ -233,9 +241,19 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST only"})
 		return
 	}
+	if r.ContentLength > maxRequestBytes {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{fmt.Sprintf("request body of %d bytes exceeds the %d-byte cap", r.ContentLength, maxRequestBytes)})
+		return
+	}
 	var req analyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{"bad request body: " + err.Error()})
 		return
 	}
 

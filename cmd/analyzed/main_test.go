@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -200,6 +202,28 @@ func TestAnalyzeErrors(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /analyze: status = %d, want 405", res.StatusCode)
+	}
+
+	// An oversized body is refused from its declared length, so the test
+	// writes only the headers and one byte of it over a raw connection.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /analyze HTTP/1.1\r\nHost: analyzed\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{",
+		maxRequestBytes+1)
+	res, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(res.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusRequestEntityTooLarge || e.Error == "" {
+		t.Errorf("oversized body: status = %d, error %q; want 413 with an error", res.StatusCode, e.Error)
 	}
 }
 

@@ -23,36 +23,22 @@ import (
 )
 
 // runMega runs the mega-tier solver-scaling benchmark (experiments
-// .RunMegaBench over the default worker arms), renders the scaling table,
-// and optionally writes the perf.ParallelSnapshot JSON for cmd/benchcheck.
-func runMega(nModules int, benchout string) {
+// .RunMegaBench over the default worker arms) and renders its rows.
+func runMega(nModules int) []perf.Row {
 	fmt.Printf("Mega-tier solver scaling (workers %v)…\n", experiments.DefaultMegaWorkers)
-	snap, err := experiments.RunMegaBench(nModules, experiments.DefaultMegaWorkers)
+	bench, err := experiments.RunMegaBench(nModules, experiments.DefaultMegaWorkers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate: mega:", err)
 		os.Exit(1)
 	}
-	snap.Render(os.Stdout)
-	if benchout != "" {
-		f, err := os.Create(benchout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", benchout)
-	}
+	bench.Render(os.Stdout)
+	return bench.Rows
 }
 
 // runDelta runs the persistent-cache delta benchmark (cold / warm /
 // one-file-edit corpus evaluations against one cache directory, reports
-// asserted byte-identical in-harness), renders the table, and optionally
-// writes the perf.DeltaSnapshot JSON (BENCH_delta.json) for cmd/benchcheck.
-func runDelta(cacheDir, benchout string, workers int) {
+// asserted byte-identical in-harness) and renders its rows.
+func runDelta(cacheDir string, opts experiments.Options) []perf.Row {
 	dir := cacheDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "repro-cache-*")
@@ -64,25 +50,23 @@ func runDelta(cacheDir, benchout string, workers int) {
 		dir = tmp
 	}
 	fmt.Printf("Delta benchmark (cache dir %s)…\n", dir)
-	snap, err := experiments.RunDeltaBench(dir, experiments.Options{Workers: workers})
+	bench, err := experiments.RunDeltaBench(dir, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate: delta:", err)
 		os.Exit(1)
 	}
-	snap.Render(os.Stdout)
-	if benchout != "" {
-		f, err := os.Create(benchout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", benchout)
+	bench.Render(os.Stdout)
+	return bench.Rows
+}
+
+// writeBench merges rows into the bench snapshot at path, replacing the
+// rows of their workload and keeping the file's other rows.
+func writeBench(path string, rows []perf.Row) {
+	if err := perf.MergeFile(path, rows); err != nil {
+		fmt.Fprintln(os.Stderr, "evaluate:", err)
+		os.Exit(1)
 	}
+	fmt.Printf("wrote %s\n", path)
 }
 
 func main() {
@@ -106,12 +90,12 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write figure/table data as CSV files into this directory")
 		workers  = flag.Int("workers", 0, "parallel benchmark workers (0 = NumCPU)")
 		solverW  = flag.Int("solver-workers", 0, "epoch-engine scan workers per benchmark (0 and 1 both mean one worker — reports are identical at every value)")
-		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson the perf.ParallelSnapshot is written there (BENCH_parallel.json)")
+		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson its rows (mega/w1, w2, w4) go into the bench snapshot")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (parses, hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
-		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and -benchjson writes the snapshot (BENCH_delta.json)")
+		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and with -benchjson its rows (delta/cold, warm, edit-warm, edit-scratch) go into the bench snapshot")
 		perfF    = flag.Bool("perf", false, "print pipeline perf counters (phase times, parse-cache hits, solver effort)")
-		benchout = flag.String("benchjson", "", "write per-phase wall times and counter totals as JSON to this file (e.g. BENCH_baseline.json)")
+		benchout = flag.String("benchjson", "", "merge this run's rows into the bench snapshot at this file (e.g. BENCH.json): the rows of the workload run (corpus, -delta or -mega) are replaced, the file's other rows are kept")
 
 		approxDeadline = flag.Duration("approx-deadline", 0, "wall-clock deadline per approximate-interpretation worklist item (0 = unlimited); tripped items become contained faults and their modules degrade to baseline-only hints")
 		dyncgDeadline  = flag.Duration("dyncg-deadline", 0, "wall-clock deadline per dynamic-call-graph entry module (0 = unlimited)")
@@ -124,12 +108,20 @@ func main() {
 		*exts = true
 		*scale = true
 	}
-	if *mega {
-		runMega(*megaMods, *benchout)
-		return
+	nWorkers := *workers
+	if nWorkers <= 0 {
+		nWorkers = runtime.NumCPU()
 	}
-	if *delta {
-		runDelta(*cacheDir, *benchout, *workers)
+	if *mega || *delta {
+		var rows []perf.Row
+		if *mega {
+			rows = runMega(*megaMods)
+		} else {
+			rows = runDelta(*cacheDir, experiments.Options{Workers: nWorkers, SolverWorkers: *solverW})
+		}
+		if *benchout != "" {
+			writeBench(*benchout, rows)
+		}
 		return
 	}
 	if *whyMiss {
@@ -161,10 +153,6 @@ func main() {
 	}
 	needDyn := *table2 || *table3 || *vuln || *summary
 
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.NumCPU()
-	}
 	var store *cache.Store
 	if *cacheDir != "" {
 		var err error
@@ -323,17 +311,8 @@ func main() {
 			snap.Render(w)
 		}
 		if *benchout != "" {
-			f, err := os.Create(*benchout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate:", err)
-				os.Exit(1)
-			}
-			if err := snap.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *benchout)
+			writeBench(*benchout, []perf.Row{{Workload: perf.WorkloadCorpus, SolverWorkers: *solverW,
+				Host: perf.ThisHost(), Snapshot: snap}})
 		}
 	}
 }

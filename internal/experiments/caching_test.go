@@ -125,8 +125,8 @@ func TestCorpusCacheEditInvalidates(t *testing.T) {
 }
 
 // TestRunDeltaBench exercises the full four-arm benchmark harness (the
-// BENCH_delta.json generator) end to end, including its in-harness
-// byte-identical assertions.
+// generator of the bench snapshot's delta rows) end to end, including its
+// in-harness byte-identical assertions.
 func TestRunDeltaBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus benchmark; skipped in -short")
@@ -135,21 +135,20 @@ func TestRunDeltaBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.ReportsIdentical {
-		t.Error("harness returned without asserting report identity")
+	if len(snap.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4", len(snap.Rows))
 	}
-	if len(snap.Runs) != 4 {
-		t.Fatalf("got %d runs, want 4", len(snap.Runs))
+	cold, warm, editWarm := snap.Row("delta/cold"), snap.Row("delta/warm"), snap.Row("delta/edit-warm")
+	if cold == nil || warm == nil || editWarm == nil {
+		t.Fatalf("missing cold, warm or edit-warm row: %+v", snap.Rows)
 	}
-	warm := snap.Run("warm")
-	if warm == nil || warm.CacheMisses != 0 || warm.Parses != 0 {
+	if warm.CacheMisses != 0 || warm.Parses != 0 {
 		t.Errorf("warm arm not fully cached: %+v", warm)
 	}
-	if snap.WarmSpeedup < 5 || snap.EditSpeedup < 5 {
-		t.Errorf("speedups %.1fx/%.1fx below the 5x floor", snap.WarmSpeedup, snap.EditSpeedup)
+	if ws, es := cold.WallMS/warm.WallMS, cold.WallMS/editWarm.WallMS; ws < 5 || es < 5 {
+		t.Errorf("speedups %.1fx/%.1fx below the 5x floor", ws, es)
 	}
-	editWarm := snap.Run("edit-warm")
-	if editWarm == nil || editWarm.DeltaModulesRean == 0 {
+	if editWarm.DeltaModulesRean == 0 {
 		t.Errorf("edit-warm arm reanalyzed no modules: %+v", editWarm)
 	}
 }

@@ -70,12 +70,11 @@ func renderContentReports(bs []*corpus.Benchmark, outs []*Outcome) ([]byte, erro
 // deltaArm runs one benchmark arm: a full corpus evaluation (fresh
 // benchmark values, so no in-memory state leaks between arms) against the
 // given store (nil = no cache), optionally with the one-file edit applied.
-func deltaArm(label string, store *cache.Store, edit bool, opts Options) (row perf.DeltaRow, reports []byte, project, file string, err error) {
+func deltaArm(arm string, store *cache.Store, edit bool, opts Options) (row perf.Row, reports []byte, err error) {
 	bs := corpus.All()
 	if edit {
-		project, file = applyDeltaEdit(bs)
-		if project == "" {
-			return row, nil, "", "", fmt.Errorf("delta: no editable benchmark in corpus")
+		if project, _ := applyDeltaEdit(bs); project == "" {
+			return row, nil, fmt.Errorf("delta: no editable benchmark in corpus")
 		}
 	}
 	perf.Global().Reset()
@@ -85,21 +84,25 @@ func deltaArm(label string, store *cache.Store, edit bool, opts Options) (row pe
 	runOpts.Cache = store
 	outs, err := RunCorpusOpts(bs, runOpts)
 	if err != nil {
-		return row, nil, "", "", fmt.Errorf("delta %s: %w", label, err)
+		return row, nil, fmt.Errorf("delta %s: %w", arm, err)
 	}
 	wall := time.Since(start)
 	snap := perf.Global().Snapshot()
+	snap.Workers = opts.Workers
 	snap.WallMS = float64(wall.Microseconds()) / 1000
 	reports, err = renderContentReports(bs, outs)
 	if err != nil {
-		return row, nil, "", "", fmt.Errorf("delta %s: %w", label, err)
+		return row, nil, fmt.Errorf("delta %s: %w", arm, err)
 	}
-	return perf.DeltaRowFrom(label, snap), reports, project, file, nil
+	row = perf.Row{Workload: perf.WorkloadDelta, Arm: arm, SolverWorkers: opts.SolverWorkers,
+		Host: perf.ThisHost(), Snapshot: snap}
+	return row, reports, nil
 }
 
 // RunDeltaBench measures the persistent cache end to end against the full
-// corpus, producing BENCH_delta.json. Four arms run against dir (which
-// should start empty for the cold arm to be genuinely cold):
+// corpus, producing the delta rows of the bench snapshot. Four arms run
+// against dir (which should start empty for the cold arm to be genuinely
+// cold):
 //
 //	cold          empty cache, full corpus — populates the store
 //	warm          unchanged corpus, same store — must be all outcome hits
@@ -112,30 +115,27 @@ func deltaArm(label string, store *cache.Store, edit bool, opts Options) (row pe
 // the cache served a wrong artifact), and edit-warm must render
 // byte-identical content reports to edit-scratch (the delta path must be
 // indistinguishable from a restart on the edited corpus).
-func RunDeltaBench(dir string, opts Options) (*perf.DeltaSnapshot, error) {
+func RunDeltaBench(dir string, opts Options) (*perf.Bench, error) {
 	store, err := cache.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	snap := &perf.DeltaSnapshot{CorpusProjects: corpus.Size}
-
-	cold, coldReports, _, _, err := deltaArm("cold", store, false, opts)
+	cold, coldReports, err := deltaArm("cold", store, false, opts)
 	if err != nil {
 		return nil, err
 	}
-	warm, warmReports, _, _, err := deltaArm("warm", store, false, opts)
+	warm, warmReports, err := deltaArm("warm", store, false, opts)
 	if err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(coldReports, warmReports) {
 		return nil, fmt.Errorf("delta: warm-run reports differ from cold run (cache served a wrong artifact)")
 	}
-	editWarm, editWarmReports, project, file, err := deltaArm("edit-warm", store, true, opts)
+	editWarm, editWarmReports, err := deltaArm("edit-warm", store, true, opts)
 	if err != nil {
 		return nil, err
 	}
-	snap.EditedProject, snap.EditedFile = project, file
-	editScratch, editScratchReports, _, _, err := deltaArm("edit-scratch", nil, true, opts)
+	editScratch, editScratchReports, err := deltaArm("edit-scratch", nil, true, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +145,5 @@ func RunDeltaBench(dir string, opts Options) (*perf.DeltaSnapshot, error) {
 	if bytes.Equal(coldReports, editWarmReports) {
 		return nil, fmt.Errorf("delta: edit did not change the reports — the probe edit was not analyzed")
 	}
-	snap.ReportsIdentical = true
-
-	snap.Runs = []perf.DeltaRow{cold, warm, editWarm, editScratch}
-	if warm.WallMS > 0 {
-		snap.WarmSpeedup = cold.WallMS / warm.WallMS
-	}
-	if editWarm.WallMS > 0 {
-		snap.EditSpeedup = cold.WallMS / editWarm.WallMS
-	}
-	return snap, nil
+	return &perf.Bench{Rows: []perf.Row{cold, warm, editWarm, editScratch}}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/perf"
 )
 
@@ -12,6 +13,9 @@ import (
 // epoch-engine worker counts. RunMegaBench itself fails on any counter
 // divergence between rows, so this test mostly checks the snapshot's shape.
 func TestRunMegaBench(t *testing.T) {
+	if n := len(corpus.Mega(120).Project.Files) - 1; n < 80 {
+		t.Fatalf("mega project has %d modules, want a solver-bound project", n)
+	}
 	snap, err := RunMegaBench(120, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -19,18 +23,15 @@ func TestRunMegaBench(t *testing.T) {
 	if len(snap.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(snap.Rows))
 	}
-	if snap.MegaModules < 80 {
-		t.Fatalf("mega project has %d modules, want a solver-bound project", snap.MegaModules)
-	}
-	par := snap.Row(1)
+	par := snap.Row("mega/w1")
 	if par == nil {
-		t.Fatal("missing workers=1 row")
+		t.Fatal("missing mega/w1 row")
 	}
-	if par.Epochs == 0 {
-		t.Fatal("workers=1 row recorded no epochs")
+	if par.SolverEpochs == 0 || par.SolverWorkers != 1 || par.Host.GOMAXPROCS == 0 {
+		t.Fatalf("mega/w1 row lacks epochs, solver workers or host: %+v", par)
 	}
-	if snap.ParallelShare <= 0 || snap.ParallelShare >= 1 {
-		t.Fatalf("parallel share %v outside (0, 1)", snap.ParallelShare)
+	if share := (par.SolverScanMS + par.SolverApplyMS) / par.WallMS; share <= 0 || share >= 1 {
+		t.Fatalf("parallel share %v outside (0, 1)", share)
 	}
 
 	// The render must be a pure function of the deterministic fields plus

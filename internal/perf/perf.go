@@ -3,14 +3,15 @@
 // for parsing, static for constraint solving, core and experiments for
 // phase orchestration) record into the process-wide Global counters;
 // cmd/evaluate resets them before a run, snapshots them after, and renders
-// the snapshot as a report or as BENCH_baseline.json.
+// the snapshot as a report. Labelled with a workload, an arm and the host,
+// a snapshot becomes one Row of the bench snapshot (Bench, BENCH.json),
+// which cmd/benchcheck compares against the committed one.
 //
 // All methods are safe for concurrent use — the parallel corpus driver has
 // many workers recording at once — and the zero Counters value is ready.
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -243,9 +244,8 @@ func (c *Counters) Reset() {
 	c.deltaModulesRean.Store(0)
 }
 
-// Snapshot is a point-in-time copy of the counters, serializable as
-// BENCH_baseline.json. Workers and WallMS describe the run as a whole and
-// are filled in by the driver.
+// Snapshot is a point-in-time copy of the counters. Workers and WallMS
+// describe the run as a whole and are filled in by the driver.
 type Snapshot struct {
 	Workers int     `json:"workers,omitempty"`
 	WallMS  float64 `json:"wall_ms,omitempty"`
@@ -294,7 +294,9 @@ type Snapshot struct {
 	CacheBytesWritten int64 `json:"cache_bytes_written,omitempty"`
 	DeltaModulesRean  int64 `json:"delta_modules_reanalyzed,omitempty"`
 
-	PhaseMS         map[string]float64 `json:"phase_ms"`
+	// Phase wall times, and the allocation of each phase that recorded
+	// any; a phase whose allocation is not measured is left out.
+	PhaseMS         map[string]float64 `json:"phase_ms,omitempty"`
 	PhaseAllocBytes map[string]int64   `json:"phase_alloc_bytes,omitempty"`
 }
 
@@ -337,24 +339,15 @@ func (c *Counters) Snapshot() Snapshot {
 	for p := Phase(0); p < numPhases; p++ {
 		s.PhaseMS[p.String()] = float64(c.phaseNS[p].Load()) / 1e6
 	}
-	var allocTotal int64
 	for p := Phase(0); p < numPhases; p++ {
-		allocTotal += c.phaseAllocBytes[p].Load()
-	}
-	if allocTotal > 0 {
-		s.PhaseAllocBytes = map[string]int64{}
-		for p := Phase(0); p < numPhases; p++ {
-			s.PhaseAllocBytes[p.String()] = c.phaseAllocBytes[p].Load()
+		if b := c.phaseAllocBytes[p].Load(); b != 0 {
+			if s.PhaseAllocBytes == nil {
+				s.PhaseAllocBytes = map[string]int64{}
+			}
+			s.PhaseAllocBytes[p.String()] = b
 		}
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // Render writes a human-readable report.

@@ -1,8 +1,8 @@
 package perf
 
 import (
-	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -57,13 +57,13 @@ func TestIncrementalAndAllocCounters(t *testing.T) {
 		t.Errorf("phase allocs wrong: %v", s.PhaseAllocBytes)
 	}
 
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"solve_iterations_baseline", "solve_iterations_delta", "phase_alloc_bytes"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("JSON missing %q:\n%s", want, buf.String())
+		if !strings.Contains(string(buf), want) {
+			t.Errorf("JSON missing %q:\n%s", want, buf)
 		}
 	}
 	var out strings.Builder
@@ -111,20 +111,26 @@ func TestCountersConcurrent(t *testing.T) {
 func TestSnapshotJSONAndRender(t *testing.T) {
 	var c Counters
 	c.AddParse(time.Millisecond)
+	c.AddPhaseAlloc(PhaseBaseline, 3<<20)
 	s := c.Snapshot()
 	s.Workers = 4
 	s.WallMS = 12.5
 
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Workers != 4 || back.Parses != 1 || back.WallMS != 12.5 {
 		t.Errorf("round trip wrong: %+v", back)
+	}
+	// Only the phase that recorded allocation reports it: parse allocation
+	// is not measured, so it is absent rather than a measured 0.
+	if len(back.PhaseAllocBytes) != 1 || back.PhaseAllocBytes["baseline"] != 3<<20 {
+		t.Errorf("phase allocs = %v, want only baseline", back.PhaseAllocBytes)
 	}
 
 	var out strings.Builder
@@ -133,6 +139,49 @@ func TestSnapshotJSONAndRender(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("render missing %q:\n%s", want, out.String())
 		}
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "baseline ") != strings.Contains(line, "MB alloc") {
+			t.Errorf("alloc column on the wrong phase line: %q", line)
+		}
+	}
+}
+
+func TestMergeFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	row := func(workload, arm string, tokens int64) Row {
+		r := Row{Workload: workload, Arm: arm, Host: ThisHost()}
+		r.TokensDelivered = tokens
+		return r
+	}
+	if err := MergeFile(path, []Row{row(WorkloadMega, "w1", 1), row(WorkloadMega, "w4", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeFile(path, []Row{row(WorkloadCorpus, "", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeFile(path, []Row{row(WorkloadMega, "w2", 3)}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBench(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for i := range b.Rows {
+		names = append(names, b.Rows[i].Name())
+	}
+	if got := strings.Join(names, " "); got != "corpus mega/w2" {
+		t.Fatalf("rows = %q, want the corpus row kept and the mega rows replaced", got)
+	}
+	if r := b.Row("mega/w2"); r == nil || r.TokensDelivered != 3 || r.Host.GoVersion == "" {
+		t.Errorf("mega/w2 row = %+v", r)
+	}
+
+	var out strings.Builder
+	b.Render(&out)
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Errorf("render has %d lines, want a header and one per row:\n%s", n, out.String())
 	}
 }
 
