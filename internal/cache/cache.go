@@ -10,11 +10,12 @@
 // Entries are single files with a versioned binary frame (magic, format
 // version, kind, payload checksum); loads validate the whole frame and
 // treat any mismatch — truncation, corruption, a stale format version, a
-// kind collision — as a miss, never an error or a panic. Writes go through
-// a temp file in the same directory followed by an atomic rename, so
-// concurrent processes sharing one cache directory see either the complete
-// entry or none, and racing writers of the same key are harmless (their
-// payloads are identical by the content-addressing argument).
+// kind collision, a payload the caller cannot decode — as a miss, never
+// an error or a panic. Writes go through a temp file in the same directory
+// followed by an atomic rename, so concurrent processes sharing one cache
+// directory see either the complete entry or none, and racing writers of
+// the same key are harmless (their payloads are identical by the
+// content-addressing argument).
 package cache
 
 import (
@@ -122,25 +123,28 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get loads the payload stored under (kind, key). Absent, truncated,
-// corrupt, and stale-version entries all return ok=false; Get never
-// returns an error and never panics on bad bytes.
-func (s *Store) Get(kind, key string) (payload []byte, ok bool) {
+// Get loads the payload stored under (kind, key) and passes it to decode.
+// Absent, truncated, corrupt and stale-version entries, and payloads that
+// decode rejects, all return false and count as misses: only a payload
+// that decodes counts as a hit. Get never returns an error and never
+// panics on bad bytes. The payload is freshly read, so decode may keep
+// slices of it.
+func (s *Store) Get(kind, key string, decode func(payload []byte) error) bool {
 	if s == nil {
-		return nil, false
+		return false
 	}
 	if validKey(key) {
 		if data, err := os.ReadFile(s.entryPath(kind, key)); err == nil {
-			if p, ok := decodeFrame(data, kind); ok {
+			if p, ok := decodeFrame(data, kind); ok && decode(p) == nil {
 				s.hits.Add(1)
 				perf.Global().AddCacheHit()
-				return p, true
+				return true
 			}
 		}
 	}
 	s.misses.Add(1)
 	perf.Global().AddCacheMiss()
-	return nil, false
+	return false
 }
 
 // Put stores payload under (kind, key) atomically: the frame is written to

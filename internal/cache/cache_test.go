@@ -13,6 +13,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/modules"
 	"repro/internal/parser"
+	"repro/internal/perf"
 )
 
 func open(t *testing.T) *Store {
@@ -24,17 +25,26 @@ func open(t *testing.T) *Store {
 	return s
 }
 
+// get loads a raw payload, accepting whatever the frame carries.
+func get(s *Store, kind, key string) (payload []byte, ok bool) {
+	ok = s.Get(kind, key, func(p []byte) error {
+		payload = p
+		return nil
+	})
+	return payload, ok
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t)
 	payload := []byte("hello artifact")
 	key := HashBytes(payload)
-	if _, ok := s.Get(KindAST, key); ok {
+	if _, ok := get(s, KindAST, key); ok {
 		t.Fatal("empty store reported a hit")
 	}
 	if err := s.Put(KindAST, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(KindAST, key)
+	got, ok := get(s, KindAST, key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %t; want payload back", got, ok)
 	}
@@ -49,14 +59,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.Get(KindAST, key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := get(s2, KindAST, key); !ok || !bytes.Equal(got, payload) {
 		t.Error("fresh store over the same dir missed a persisted entry")
 	}
 }
 
 func TestNilStoreIsMiss(t *testing.T) {
 	var s *Store
-	if _, ok := s.Get(KindAST, HashBytes(nil)); ok {
+	if _, ok := get(s, KindAST, HashBytes(nil)); ok {
 		t.Error("nil store reported a hit")
 	}
 	if err := s.Put(KindAST, HashBytes(nil), []byte("x")); err != nil {
@@ -70,7 +80,7 @@ func TestInvalidKeysRejected(t *testing.T) {
 		if err := s.Put(KindAST, key, []byte("x")); err != nil {
 			t.Errorf("Put(%q) errored: %v", key, err)
 		}
-		if _, ok := s.Get(KindAST, key); ok {
+		if _, ok := get(s, KindAST, key); ok {
 			t.Errorf("Get(%q) hit", key)
 		}
 	}
@@ -126,11 +136,49 @@ func TestCorruptedEntryIsMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 			mutateEntry(t, s, KindHints, key, tc.fn)
-			if _, ok := s.Get(KindHints, key); ok {
+			if _, ok := get(s, KindHints, key); ok {
 				t.Error("corrupted entry loaded as a hit")
 			}
 		})
 	}
+}
+
+// TestUndecodablePayloadIsMiss: a valid frame around a payload the caller
+// cannot decode is a miss, in the store's counters and the perf counters.
+func TestUndecodablePayloadIsMiss(t *testing.T) {
+	s := open(t)
+	key := HashBytes([]byte("not an AST"))
+	if err := s.Put(KindAST, key, []byte("not an AST")); err != nil {
+		t.Fatal(err)
+	}
+	perf.Global().Reset()
+	if _, ok := s.LoadAST(key); ok {
+		t.Fatal("undecodable AST payload loaded")
+	}
+	if hits, misses, _ := s.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("Stats = %d hits, %d misses; want 0, 1", hits, misses)
+	}
+	if snap := perf.Global().Snapshot(); snap.CacheHits != 0 || snap.CacheMisses != 1 {
+		t.Errorf("perf counters = %d hits, %d misses; want 0, 1", snap.CacheHits, snap.CacheMisses)
+	}
+}
+
+// FuzzDecodeFrame: any input is rejected, without allocating, or is a
+// frame that re-encodes to the same bytes. The seeds are real corpus
+// records framed by Put.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range []string{KindAST, KindHints, KindOutcome} {
+			var payload []byte
+			var ok bool
+			if n := testing.AllocsPerRun(1, func() { payload, ok = decodeFrame(data, kind) }); n > 0 {
+				t.Fatalf("decodeFrame allocated %v times", n)
+			}
+			if ok && !bytes.Equal(encodeFrame(kind, payload), data) {
+				t.Fatalf("accepted %s frame re-encodes differently: %x", kind, data)
+			}
+		}
+	})
 }
 
 func TestKindsDoNotAlias(t *testing.T) {
@@ -140,7 +188,7 @@ func TestKindsDoNotAlias(t *testing.T) {
 	if err := s.Put(KindAST, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(KindHints, key); ok {
+	if _, ok := get(s, KindHints, key); ok {
 		t.Error("entry stored under one kind loaded under another")
 	}
 	// Even a file copied across kind directories must miss: the kind is in
@@ -155,7 +203,7 @@ func TestKindsDoNotAlias(t *testing.T) {
 	if err := os.WriteFile(dst, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(KindOutcome, key); ok {
+	if _, ok := get(s, KindOutcome, key); ok {
 		t.Error("frame written for one kind decoded under another kind")
 	}
 }
@@ -269,7 +317,7 @@ func TestOptionsFingerprintMismatch(t *testing.T) {
 	if err := s.Put(KindOutcome, keyA, []byte("outcome-under-A")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get(KindOutcome, keyB); ok {
+	if _, ok := get(s, KindOutcome, keyB); ok {
 		t.Error("artifact stored under one options fingerprint served under another")
 	}
 }
@@ -341,7 +389,7 @@ func TestConcurrentStores(t *testing.T) {
 				for round := 0; round < 20; round++ {
 					i := (g*7 + round) % keys
 					key := HashBytes(payload(i))
-					if got, ok := s.Get(KindAST, key); ok && !bytes.Equal(got, payload(i)) {
+					if got, ok := get(s, KindAST, key); ok && !bytes.Equal(got, payload(i)) {
 						t.Errorf("hit returned wrong payload for key %d", i)
 						return
 					}
@@ -357,7 +405,7 @@ func TestConcurrentStores(t *testing.T) {
 	// After the dust settles every key must load with the right payload.
 	for i := 0; i < keys; i++ {
 		key := HashBytes(payload(i))
-		got, ok := s1.Get(KindAST, key)
+		got, ok := get(s1, KindAST, key)
 		if !ok || !bytes.Equal(got, payload(i)) {
 			t.Errorf("key %d: Get = %q, %t after concurrent writes", i, got, ok)
 		}

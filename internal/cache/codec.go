@@ -50,16 +50,12 @@ func DecodeAST(data []byte) (*ast.Program, error) {
 
 // LoadAST implements modules.ParseStore: it returns the cached parse of a
 // source key, or ok=false on any miss (absent, corrupt, undecodable).
-func (s *Store) LoadAST(key string) (*ast.Program, bool) {
-	payload, ok := s.Get(KindAST, key)
-	if !ok {
-		return nil, false
-	}
-	prog, err := DecodeAST(payload)
-	if err != nil {
-		return nil, false
-	}
-	return prog, true
+func (s *Store) LoadAST(key string) (prog *ast.Program, ok bool) {
+	ok = s.Get(KindAST, key, func(payload []byte) (err error) {
+		prog, err = DecodeAST(payload)
+		return err
+	})
+	return prog, ok
 }
 
 // StoreAST implements modules.ParseStore. Encoding or write failures are

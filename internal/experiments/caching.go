@@ -20,9 +20,7 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -33,8 +31,8 @@ import (
 )
 
 // schemaVersion is folded into every artifact key; bump it whenever the
-// record shapes below change so stale encodings become misses.
-const schemaVersion = "v1"
+// record layouts below change so stale encodings become misses.
+const schemaVersion = "v2"
 
 // approxRecord is the cached pre-analysis of one project fingerprint.
 type approxRecord struct {
@@ -42,34 +40,6 @@ type approxRecord struct {
 	VisitedRatio float64
 	DurationNS   int64
 	HintsJSON    []byte
-}
-
-// outcomeRecord is the cached full evaluation of one benchmark. Reachable
-// sets are stored sorted so encoding is deterministic.
-type outcomeRecord struct {
-	Name  string
-	Stats corpus.Stats
-
-	HintCount    int
-	VisitedRatio float64
-
-	ApproxNS, BaselineNS, ExtendedNS int64
-
-	Base, Ext callgraph.Metrics
-
-	HasDynCG bool
-	DynEdges int
-	BaseAcc  callgraph.Accuracy
-	ExtAcc   callgraph.Accuracy
-
-	BaseReach, ExtReach []callgraph.FuncID
-
-	BaseCondensation [][]static.Var
-
-	HasAbl   bool
-	AblEdges int
-	AblMono  float64
-	AblPrec  float64
 }
 
 // approxKey is the artifact key of a project's pre-analysis: the approx
@@ -88,20 +58,37 @@ func outcomeKey(fp string, opts Options, b *corpus.Benchmark) string {
 		opts.ApproxDeadline.String(), opts.DynCGDeadline.String())
 }
 
+func encodeApprox(rec approxRecord) []byte {
+	w := recWriter{buf: make([]byte, 0, 32+len(rec.HintsJSON))}
+	w.int(rec.HintCount)
+	w.float(rec.VisitedRatio)
+	w.int(int(rec.DurationNS))
+	w.bytes(rec.HintsJSON)
+	return w.buf
+}
+
+// decodeApprox decodes an encodeApprox record. HintsJSON aliases payload.
+func decodeApprox(payload []byte) (approxRecord, error) {
+	r := recReader{buf: payload}
+	rec := approxRecord{
+		HintCount:    r.int(),
+		VisitedRatio: r.float(),
+		DurationNS:   int64(r.int()),
+		HintsJSON:    r.bytes(),
+	}
+	return rec, r.end()
+}
+
 // loadApprox returns the cached pre-analysis, or ok=false on any miss.
 func loadApprox(store *cache.Store, key string) (rec approxRecord, h *hints.Hints, ok bool) {
-	payload, ok := store.Get(cache.KindHints, key)
-	if !ok {
-		return rec, nil, false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return rec, nil, false
-	}
-	h, err := hints.ReadJSON(bytes.NewReader(rec.HintsJSON))
-	if err != nil {
-		return rec, nil, false
-	}
-	return rec, h, true
+	ok = store.Get(cache.KindHints, key, func(payload []byte) (err error) {
+		if rec, err = decodeApprox(payload); err != nil {
+			return err
+		}
+		h, err = hints.ReadJSON(bytes.NewReader(rec.HintsJSON))
+		return err
+	})
+	return rec, h, ok
 }
 
 // storeApprox caches a fault-free pre-analysis.
@@ -111,56 +98,114 @@ func storeApprox(store *cache.Store, key string, hintCount int, visited float64,
 		return
 	}
 	rec := approxRecord{HintCount: hintCount, VisitedRatio: visited, DurationNS: int64(d), HintsJSON: hj.Bytes()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return
+	_ = store.Put(cache.KindHints, key, encodeApprox(rec))
+}
+
+// encodeOutcome writes the cached fields of a benchmark evaluation: all of
+// them but the faults and degraded modules (only clean runs are cached)
+// and the dynamic call graph (never cached).
+func encodeOutcome(out *Outcome) []byte {
+	w := recWriter{buf: make([]byte, 0, 4096)}
+	w.string(out.Name)
+	st := out.Stats
+	w.string(st.Name)
+	w.int(st.Packages)
+	w.int(st.Modules)
+	w.int(st.Functions)
+	w.int(st.CodeSize)
+	w.bool(st.HasDynCG)
+	w.int(out.HintCount)
+	w.float(out.VisitedRatio)
+	w.int(int(out.ApproxTime))
+	w.int(int(out.BaselineTime))
+	w.int(int(out.ExtendedTime))
+	for _, m := range []callgraph.Metrics{out.Base, out.Ext} {
+		w.int(m.CallEdges)
+		w.int(m.ReachableFunctions)
+		w.float(m.ResolvedPct)
+		w.float(m.MonomorphicPct)
 	}
-	_ = store.Put(cache.KindHints, key, buf.Bytes())
+	w.bool(out.HasDynCG)
+	w.int(out.DynEdges)
+	for _, a := range []callgraph.Accuracy{out.BaseAcc, out.ExtAcc} {
+		w.float(a.Recall)
+		w.float(a.Precision)
+		w.int(a.DynEdges)
+	}
+	w.funcs(out.baseReach)
+	w.funcs(out.extReach)
+	w.uvarint(uint64(len(out.baseCondensation)))
+	for _, c := range out.baseCondensation {
+		w.vars(c)
+	}
+	w.bool(out.hasAbl)
+	w.int(out.ablEdges)
+	w.float(out.ablMono)
+	w.float(out.ablPrec)
+	return w.buf
+}
+
+// decodeOutcome decodes an encodeOutcome record.
+func decodeOutcome(payload []byte) (*Outcome, error) {
+	r := recReader{buf: payload}
+	out := &Outcome{Name: r.string()}
+	out.Stats = corpus.Stats{
+		Name:      r.string(),
+		Packages:  r.int(),
+		Modules:   r.int(),
+		Functions: r.int(),
+		CodeSize:  r.int(),
+		HasDynCG:  r.bool(),
+	}
+	out.HintCount = r.int()
+	out.VisitedRatio = r.float()
+	out.ApproxTime = time.Duration(r.int())
+	out.BaselineTime = time.Duration(r.int())
+	out.ExtendedTime = time.Duration(r.int())
+	for _, m := range []*callgraph.Metrics{&out.Base, &out.Ext} {
+		m.CallEdges = r.int()
+		m.ReachableFunctions = r.int()
+		m.ResolvedPct = r.float()
+		m.MonomorphicPct = r.float()
+	}
+	out.HasDynCG = r.bool()
+	out.DynEdges = r.int()
+	for _, a := range []*callgraph.Accuracy{&out.BaseAcc, &out.ExtAcc} {
+		a.Recall = r.float()
+		a.Precision = r.float()
+		a.DynEdges = r.int()
+	}
+	out.baseReach = r.funcs()
+	out.extReach = r.funcs()
+	if n := r.count(1); n > 0 {
+		out.baseCondensation = make([][]static.Var, n)
+		for i := range out.baseCondensation {
+			out.baseCondensation[i] = r.vars()
+		}
+	}
+	out.hasAbl = r.bool()
+	out.ablEdges = r.int()
+	out.ablMono = r.float()
+	out.ablPrec = r.float()
+	return out, r.end()
 }
 
 // loadOutcome reconstructs a benchmark's Outcome from the cache, or
 // returns ok=false on any miss (including a name mismatch, which would
 // indicate a fingerprint collision and must never serve a wrong record).
 func loadOutcome(store *cache.Store, key string, b *corpus.Benchmark) (*Outcome, bool) {
-	payload, ok := store.Get(cache.KindOutcome, key)
+	var out *Outcome
+	ok := store.Get(cache.KindOutcome, key, func(payload []byte) (err error) {
+		if out, err = decodeOutcome(payload); err != nil {
+			return err
+		}
+		if out.Name != b.Project.Name {
+			return fmt.Errorf("cache record of %q under the key of %q", out.Name, b.Project.Name)
+		}
+		return nil
+	})
 	if !ok {
 		return nil, false
-	}
-	var rec outcomeRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, false
-	}
-	if rec.Name != b.Project.Name {
-		return nil, false
-	}
-	out := &Outcome{
-		Name:         rec.Name,
-		Stats:        rec.Stats,
-		HintCount:    rec.HintCount,
-		VisitedRatio: rec.VisitedRatio,
-		ApproxTime:   time.Duration(rec.ApproxNS),
-		BaselineTime: time.Duration(rec.BaselineNS),
-		ExtendedTime: time.Duration(rec.ExtendedNS),
-		Base:         rec.Base,
-		Ext:          rec.Ext,
-		HasDynCG:     rec.HasDynCG,
-		DynEdges:     rec.DynEdges,
-		BaseAcc:      rec.BaseAcc,
-		ExtAcc:       rec.ExtAcc,
-
-		baseReach:        make(map[callgraph.FuncID]bool, len(rec.BaseReach)),
-		extReach:         make(map[callgraph.FuncID]bool, len(rec.ExtReach)),
-		baseCondensation: rec.BaseCondensation,
-		hasAbl:           rec.HasAbl,
-		ablEdges:         rec.AblEdges,
-		ablMono:          rec.AblMono,
-		ablPrec:          rec.AblPrec,
-	}
-	for _, f := range rec.BaseReach {
-		out.baseReach[f] = true
-	}
-	for _, f := range rec.ExtReach {
-		out.extReach[f] = true
 	}
 	return out, true
 }
@@ -168,40 +213,5 @@ func loadOutcome(store *cache.Store, key string, b *corpus.Benchmark) (*Outcome,
 // storeOutcome caches a completed benchmark evaluation. Callers only
 // invoke it for fault-free runs.
 func storeOutcome(store *cache.Store, key string, out *Outcome) {
-	rec := outcomeRecord{
-		Name:             out.Name,
-		Stats:            out.Stats,
-		HintCount:        out.HintCount,
-		VisitedRatio:     out.VisitedRatio,
-		ApproxNS:         int64(out.ApproxTime),
-		BaselineNS:       int64(out.BaselineTime),
-		ExtendedNS:       int64(out.ExtendedTime),
-		Base:             out.Base,
-		Ext:              out.Ext,
-		HasDynCG:         out.HasDynCG,
-		DynEdges:         out.DynEdges,
-		BaseAcc:          out.BaseAcc,
-		ExtAcc:           out.ExtAcc,
-		BaseReach:        sortedFuncs(out.baseReach),
-		ExtReach:         sortedFuncs(out.extReach),
-		BaseCondensation: out.baseCondensation,
-		HasAbl:           out.hasAbl,
-		AblEdges:         out.ablEdges,
-		AblMono:          out.ablMono,
-		AblPrec:          out.ablPrec,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return
-	}
-	_ = store.Put(cache.KindOutcome, key, buf.Bytes())
-}
-
-func sortedFuncs(set map[callgraph.FuncID]bool) []callgraph.FuncID {
-	out := make([]callgraph.FuncID, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
+	_ = store.Put(cache.KindOutcome, key, encodeOutcome(out))
 }

@@ -52,9 +52,10 @@ type Outcome struct {
 	Faults          []fault.Record
 	DegradedModules []string
 
-	// Reachable function sets (for the vulnerability study).
-	baseReach map[callgraph.FuncID]bool
-	extReach  map[callgraph.FuncID]bool
+	// Reachable function sets, sorted by loc.Loc.Before (for the
+	// vulnerability study).
+	baseReach []callgraph.FuncID
+	extReach  []callgraph.FuncID
 
 	// baseCondensation is the baseline-final cycle structure over
 	// generation-time constraint variables (static.Result.Condensation),
@@ -183,13 +184,13 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	out.DegradedModules = ext.DegradedModules
 	out.BaselineTime = base.Duration
 	out.Base = base.Metrics()
-	out.baseReach = base.Graph.Reachable(base.MainEntries)
+	out.baseReach = sortedFuncs(base.Graph.Reachable(base.MainEntries))
 	out.baseCondensation = base.Condensation
 	perf.Global().AddPhase(perf.PhaseBaseline, base.Duration)
 	perf.Global().AddPhaseAlloc(perf.PhaseBaseline, base.AllocBytes)
 	out.ExtendedTime = ext.Duration
 	out.Ext = ext.Metrics()
-	out.extReach = ext.Graph.Reachable(ext.MainEntries)
+	out.extReach = sortedFuncs(ext.Graph.Reachable(ext.MainEntries))
 	perf.Global().AddPhase(perf.PhaseExtended, ext.Duration)
 	perf.Global().AddPhaseAlloc(perf.PhaseExtended, ext.AllocBytes)
 
@@ -444,10 +445,10 @@ func VulnStudy(bs []*corpus.Benchmark, outs []*Outcome) (VulnResult, error) {
 		}
 		vr.TotalVulns += len(vulns)
 		for _, v := range vulns {
-			if o.baseReach[v.Func] {
+			if reaches(o.baseReach, v.Func) {
 				vr.ReachableBaseline++
 			}
-			if o.extReach[v.Func] {
+			if reaches(o.extReach, v.Func) {
 				vr.ReachableExtended++
 			}
 		}
@@ -455,6 +456,21 @@ func VulnStudy(bs []*corpus.Benchmark, outs []*Outcome) (VulnResult, error) {
 		vr.ReachableFnsExt += o.Ext.ReachableFunctions
 	}
 	return vr, nil
+}
+
+func sortedFuncs(set map[callgraph.FuncID]bool) []callgraph.FuncID {
+	out := make([]callgraph.FuncID, 0, len(set))
+	for f := range set {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	return out
+}
+
+// reaches reports whether the sorted set fs contains f.
+func reaches(fs []callgraph.FuncID, f callgraph.FuncID) bool {
+	i := sort.Search(len(fs), func(i int) bool { return !fs[i].Before(f) })
+	return i < len(fs) && fs[i] == f
 }
 
 // AblationOutcome compares the relational [DPW] rule with the §4 name-only

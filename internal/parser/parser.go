@@ -44,12 +44,15 @@ func Parse(file, src string) (prog *ast.Program, err error) {
 
 // ParseExpr parses a single expression (used by eval-style entry points and
 // tests). The expression must consume the entire input.
-func ParseExpr(file, src string) (e ast.Expr, err error) {
+func ParseExpr(file, src string) (ast.Expr, error) { return parseExpr(file, src, 0) }
+
+// parseExpr is ParseExpr for an expression nested depth levels deep.
+func parseExpr(file, src string, depth int) (e ast.Expr, err error) {
 	toks, lerr := lexer.New(file, src).All()
 	if lerr != nil {
 		return nil, lerr
 	}
-	p := &parser{file: file, toks: toks}
+	p := &parser{file: file, toks: toks, depth: depth}
 	defer p.catchBailout(&err)
 	e = p.expression()
 	if !p.at(lexer.EOF) {
@@ -67,7 +70,33 @@ type parser struct {
 	// as a whole-module rewrite after parsing (see esmodules.go).
 	esmImports []*esmImport
 	esmExports []*esmExport
+
+	// closes memoizes closeOf: for the bracket at toks[i], 0 while
+	// unscanned, -1 if it never closes, else its close's index plus one.
+	// scanned counts the tokens closeOf has examined.
+	closes  []int32
+	scanned int
+
+	// depth is the current nesting of statements, assignment expressions,
+	// unary expressions and new expressions; see maxDepth.
+	depth int
 }
+
+// maxDepth bounds parser recursion. Each nesting level holds a chain of
+// stack frames, and a goroutine that outgrows its stack kills the whole
+// process, so input nested deeper is an ordinary parse error instead. One
+// parenthesis level costs two (an assignment and a unary expression). The
+// corpus nests to at most 23 and the testgen grammars to at most 18.
+const maxDepth = 2000
+
+func (p *parser) enter() {
+	p.depth++
+	if p.depth > maxDepth {
+		p.fail(p.peek().Loc, "nesting deeper than %d levels", maxDepth)
+	}
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // bailout carries a parse error up through the recursive descent.
 type bailout struct{ err *Error }
@@ -186,6 +215,8 @@ func (p *parser) expectSemi() {
 // ---------------------------------------------------------------- statements
 
 func (p *parser) statement() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	if st, ok := p.tryModuleStmt(); ok {
 		return st
 	}
@@ -522,6 +553,8 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) assignExpr() ast.Expr {
+	p.enter()
+	defer p.leave()
 	if p.atKeyword("yield") {
 		return p.yieldExpr()
 	}
@@ -602,30 +635,12 @@ func (p *parser) tryArrow() (ast.Expr, bool) {
 	if !(t.Kind == lexer.Punct && t.Text == "(") {
 		return nil, false
 	}
-	// Scan to the matching ')' and check for '=>'.
-	depth := 0
-	i := p.pos
-	for ; i < len(p.toks); i++ {
-		tk := p.toks[i]
-		if tk.Kind != lexer.Punct {
-			continue
-		}
-		switch tk.Text {
-		case "(", "[", "{":
-			depth++
-		case ")", "]", "}":
-			depth--
-			if depth == 0 {
-				goto scanned
-			}
-		}
-	}
-	return nil, false
-scanned:
-	if i+1 >= len(p.toks) {
+	// Only a parenthesized list followed by '=>' is an arrow head.
+	c := p.closeOf(p.pos)
+	if c < 0 || c+1 >= len(p.toks) {
 		return nil, false
 	}
-	if n := p.toks[i+1]; !(n.Kind == lexer.Punct && n.Text == "=>") {
+	if n := p.toks[c+1]; !(n.Kind == lexer.Punct && n.Text == "=>") {
 		return nil, false
 	}
 	f := &ast.FuncLit{IsArrow: true, RestIdx: -1, Loc: t.Loc}
@@ -633,6 +648,51 @@ scanned:
 	p.expectPunct("=>")
 	p.arrowBody(f)
 	return f, true
+}
+
+// closeOf returns the index of the token closing the bracket at toks[i],
+// or -1 if it never closes. Brackets of all three kinds pair by nesting
+// depth alone. A scan records the match of every bracket it passes and
+// jumps over brackets already matched, so the lookaheads of one parse
+// examine each token at most once between them: nested parentheses cost
+// linear, not quadratic, work.
+func (p *parser) closeOf(i int) int {
+	if p.closes == nil {
+		p.closes = make([]int32, len(p.toks))
+	}
+	if c := p.closes[i]; c != 0 {
+		return max(int(c)-1, -1)
+	}
+	var open []int
+	for j := i; j < len(p.toks); j++ {
+		if c := p.closes[j]; c != 0 && j > i {
+			if c < 0 {
+				break // an unclosed bracket inside leaves every outer one unclosed
+			}
+			j = int(c) - 1 // skip the matched pair; the loop steps past its close
+			continue
+		}
+		p.scanned++
+		tk := p.toks[j]
+		if tk.Kind != lexer.Punct {
+			continue
+		}
+		switch tk.Text {
+		case "(", "[", "{":
+			open = append(open, j)
+		case ")", "]", "}":
+			o := open[len(open)-1]
+			open = open[:len(open)-1]
+			p.closes[o] = int32(j) + 1
+			if len(open) == 0 {
+				return j
+			}
+		}
+	}
+	for _, o := range open {
+		p.closes[o] = -1
+	}
+	return -1
 }
 
 func (p *parser) arrowBody(f *ast.FuncLit) {
@@ -704,6 +764,8 @@ func (p *parser) binaryExpr(minPrec int) ast.Expr {
 }
 
 func (p *parser) unaryExpr() ast.Expr {
+	p.enter()
+	defer p.leave()
 	t := p.peek()
 	if t.Kind == lexer.Punct {
 		switch t.Text {
@@ -808,6 +870,8 @@ func (p *parser) arguments() []ast.Expr {
 }
 
 func (p *parser) newExpr() ast.Expr {
+	p.enter()
+	defer p.leave()
 	kw := p.expectKeyword("new")
 	// Parse the constructor as a member chain without call expressions so
 	// that `new a.b.C(x)` binds the arguments to the new-expression.
@@ -1084,7 +1148,7 @@ func (p *parser) templateLit(t lexer.Token) ast.Expr {
 			p.fail(t.Loc, "unterminated template interpolation")
 		closed:
 			sub := raw[start:i]
-			expr, err := parseSubExpr(p.file, sub, startLine, startCol)
+			expr, err := parseSubExpr(p.file, sub, startLine, startCol, p.depth)
 			if err != nil {
 				panic(bailout{&Error{t.Loc, "in template interpolation: " + err.Error()}})
 			}
@@ -1102,10 +1166,11 @@ func (p *parser) templateLit(t lexer.Token) ast.Expr {
 }
 
 // parseSubExpr parses an expression embedded at a known position within a
-// file by padding the source so the lexer reports correct locations.
-func parseSubExpr(file, src string, line, col int) (ast.Expr, error) {
+// file, depth levels deep, by padding the source so the lexer reports
+// correct locations.
+func parseSubExpr(file, src string, line, col, depth int) (ast.Expr, error) {
 	pad := strings.Repeat("\n", line-1) + strings.Repeat(" ", col-1)
-	return ParseExpr(file, pad+src)
+	return parseExpr(file, pad+src, depth)
 }
 
 func trimFloat(f float64) string {
