@@ -8,15 +8,13 @@
 //	GET    /provenance?session=s-1                      root-cause attribution of missed edges
 //	DELETE /session?id=s-1                              close a session
 //	GET    /healthz                                     liveness
-//	GET    /stats                                       session count + cache counters
+//	GET    /stats                                       session count
 //
 // A full-project request opens (or replaces) a session holding a
-// static.DeltaSession: the project stays resident with its content-hash-
-// keyed parse cache, so a delta request re-parses only the files it
-// changed, reuses the memoized hint set when the content fingerprint is
-// unchanged, and skips the solve entirely for no-op deltas. With
-// -cache-dir, sessions additionally share the persistent artifact store,
-// so even a fresh session's parses can be served from disk.
+// static.DeltaSession: the project stays resident with its parse cache,
+// so a delta request re-parses only the files it changed, reuses the
+// memoized hint set when the content fingerprint is unchanged, and skips
+// the solve entirely for no-op deltas.
 //
 // Residency is bounded: at most -max-sessions sessions stay resident
 // (opening one more evicts the least recently used), and a client can
@@ -179,7 +177,6 @@ type server struct {
 	sessions map[string]*session
 	nextID   int
 
-	store          *cache.Store
 	approxDeadline time.Duration
 	maxSessions    int
 	solverWorkers  int
@@ -191,7 +188,7 @@ type server struct {
 	sem chan struct{}
 }
 
-func newServer(store *cache.Store, approxDeadline time.Duration, maxSessions, solverWorkers, maxConcurrency int) *server {
+func newServer(approxDeadline time.Duration, maxSessions, solverWorkers, maxConcurrency int) *server {
 	if maxSessions < 1 {
 		maxSessions = 1
 	}
@@ -200,7 +197,6 @@ func newServer(store *cache.Store, approxDeadline time.Duration, maxSessions, so
 	}
 	return &server{
 		sessions:       map[string]*session{},
-		store:          store,
 		approxDeadline: approxDeadline,
 		maxSessions:    maxSessions,
 		solverWorkers:  solverWorkers,
@@ -224,16 +220,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := len(s.sessions)
 	s.mu.Unlock()
-	var hits, misses, bytes int64
-	if s.store != nil {
-		hits, misses, bytes = s.store.Stats()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sessions":            n,
-		"cache_hits":          hits,
-		"cache_misses":        misses,
-		"cache_bytes_written": bytes,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"sessions": n})
 }
 
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -273,9 +260,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			MainEntries: req.Project.MainEntries,
 			TestEntries: req.Project.TestEntries,
 			MainPrefix:  req.Project.MainPrefix,
-		}
-		if s.store != nil {
-			project.SetParseStore(s.store)
 		}
 		sess = &session{ds: static.NewDeltaSession(project)}
 		s.mu.Lock()
@@ -559,7 +543,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func main() {
 	var (
 		addr           = flag.String("addr", ":8791", "listen address")
-		cacheDir       = flag.String("cache-dir", "", "persistent artifact cache directory shared across sessions (empty = in-memory only)")
 		approxDeadline = flag.Duration("approx-deadline", 2*time.Second, "per-worklist-item deadline of the pre-analysis; tripped items become contained faults and degrade their module's hints (0 = unlimited)")
 		maxSessions    = flag.Int("max-sessions", 64, "maximum resident sessions; opening one more evicts the least recently used")
 		solverWorkers  = flag.Int("solver-workers", 0, "epoch-engine scan workers per analysis (0 and 1 both mean one worker — reports are identical at every value); overridable per request with \"solver_workers\"")
@@ -567,14 +550,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var store *cache.Store
-	if *cacheDir != "" {
-		var err error
-		if store, err = cache.Open(*cacheDir); err != nil {
-			log.Fatalf("analyzed: %v", err)
-		}
-	}
-	srv := newServer(store, *approxDeadline, *maxSessions, *solverWorkers, *maxConcurrency)
-	log.Printf("analyzed: listening on %s (cache: %q)", *addr, *cacheDir)
+	srv := newServer(*approxDeadline, *maxSessions, *solverWorkers, *maxConcurrency)
+	log.Printf("analyzed: listening on %s", *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.handler()))
 }

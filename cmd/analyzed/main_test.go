@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/fuzz"
 )
 
@@ -50,15 +49,15 @@ func post(t *testing.T, ts *httptest.Server, req analyzeRequest) (int, analyzeRe
 	return res.StatusCode, resp
 }
 
-func newTestServer(t *testing.T, store *cache.Store) *httptest.Server {
+func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(newServer(store, 2*time.Second, 64, 0, 0).handler())
+	ts := httptest.NewServer(newServer(2*time.Second, 64, 0, 0).handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
 
 func TestAnalyzeFullProject(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	status, resp := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
@@ -78,7 +77,7 @@ func TestAnalyzeFullProject(t *testing.T) {
 }
 
 func TestAnalyzeNoopDeltaReuses(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 
 	status, again := post(t, ts, analyzeRequest{Session: full.Session, Delta: &deltaPayload{}})
@@ -97,7 +96,7 @@ func TestAnalyzeNoopDeltaReuses(t *testing.T) {
 // soundness contract: a session that absorbed an edit via /analyze delta
 // must report exactly the metrics of a fresh session given the edited files.
 func TestAnalyzeDeltaMatchesFromScratch(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 
 	edited := "var lib = require('./lib');\nlib.go();\nlib.extra();\n"
@@ -128,7 +127,7 @@ func TestAnalyzeDeltaMatchesFromScratch(t *testing.T) {
 }
 
 func TestAnalyzeRemoveFile(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	p := testProjectPayload()
 	p.Files["/app/dead.js"] = "exports.unused = function unused() { return 0; };\n"
 	_, full := post(t, ts, analyzeRequest{Project: p})
@@ -147,31 +146,8 @@ func TestAnalyzeRemoveFile(t *testing.T) {
 	}
 }
 
-func TestAnalyzeWithCacheStore(t *testing.T) {
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, store)
-	_, first := post(t, ts, analyzeRequest{Project: testProjectPayload()})
-
-	// A second, independent session over the same files: its parses should
-	// be served from the shared store (content-addressed, path+content keys).
-	_, second := post(t, ts, analyzeRequest{Project: testProjectPayload()})
-	if second.Extended != first.Extended {
-		t.Errorf("second session metrics differ: %+v vs %+v", second.Extended, first.Extended)
-	}
-	hits, _, written := store.Stats()
-	if written == 0 {
-		t.Error("first session wrote nothing to the store")
-	}
-	if hits == 0 {
-		t.Error("second session hit nothing in the store")
-	}
-}
-
 func TestAnalyzeErrors(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 
 	res, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader("{not json"))
 	if err != nil {
@@ -232,7 +208,7 @@ func TestAnalyzeErrors(t *testing.T) {
 // must be clean and every request must succeed — an edit can never land
 // while another request is mid-analysis.
 func TestConcurrentDeltaRequests(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 
 	const workers = 8
@@ -275,7 +251,7 @@ func TestConcurrentDeltaRequests(t *testing.T) {
 // must land on the right session, and the per-session metrics must match a
 // single-threaded run of the same requests.
 func TestConcurrentSessionsMixedRequests(t *testing.T) {
-	ts := httptest.NewServer(newServer(nil, 2*time.Second, 64, 2, 2).handler())
+	ts := httptest.NewServer(newServer(2*time.Second, 64, 2, 2).handler())
 	t.Cleanup(ts.Close)
 
 	// Reference: the same project and edit, analyzed serially.
@@ -333,7 +309,7 @@ func TestConcurrentSessionsMixedRequests(t *testing.T) {
 }
 
 func TestSessionClose(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/session?id="+full.Session, nil)
@@ -376,7 +352,7 @@ func TestSessionClose(t *testing.T) {
 // TestSessionLRUEviction caps the server at two sessions and opens three:
 // the least recently used must be evicted, the others stay resident.
 func TestSessionLRUEviction(t *testing.T) {
-	ts := httptest.NewServer(newServer(nil, 2*time.Second, 2, 0, 0).handler())
+	ts := httptest.NewServer(newServer(2*time.Second, 2, 0, 0).handler())
 	t.Cleanup(ts.Close)
 
 	_, s1 := post(t, ts, analyzeRequest{Project: testProjectPayload()})
@@ -397,11 +373,7 @@ func TestSessionLRUEviction(t *testing.T) {
 }
 
 func TestHealthAndStats(t *testing.T) {
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, store)
+	ts := newTestServer(t)
 
 	res, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -418,8 +390,7 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Sessions          int   `json:"sessions"`
-		CacheBytesWritten int64 `json:"cache_bytes_written"`
+		Sessions int `json:"sessions"`
 	}
 	if err := json.NewDecoder(res.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -428,9 +399,6 @@ func TestHealthAndStats(t *testing.T) {
 	if stats.Sessions != 1 {
 		t.Errorf("sessions = %d, want 1", stats.Sessions)
 	}
-	if stats.CacheBytesWritten == 0 {
-		t.Error("stats report zero cache bytes written after an analysis")
-	}
 }
 
 // TestProvenanceEndpoint covers GET /provenance on both ends of the
@@ -438,7 +406,7 @@ func TestHealthAndStats(t *testing.T) {
 // journal) and an open fuzz reproducer with a known missed edge, where the
 // attribution must name a cause for every miss.
 func TestProvenanceEndpoint(t *testing.T) {
-	ts := newTestServer(t, nil)
+	ts := newTestServer(t)
 	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 
 	getProv := func(query string) (int, provenanceResponse) {

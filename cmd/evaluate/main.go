@@ -92,7 +92,7 @@ func main() {
 		solverW  = flag.Int("solver-workers", 0, "epoch-engine scan workers per benchmark (0 and 1 both mean one worker — reports are identical at every value)")
 		mega     = flag.Bool("mega", false, "run the mega-tier solver-scaling benchmark instead of the corpus experiments; with -benchjson its rows (mega/w1, w2, w4) go into the bench snapshot")
 		megaMods = flag.Int("mega-modules", 0, "mega-tier module count (0 = corpus.DefaultMegaModules)")
-		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (parses, hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
+		cacheDir = flag.String("cache-dir", "", "persistent artifact cache directory (hint sets, solved outcomes); created if missing — a second run against the same directory reuses everything that still matches")
 		delta    = flag.Bool("delta", false, "run the cache delta benchmark (cold/warm/one-file-edit corpus runs, byte-identical reports asserted) instead of the corpus experiments; uses -cache-dir or a temp dir, and with -benchjson its rows (delta/cold, warm, edit-warm, edit-scratch) go into the bench snapshot")
 		perfF    = flag.Bool("perf", false, "print pipeline perf counters (phase times, parse-cache hits, solver effort)")
 		benchout = flag.String("benchjson", "", "merge this run's rows into the bench snapshot at this file (e.g. BENCH.json): the rows of the workload run (corpus, -delta or -mega) are replaced, the file's other rows are kept")

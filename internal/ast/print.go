@@ -24,6 +24,9 @@ type printer struct {
 	indent int
 }
 
+// quasiEscaper escapes a cooked template chunk so it lexes back to itself.
+var quasiEscaper = strings.NewReplacer(`\`, `\\`, "`", "\\`", "${", `\${`)
+
 func (p *printer) ws() {
 	for i := 0; i < p.indent; i++ {
 		p.sb.WriteString("  ")
@@ -273,6 +276,15 @@ func (p *printer) funcLit(f *FuncLit, decl bool) {
 	_ = decl
 }
 
+// isMethod reports whether a normal property prints as a method: its
+// value is a plain function named after its key, as the parser makes of
+// key() {}. The key may not be a valid function name ({function() {}}),
+// so printing it as one would not parse.
+func isMethod(prop *Property, f *FuncLit) bool {
+	return prop.Computed == nil && prop.Key != "" && f.Name == prop.Key &&
+		!f.IsArrow && !f.IsAsync && !f.IsGenerator
+}
+
 func (p *printer) params(f *FuncLit) {
 	for i, name := range f.Params {
 		if i > 0 {
@@ -311,7 +323,7 @@ func (p *printer) expr(e Expr) {
 	case *TemplateLit:
 		p.sb.WriteByte('`')
 		for i, q := range e.Quasis {
-			p.sb.WriteString(q)
+			p.sb.WriteString(quasiEscaper.Replace(q))
 			if i < len(e.Exprs) {
 				p.sb.WriteString("${")
 				p.expr(e.Exprs[i])
@@ -328,6 +340,10 @@ func (p *printer) expr(e Expr) {
 			if el != nil {
 				p.expr(el)
 			}
+		}
+		if n := len(e.Elems); n > 0 && e.Elems[n-1] == nil {
+			// A trailing hole needs its own comma: [a, ,] has two elements.
+			p.sb.WriteByte(',')
 		}
 		p.sb.WriteByte(']')
 	case *ObjectLit:
@@ -351,16 +367,16 @@ func (p *printer) expr(e Expr) {
 			} else {
 				p.sb.WriteString(quoteJS(prop.Key))
 			}
-			if prop.Kind == NormalProp {
-				p.sb.WriteString(": ")
-				p.expr(prop.Value)
-			} else {
-				// accessor: print the function's parameter list and body
-				f := prop.Value.(*FuncLit)
+			if f, ok := prop.Value.(*FuncLit); ok && (prop.Kind != NormalProp || isMethod(prop, f)) {
+				// accessor or method: print the function's parameter list
+				// and body
 				p.sb.WriteByte('(')
 				p.params(f)
 				p.sb.WriteString(") ")
 				p.block(f.Body)
+			} else {
+				p.sb.WriteString(": ")
+				p.expr(prop.Value)
 			}
 		}
 		p.sb.WriteString("})")
@@ -376,7 +392,14 @@ func (p *printer) expr(e Expr) {
 		p.expr(e.Callee)
 		p.args(e.Args)
 	case *MemberExpr:
-		p.expr(e.Obj)
+		if _, ok := e.Obj.(*NumberLit); ok && !e.Computed {
+			// 0.x would lex as the number "0." followed by x.
+			p.sb.WriteByte('(')
+			p.expr(e.Obj)
+			p.sb.WriteByte(')')
+		} else {
+			p.expr(e.Obj)
+		}
 		if e.Computed {
 			p.sb.WriteByte('[')
 			p.expr(e.PropExpr)

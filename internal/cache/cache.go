@@ -1,9 +1,10 @@
 // Package cache is the content-addressed persistent artifact store behind
-// warm re-analysis: parsed ASTs, approximate-interpretation hint sets, and
-// solved analysis outcomes are written to disk keyed by the SHA-256 of the
-// exact content they were computed from (file bytes for parses, the whole
-// project's file set plus the analysis-options fingerprint for hints and
-// outcomes). Because every key covers the complete input of its artifact,
+// warm re-analysis: approximate-interpretation hint sets and solved
+// analysis outcomes are written to disk keyed by the SHA-256 of the exact
+// content they were computed from (the whole project's file set plus the
+// analysis-options fingerprint). Parses are not stored: a fresh parse is
+// cheaper than loading a stored one, so they live only in each project's
+// in-memory cache. Because every key covers the complete input of its artifact,
 // a cache hit is bit-for-bit equivalent to recomputing — delta re-analysis
 // built on this store produces byte-identical reports by construction.
 //
@@ -46,7 +47,6 @@ var magic = [4]byte{'r', 'a', 'c', 'f'}
 // across kinds cannot alias) and of the on-disk layout (one subdirectory
 // per kind).
 const (
-	KindAST     = "ast"
 	KindHints   = "hints"
 	KindOutcome = "outcome"
 )

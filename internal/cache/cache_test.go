@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/modules"
-	"repro/internal/parser"
 	"repro/internal/perf"
 )
 
@@ -38,13 +37,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t)
 	payload := []byte("hello artifact")
 	key := HashBytes(payload)
-	if _, ok := get(s, KindAST, key); ok {
+	if _, ok := get(s, KindHints, key); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	if err := s.Put(KindAST, key, payload); err != nil {
+	if err := s.Put(KindHints, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := get(s, KindAST, key)
+	got, ok := get(s, KindHints, key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %t; want payload back", got, ok)
 	}
@@ -59,17 +58,17 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := get(s2, KindAST, key); !ok || !bytes.Equal(got, payload) {
+	if got, ok := get(s2, KindHints, key); !ok || !bytes.Equal(got, payload) {
 		t.Error("fresh store over the same dir missed a persisted entry")
 	}
 }
 
 func TestNilStoreIsMiss(t *testing.T) {
 	var s *Store
-	if _, ok := get(s, KindAST, HashBytes(nil)); ok {
+	if _, ok := get(s, KindHints, HashBytes(nil)); ok {
 		t.Error("nil store reported a hit")
 	}
-	if err := s.Put(KindAST, HashBytes(nil), []byte("x")); err != nil {
+	if err := s.Put(KindHints, HashBytes(nil), []byte("x")); err != nil {
 		t.Errorf("nil store Put errored: %v", err)
 	}
 }
@@ -77,10 +76,10 @@ func TestNilStoreIsMiss(t *testing.T) {
 func TestInvalidKeysRejected(t *testing.T) {
 	s := open(t)
 	for _, key := range []string{"", "short", "../../../../etc/passwd", "ABCDEF0123456789", "0123456/23456789"} {
-		if err := s.Put(KindAST, key, []byte("x")); err != nil {
+		if err := s.Put(KindHints, key, []byte("x")); err != nil {
 			t.Errorf("Put(%q) errored: %v", key, err)
 		}
-		if _, ok := get(s, KindAST, key); ok {
+		if _, ok := get(s, KindHints, key); ok {
 			t.Errorf("Get(%q) hit", key)
 		}
 	}
@@ -147,13 +146,13 @@ func TestCorruptedEntryIsMiss(t *testing.T) {
 // cannot decode is a miss, in the store's counters and the perf counters.
 func TestUndecodablePayloadIsMiss(t *testing.T) {
 	s := open(t)
-	key := HashBytes([]byte("not an AST"))
-	if err := s.Put(KindAST, key, []byte("not an AST")); err != nil {
+	key := HashBytes([]byte("not an outcome"))
+	if err := s.Put(KindOutcome, key, []byte("not an outcome")); err != nil {
 		t.Fatal(err)
 	}
 	perf.Global().Reset()
-	if _, ok := s.LoadAST(key); ok {
-		t.Fatal("undecodable AST payload loaded")
+	if s.Get(KindOutcome, key, func([]byte) error { return errors.New("undecodable") }) {
+		t.Fatal("undecodable payload loaded")
 	}
 	if hits, misses, _ := s.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("Stats = %d hits, %d misses; want 0, 1", hits, misses)
@@ -168,7 +167,7 @@ func TestUndecodablePayloadIsMiss(t *testing.T) {
 // records framed by Put.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []string{KindAST, KindHints, KindOutcome} {
+		for _, kind := range []string{KindHints, KindOutcome} {
 			var payload []byte
 			var ok bool
 			if n := testing.AllocsPerRun(1, func() { payload, ok = decodeFrame(data, kind) }); n > 0 {
@@ -185,15 +184,15 @@ func TestKindsDoNotAlias(t *testing.T) {
 	s := open(t)
 	payload := []byte("payload")
 	key := HashBytes(payload)
-	if err := s.Put(KindAST, key, payload); err != nil {
+	if err := s.Put(KindHints, key, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := get(s, KindHints, key); ok {
+	if _, ok := get(s, KindOutcome, key); ok {
 		t.Error("entry stored under one kind loaded under another")
 	}
 	// Even a file copied across kind directories must miss: the kind is in
 	// the frame, not only in the path.
-	src := s.entryPath(KindAST, key)
+	src := s.entryPath(KindHints, key)
 	dst := s.entryPath(KindOutcome, key)
 	os.MkdirAll(filepath.Dir(dst), 0o755)
 	data, err := os.ReadFile(src)
@@ -275,7 +274,7 @@ func TestProjectFingerprintListBoundaries(t *testing.T) {
 // fresh temp file (a possibly live concurrent writer) is left alone.
 func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	shard := filepath.Join(dir, KindAST, "ab")
+	shard := filepath.Join(dir, KindHints, "ab")
 	if err := os.MkdirAll(shard, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -322,49 +321,6 @@ func TestOptionsFingerprintMismatch(t *testing.T) {
 	}
 }
 
-func TestASTRoundTrip(t *testing.T) {
-	src := `var x = require('./lib');
-function f(a, b) { if (a) { return b(); } else { while (b) { b = x[a]; } } return function g() { return 1; }; }
-f(1, function () { return new f(); });
-`
-	prog, err := parser.Parse("/app/a.js", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := EncodeAST(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeAST(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ast.Print(dec) != ast.Print(prog) {
-		t.Error("decoded AST prints differently from the original")
-	}
-}
-
-func TestParseStoreRoundTrip(t *testing.T) {
-	s := open(t)
-	src := "function f() { return 1; }\nf();\n"
-	prog, err := parser.Parse("/app/a.js", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := modules.SourceKey("/app/a.js", src)
-	if _, ok := s.LoadAST(key); ok {
-		t.Fatal("empty store loaded an AST")
-	}
-	s.StoreAST(key, prog)
-	got, ok := s.LoadAST(key)
-	if !ok {
-		t.Fatal("stored AST not loadable")
-	}
-	if ast.Print(got) != ast.Print(prog) {
-		t.Error("loaded AST prints differently")
-	}
-}
-
 // TestConcurrentStores hammers one shared cache directory from two Store
 // values (standing in for two processes) with overlapping keys, under the
 // race detector in CI.
@@ -389,11 +345,11 @@ func TestConcurrentStores(t *testing.T) {
 				for round := 0; round < 20; round++ {
 					i := (g*7 + round) % keys
 					key := HashBytes(payload(i))
-					if got, ok := get(s, KindAST, key); ok && !bytes.Equal(got, payload(i)) {
+					if got, ok := get(s, KindHints, key); ok && !bytes.Equal(got, payload(i)) {
 						t.Errorf("hit returned wrong payload for key %d", i)
 						return
 					}
-					if err := s.Put(KindAST, key, payload(i)); err != nil {
+					if err := s.Put(KindHints, key, payload(i)); err != nil {
 						t.Errorf("Put: %v", err)
 						return
 					}
@@ -405,7 +361,7 @@ func TestConcurrentStores(t *testing.T) {
 	// After the dust settles every key must load with the right payload.
 	for i := 0; i < keys; i++ {
 		key := HashBytes(payload(i))
-		got, ok := get(s1, KindAST, key)
+		got, ok := get(s1, KindHints, key)
 		if !ok || !bytes.Equal(got, payload(i)) {
 			t.Errorf("key %d: Get = %q, %t after concurrent writes", i, got, ok)
 		}

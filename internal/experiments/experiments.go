@@ -100,10 +100,8 @@ func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
 // the benchmark still completes.
 func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	// Whole-outcome reuse: an unchanged project (same content fingerprint,
-	// same outcome-shaping options) skips every phase. On a miss, modules
-	// about to be re-analyzed are counted and the project's parses are
-	// backed by the persistent store, so unchanged files inside a dirty
-	// project still skip the parser.
+	// same outcome-shaping options) skips every phase. On a miss, the
+	// modules about to be re-analyzed are counted.
 	var cacheFP, hintsCacheKey string
 	if opts.Cache != nil {
 		cacheFP = cache.ProjectFingerprint(b.Project)
@@ -112,7 +110,6 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 			return cached, nil
 		}
 		perf.Global().AddDeltaModules(len(b.Project.Files))
-		b.Project.SetParseStore(opts.Cache)
 		hintsCacheKey = approxKey(cacheFP, opts)
 	}
 
@@ -264,9 +261,9 @@ type Options struct {
 	// Reports are identical for every value; this multiplies with Workers,
 	// so corpus runs usually pick one axis of parallelism, not both.
 	SolverWorkers int
-	// Cache attaches a persistent artifact store (internal/cache): parses,
-	// hint sets, and whole outcomes of fault-free runs are written there
-	// keyed by content fingerprints, and later runs reuse whatever still
+	// Cache attaches a persistent artifact store (internal/cache): hint
+	// sets and whole outcomes of fault-free runs are written there keyed
+	// by content fingerprints, and later runs reuse whatever still
 	// matches. Reports are byte-identical with or without a cache — every
 	// artifact key covers the complete input of its artifact, so a hit
 	// reconstructs exactly what recomputation would have produced. Nil

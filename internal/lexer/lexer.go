@@ -111,8 +111,14 @@ type Lexer struct {
 }
 
 // New returns a lexer for source text src attributed to the given file path.
-func New(file, src string) *Lexer {
-	return &Lexer{file: file, src: src, line: 1}
+func New(file, src string) *Lexer { return NewAt(file, src, 1, 1) }
+
+// NewAt returns a lexer for src as it appears at line:col of file, such as
+// the body of a template interpolation: locations count from line:col, and
+// the first token has NewlineBefore set when line > 1, as if src were
+// preceded by the rest of the file.
+func NewAt(file, src string, line, col int) *Lexer {
+	return &Lexer{file: file, src: src, line: line, lineOff: -(col - 1), nl: line > 1}
 }
 
 // IsKeyword reports whether name is a reserved word.

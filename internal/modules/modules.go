@@ -5,9 +5,6 @@
 package modules
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -54,85 +51,57 @@ type Project struct {
 // node: module behind it.
 var ErrNoSource = errors.New("modules: no such file")
 
-// ParseStore is a persistent parse cache behind the in-memory one:
-// implemented by the content-addressed artifact store (internal/cache) and
-// attached per project via SetParseStore. Keys are SourceKey values, so
-// the persistent and in-memory caches share one key scheme. Loads that
-// miss for any reason return ok=false; stores are fire-and-forget.
-type ParseStore interface {
-	LoadAST(key string) (*ast.Program, bool)
-	StoreAST(key string, prog *ast.Program)
-}
-
-// SourceKey is the cache key of one parsed file: the SHA-256 over the path
-// (embedded in every source location the parser emits) and the source
-// bytes, length-framed so the two cannot alias. Parse results depend on
-// exactly these inputs, so equal keys mean interchangeable ASTs — within a
-// session and across processes sharing a persistent store.
-func SourceKey(path, src string) string {
-	h := sha256.New()
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(path)))
-	h.Write(lenBuf[:])
-	h.Write([]byte(path))
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(src)))
-	h.Write(lenBuf[:])
-	h.Write([]byte(src))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// parseCache holds parse results for one project, keyed by SourceKey
-// (content hash, not path) so an in-session edit of a file invalidates its
-// stale parse by construction. The mutex is held across parsing, which
-// both serializes concurrent parsers of the same project (the corpus
-// driver parallelizes across projects, not within one) and guarantees each
-// file version is parsed exactly once.
+// parseCache holds parse results for one project, keyed by path. Each
+// entry keeps the source it was parsed from, and a lookup hits only when
+// that source is still the file's current one, so an in-session edit
+// re-parses instead of serving a stale AST. The mutex is held across
+// parsing, which both serializes concurrent parsers of the same project
+// (the corpus driver parallelizes across projects, not within one) and
+// guarantees each file version is parsed exactly once.
 type parseCache struct {
-	mu    sync.Mutex
-	progs map[string]*ast.Program
-	store ParseStore
+	mu      sync.Mutex
+	entries map[string]parseEntry
 
 	parses, hits int64
 }
 
-// SetParseStore attaches a persistent parse store to the project. Parses
-// not found in memory are looked up there before parsing, and fresh parses
-// are written back. Attach before analysis starts; safe to leave nil.
-func (p *Project) SetParseStore(s ParseStore) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
-	c.mu.Lock()
-	c.store = s
-	c.mu.Unlock()
+// parseEntry is one cached parse and the source it came from.
+type parseEntry struct {
+	src  string
+	prog *ast.Program
+}
+
+// cache returns the project's parse cache, creating it on first use.
+func (p *Project) cache() *parseCache {
+	p.parseOnce.Do(func() { p.parseCache = &parseCache{entries: map[string]parseEntry{}} })
+	return p.parseCache
+}
+
+// source returns the source text of path: a project file or a built-in
+// node: module.
+func (p *Project) source(path string) (string, bool) {
+	if src, ok := p.Files[path]; ok {
+		return src, true
+	}
+	src, ok := nodeLibSources[path]
+	return src, ok
 }
 
 // Parse returns the parsed program for path — a project file or a built-in
 // node: module — parsing each file version at most once per project. It is
 // safe for concurrent use. Paths with no source return ErrNoSource.
 func (p *Project) Parse(path string) (*ast.Program, error) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	src, ok := p.Files[path]
+	src, ok := p.source(path)
 	if !ok {
-		if src, ok = nodeLibSources[path]; !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoSource, path)
-		}
+		return nil, fmt.Errorf("%w: %s", ErrNoSource, path)
 	}
-	key := SourceKey(path, src)
-	if prog, ok := c.progs[key]; ok {
+	if e, ok := c.entries[path]; ok && e.src == src {
 		c.hits++
 		perf.Global().AddParseHit()
-		return prog, nil
-	}
-	if c.store != nil {
-		if prog, ok := c.store.LoadAST(key); ok {
-			c.progs[key] = prog
-			c.hits++
-			perf.Global().AddParseHit()
-			return prog, nil
-		}
+		return e.prog, nil
 	}
 	start := time.Now()
 	prog, err := parser.Parse(path, src)
@@ -141,54 +110,23 @@ func (p *Project) Parse(path string) (*ast.Program, error) {
 	}
 	c.parses++
 	perf.Global().AddParse(time.Since(start))
-	c.progs[key] = prog
-	if c.store != nil {
-		c.store.StoreAST(key, prog)
-	}
+	c.entries[path] = parseEntry{src, prog}
 	return prog, nil
 }
 
-// nodeLibKeys memoizes the SourceKeys of the built-in node: modules, which
-// are live in every project's parse cache regardless of its file set.
-var (
-	nodeLibKeysOnce sync.Once
-	nodeLibKeys     map[string]bool
-)
-
-func builtinParseKeys() map[string]bool {
-	nodeLibKeysOnce.Do(func() {
-		nodeLibKeys = make(map[string]bool, len(nodeLibSources))
-		for path, src := range nodeLibSources {
-			nodeLibKeys[SourceKey(path, src)] = true
-		}
-	})
-	return nodeLibKeys
-}
-
-// PruneParses evicts cached parses whose content no longer appears in the
-// project. The cache is keyed by content hash, so without pruning every
-// edit in a long-lived session strands the superseded version's AST in
-// memory forever; pruning after each edit bounds the cache by the current
-// file set (plus the built-in node: modules, which stay resident). An
-// evicted parse can still be re-served by the persistent store if the old
-// content comes back. The caller must ensure p.Files is not concurrently
-// mutated (delta sessions call this under their session lock).
+// PruneParses evicts cached parses whose path is gone from the project or
+// whose source is no longer the path's current one, so a long-lived
+// session's cache stays bounded by its current file set (plus the built-in
+// node: modules, which stay resident). The caller must ensure p.Files is
+// not concurrently mutated (delta sessions call this under their session
+// lock).
 func (p *Project) PruneParses() {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.progs) == 0 {
-		return
-	}
-	builtin := builtinParseKeys()
-	live := make(map[string]bool, len(p.Files))
-	for path, src := range p.Files {
-		live[SourceKey(path, src)] = true
-	}
-	for key := range c.progs {
-		if !live[key] && !builtin[key] {
-			delete(c.progs, key)
+	for path, e := range c.entries {
+		if src, ok := p.source(path); !ok || src != e.src {
+			delete(c.entries, path)
 		}
 	}
 }
@@ -196,8 +134,7 @@ func (p *Project) PruneParses() {
 // ParseCounts reports how many parses the project's cache performed and how
 // many repeat requests it served from cache.
 func (p *Project) ParseCounts() (parses, hits int64) {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{progs: map[string]*ast.Program{}} })
-	c := p.parseCache
+	c := p.cache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.parses, c.hits

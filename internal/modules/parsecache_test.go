@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/interp"
 )
 
@@ -102,10 +101,10 @@ func TestRegistryUsesSharedCache(t *testing.T) {
 	}
 }
 
-// TestParseCacheContentKeyed is the stale-parse regression test: the cache
-// is keyed by SourceKey (path + content hash), so an in-session edit must
-// re-parse and serve the new AST, and reverting the edit must hit the
-// still-cached original version.
+// TestParseCacheContentKeyed is the stale-parse regression test: a cached
+// parse is served only while its file's source is unchanged, so an
+// in-session edit must re-parse and serve the new AST. The cache keeps one
+// version per path, so reverting the edit parses the original again.
 func TestParseCacheContentKeyed(t *testing.T) {
 	p := cacheProject()
 	original := p.Files["/app/index.js"]
@@ -130,31 +129,31 @@ func TestParseCacheContentKeyed(t *testing.T) {
 		t.Errorf("parses = %d after one edit, want 2", parses)
 	}
 
-	// Reverting restores the old content hash: the original AST is still
-	// cached under it, so no third parse happens.
 	p.Files["/app/index.js"] = original
 	reverted, err := p.Parse("/app/index.js")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reverted != before {
-		t.Error("reverted file did not hit the original cached AST")
+	if reverted == after || len(reverted.Body) != len(before.Body) {
+		t.Error("reverted file did not get a parse of the original source")
 	}
-	if parses, _ := p.ParseCounts(); parses != 2 {
-		t.Errorf("parses = %d after revert, want still 2", parses)
+	if parses, _ := p.ParseCounts(); parses != 3 {
+		t.Errorf("parses = %d after revert, want 3", parses)
 	}
 }
 
 // TestPruneParses is the memory-bound regression test for long-lived
-// sessions: edits strand superseded ASTs under their content keys, and
-// PruneParses must evict exactly those — current file versions and
+// sessions: PruneParses evicts the parses of removed files and of files
+// whose source changed since they were parsed — current file versions and
 // built-in node: modules stay cached.
 func TestPruneParses(t *testing.T) {
 	p := cacheProject()
-	if _, err := p.Parse("node:events"); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"node:events", "/app/index.js", "/app/util.js"} {
+		if _, err := p.Parse(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Parse ten successive versions of index.js: each edit adds an AST.
+	// Parse ten successive versions of index.js: each replaces the last.
 	original := p.Files["/app/index.js"]
 	for i := 0; i < 10; i++ {
 		p.Files["/app/index.js"] = fmt.Sprintf("%s\nvar v%d = %d;", original, i, i)
@@ -162,77 +161,40 @@ func TestPruneParses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(p.parseCache.progs); n != 11 {
-		t.Fatalf("cache holds %d ASTs before prune, want 11 (10 versions + node:events)", n)
+	if n := len(p.parseCache.entries); n != 3 {
+		t.Fatalf("cache holds %d ASTs before prune, want 3 (one per path)", n)
 	}
 
+	// An edit not yet parsed leaves a stale entry; a removed file leaves an
+	// orphaned one.
+	p.Files["/app/index.js"] += "\nvar last = 1;"
+	delete(p.Files, "/app/util.js")
 	p.PruneParses()
-	if n := len(p.parseCache.progs); n != 2 {
-		t.Errorf("cache holds %d ASTs after prune, want 2 (current index.js + node:events)", n)
+	if n := len(p.parseCache.entries); n != 1 {
+		t.Errorf("cache holds %d ASTs after prune, want 1 (node:events)", n)
 	}
 
-	// The survivors are the right ones: re-parsing the current version and
-	// the builtin is a pure cache hit.
+	// The survivor is the right one: re-parsing the builtin is a pure cache
+	// hit, and the edited file parses its current version.
 	parsesBefore, _ := p.ParseCounts()
-	if _, err := p.Parse("/app/index.js"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := p.Parse("node:events"); err != nil {
 		t.Fatal(err)
 	}
 	if parsesAfter, _ := p.ParseCounts(); parsesAfter != parsesBefore {
 		t.Errorf("prune evicted a live parse: %d → %d parses", parsesBefore, parsesAfter)
 	}
-}
-
-// recordingStore is a ParseStore stub for observing store traffic.
-type recordingStore struct {
-	mu     sync.Mutex
-	progs  map[string]*ast.Program
-	loads  int
-	stores int
-}
-
-func (r *recordingStore) LoadAST(key string) (*ast.Program, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.loads++
-	prog, ok := r.progs[key]
-	return prog, ok
-}
-
-func (r *recordingStore) StoreAST(key string, prog *ast.Program) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stores++
-	r.progs[key] = prog
-}
-
-// TestParseStoreBacksCache: a persistent store attached via SetParseStore
-// serves parses to a fresh project (simulating a second process) and
-// receives write-backs from fresh parses.
-func TestParseStoreBacksCache(t *testing.T) {
-	store := &recordingStore{progs: map[string]*ast.Program{}}
-
-	p1 := cacheProject()
-	p1.SetParseStore(store)
-	if _, err := p1.Parse("/app/index.js"); err != nil {
-		t.Fatal(err)
-	}
-	if store.stores != 1 {
-		t.Errorf("stores = %d after one fresh parse, want 1", store.stores)
-	}
-
-	p2 := cacheProject()
-	p2.SetParseStore(store)
-	prog, err := p2.Parse("/app/index.js")
+	prog, err := p.Parse("/app/index.js")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parses, hits := p2.ParseCounts(); parses != 0 || hits != 1 {
-		t.Errorf("second project: parses=%d hits=%d, want 0/1 (served by the store)", parses, hits)
+	if len(prog.Body) != 3 {
+		t.Errorf("index.js parsed to %d statements, want 3 (the current version)", len(prog.Body))
 	}
-	if prog != store.progs[SourceKey("/app/index.js", p2.Files["/app/index.js"])] {
-		t.Error("second project did not return the store's AST")
+	if _, err := p.Parse("/app/util.js"); !errors.Is(err, ErrNoSource) {
+		t.Errorf("removed file: got %v, want ErrNoSource", err)
+	}
+	p.PruneParses()
+	if n := len(p.parseCache.entries); n != 2 {
+		t.Errorf("cache holds %d ASTs after the second prune, want 2 (current index.js + node:events)", n)
 	}
 }

@@ -151,6 +151,10 @@ func (p *parser) importStmt() ast.Stmt {
 	}
 	mod := p.next().Str
 	p.expectSemi()
+	if len(bindings) == 0 {
+		// import {} from 'm'; binds nothing, so it is import 'm';
+		return &ast.ExprStmt{X: requireCallExpr(at, mod)}
+	}
 
 	decl := &ast.VarDecl{Kind: ast.Var, Loc: at}
 	imp := &esmImport{decl: decl}

@@ -44,11 +44,12 @@ func Parse(file, src string) (prog *ast.Program, err error) {
 
 // ParseExpr parses a single expression (used by eval-style entry points and
 // tests). The expression must consume the entire input.
-func ParseExpr(file, src string) (ast.Expr, error) { return parseExpr(file, src, 0) }
+func ParseExpr(file, src string) (ast.Expr, error) { return parseExpr(lexer.New(file, src), file, 0) }
 
-// parseExpr is ParseExpr for an expression nested depth levels deep.
-func parseExpr(file, src string, depth int) (e ast.Expr, err error) {
-	toks, lerr := lexer.New(file, src).All()
+// parseExpr is ParseExpr over lx for an expression nested depth levels
+// deep.
+func parseExpr(lx *lexer.Lexer, file string, depth int) (e ast.Expr, err error) {
+	toks, lerr := lx.All()
 	if lerr != nil {
 		return nil, lerr
 	}
@@ -1037,6 +1038,7 @@ func (p *parser) objectProp() *ast.Property {
 		}
 	}
 
+	key := p.peek()
 	p.propKey(prop)
 
 	switch {
@@ -1050,9 +1052,9 @@ func (p *parser) objectProp() *ast.Property {
 		f.Body = p.blockStmt()
 		prop.Value = f
 	default:
-		// shorthand { key }
-		if prop.Computed != nil {
-			p.fail(prop.Loc, "computed key requires a value")
+		// shorthand { key }: the key must be an identifier.
+		if key.Kind != lexer.Ident && !(key.Kind == lexer.Keyword && lexer.IsContextualKeyword(key.Text)) {
+			p.fail(prop.Loc, "property key %s requires a value", key)
 		}
 		prop.Value = &ast.Ident{Name: prop.Key, Loc: prop.Loc}
 	}
@@ -1148,7 +1150,7 @@ func (p *parser) templateLit(t lexer.Token) ast.Expr {
 			p.fail(t.Loc, "unterminated template interpolation")
 		closed:
 			sub := raw[start:i]
-			expr, err := parseSubExpr(p.file, sub, startLine, startCol, p.depth)
+			expr, err := parseExpr(lexer.NewAt(p.file, sub, startLine, startCol), p.file, p.depth)
 			if err != nil {
 				panic(bailout{&Error{t.Loc, "in template interpolation: " + err.Error()}})
 			}
@@ -1163,14 +1165,6 @@ func (p *parser) templateLit(t lexer.Token) ast.Expr {
 	}
 	lit.Quasis = append(lit.Quasis, quasi.String())
 	return lit
-}
-
-// parseSubExpr parses an expression embedded at a known position within a
-// file, depth levels deep, by padding the source so the lexer reports
-// correct locations.
-func parseSubExpr(file, src string, line, col, depth int) (ast.Expr, error) {
-	pad := strings.Repeat("\n", line-1) + strings.Repeat(" ", col-1)
-	return parseExpr(file, pad+src, depth)
 }
 
 func trimFloat(f float64) string {

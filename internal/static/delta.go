@@ -1,14 +1,14 @@
 // File-delta re-analysis. A DeltaSession keeps one project resident —
-// most importantly its content-hash-keyed parse cache — applies file
-// edits, and re-analyzes on demand, memoizing the last solved result
-// against a fingerprint of every analysis input.
+// most importantly its parse cache — applies file edits, and re-analyzes
+// on demand, memoizing the last solved result against a fingerprint of
+// every analysis input.
 //
 // Reuse granularity is chosen where exactness is provable:
 //
 //   - Parses are reused per file: a parse depends only on (path, source),
 //     so after an edit every unchanged file's AST comes from the cache and
-//     only dirty files are re-parsed (the in-memory cache is keyed by
-//     modules.SourceKey, so stale parses cannot be served by construction).
+//     only dirty files are re-parsed (a cached parse is served only while
+//     its file's source is unchanged, so stale parses cannot be served).
 //
 //   - The solved fixpoint is reused only whole: when the input fingerprint
 //     (file set + analysis options + hints) is unchanged, the previous
@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -47,9 +48,9 @@ type DeltaSession struct {
 	mu      sync.Mutex
 	project *modules.Project
 
-	// fileKeys are the SourceKeys of the last analyzed file set, used to
-	// count how many modules an edit actually dirtied.
-	fileKeys map[string]string
+	// files is the last analyzed file set (path to source), used to count
+	// how many modules an edit actually dirtied.
+	files map[string]string
 	// fp fingerprints every input of the last analysis; base/ext are its
 	// memoized results.
 	fp        string
@@ -100,43 +101,31 @@ func (s *DeltaSession) Analyze(opts Options) (base, ext *Result, reused bool, er
 		return s.base, s.ext, true, nil
 	}
 
-	keys := s.currentKeys()
-	perf.Global().AddDeltaModules(s.dirtyAgainst(keys))
+	perf.Global().AddDeltaModules(s.dirty())
 
 	base, ext, err = AnalyzeBoth(s.project, opts)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.base, s.ext, s.fp, s.fileKeys = base, ext, fp, keys
+	s.base, s.ext, s.fp, s.files = base, ext, fp, maps.Clone(s.project.Files)
 	return base, ext, false, nil
 }
 
-// currentKeys returns the SourceKey of every file in the project. Callers
-// hold s.mu.
-func (s *DeltaSession) currentKeys() map[string]string {
-	keys := make(map[string]string, len(s.project.Files))
+// dirty counts the modules whose content differs from the last analyzed
+// file set: edited and added files, plus removed ones. Callers hold s.mu.
+func (s *DeltaSession) dirty() int {
+	n := 0
 	for path, src := range s.project.Files {
-		keys[path] = modules.SourceKey(path, src)
-	}
-	return keys
-}
-
-// dirtyAgainst counts the modules whose content differs from the last
-// analyzed file set: edited and added files, plus removed ones. Callers
-// hold s.mu.
-func (s *DeltaSession) dirtyAgainst(keys map[string]string) int {
-	dirty := 0
-	for path, k := range keys {
-		if s.fileKeys == nil || s.fileKeys[path] != k {
-			dirty++
+		if old, ok := s.files[path]; !ok || old != src {
+			n++
 		}
 	}
-	for path := range s.fileKeys {
-		if _, ok := keys[path]; !ok {
-			dirty++
+	for path := range s.files {
+		if _, ok := s.project.Files[path]; !ok {
+			n++
 		}
 	}
-	return dirty
+	return n
 }
 
 // dirtyCount reports how many modules the pending edits have dirtied since
@@ -144,7 +133,7 @@ func (s *DeltaSession) dirtyAgainst(keys map[string]string) int {
 func (s *DeltaSession) dirtyCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dirtyAgainst(s.currentKeys())
+	return s.dirty()
 }
 
 // inputFingerprint hashes every input the analysis outcome depends on: the
