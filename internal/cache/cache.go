@@ -1,12 +1,13 @@
 // Package cache is the content-addressed persistent artifact store behind
 // warm re-analysis: approximate-interpretation hint sets and solved
-// analysis outcomes are written to disk keyed by the SHA-256 of the exact
-// content they were computed from (the whole project's file set plus the
-// analysis-options fingerprint). Parses are not stored: a fresh parse is
-// cheaper than loading a stored one, so they live only in each project's
-// in-memory cache. Because every key covers the complete input of its artifact,
-// a cache hit is bit-for-bit equivalent to recomputing — delta re-analysis
-// built on this store produces byte-identical reports by construction.
+// analysis outcomes are written to disk keyed by a SHA-256 fingerprint of
+// the exact content they were computed from (the whole project's file set,
+// hashed through per-file digests, plus the analysis-options fingerprint).
+// Parses are not stored: a fresh parse is cheaper than loading a stored
+// one, so they live only in each project's in-memory cache. Because every
+// key covers the complete input of its artifact, a cache hit is
+// bit-for-bit equivalent to recomputing — delta re-analysis built on this
+// store produces byte-identical reports by construction.
 //
 // Entries are single files with a versioned binary frame (magic, format
 // version, kind, payload checksum); loads validate the whole frame and
@@ -23,10 +24,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -252,49 +253,14 @@ func Fingerprint(parts ...string) string {
 	for _, p := range parts {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
 		h.Write(lenBuf[:])
-		h.Write([]byte(p))
+		io.WriteString(h, p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ProjectFingerprint hashes everything the analysis pipeline reads from a
-// project: its name (reports embed it), entry configuration, and the full
-// file set as sorted (path, content) pairs. Each list is prefixed by its
-// element count, so list boundaries cannot alias (MainEntries=["x"] with
-// empty TestEntries hashes differently from the reverse). Two projects
-// with equal fingerprints are indistinguishable to every pipeline phase,
-// which is the soundness basis for whole-outcome reuse.
+// ProjectFingerprint is the project part of every artifact key: see
+// (*modules.Project).Fingerprint. Each file's content digest is memoized
+// per file version, so re-fingerprinting an unchanged project is cheap.
 func ProjectFingerprint(p *modules.Project) string {
-	h := sha256.New()
-	var lenBuf [8]byte
-	wr := func(s string) {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(s))
-	}
-	wrN := func(n int) {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(n))
-		h.Write(lenBuf[:])
-	}
-	wr(p.Name)
-	wr(p.MainPrefix)
-	wrN(len(p.MainEntries))
-	for _, e := range p.MainEntries {
-		wr(e)
-	}
-	wrN(len(p.TestEntries))
-	for _, e := range p.TestEntries {
-		wr(e)
-	}
-	paths := make([]string, 0, len(p.Files))
-	for path := range p.Files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	wrN(len(paths))
-	for _, path := range paths {
-		wr(path)
-		wr(p.Files[path])
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return p.Fingerprint()
 }

@@ -269,6 +269,31 @@ func TestProjectFingerprintListBoundaries(t *testing.T) {
 	}
 }
 
+// TestProjectFingerprintTracksEdits: the key of a project that is edited
+// in place after it was fingerprinted equals the key of a freshly built
+// project with the same content, so a memoized file digest can never
+// serve a stale key.
+func TestProjectFingerprintTracksEdits(t *testing.T) {
+	mk := func(b string) *modules.Project {
+		return &modules.Project{
+			Name:        "p",
+			Files:       map[string]string{"/app/a.js": "1;", "/app/b.js": b},
+			MainEntries: []string{"/app/a.js"},
+			MainPrefix:  "/app",
+		}
+	}
+	p := mk("2;")
+	base := ProjectFingerprint(p)
+	p.Files["/app/b.js"] = "3;"
+	if got, want := ProjectFingerprint(p), ProjectFingerprint(mk("3;")); got != want || got == base {
+		t.Errorf("edited project keys as %s, fresh project with its content as %s (before the edit %s)", got, want, base)
+	}
+	p.Files["/app/b.js"] = "2;"
+	if got := ProjectFingerprint(p); got != base {
+		t.Errorf("reverted project keys as %s, want the original %s", got, base)
+	}
+}
+
 // TestOpenSweepsStaleTempFiles: a temp file orphaned by a writer killed
 // between CreateTemp and Rename is collected by the next Open, while a
 // fresh temp file (a possibly live concurrent writer) is left alone.

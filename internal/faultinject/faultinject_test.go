@@ -20,10 +20,10 @@ type countingHooks struct {
 	reads, calls, requires, evals, writes, staticWrites, defined, created int
 }
 
-func (c *countingHooks) ObjectCreated(obj *value.Object, l loc.Loc)      { c.created++ }
-func (c *countingHooks) FunctionDefined(fn *value.Object, l loc.Loc)     { c.defined++ }
+func (c *countingHooks) ObjectCreated(obj *value.Object, l loc.Loc)         { c.created++ }
+func (c *countingHooks) FunctionDefined(fn *value.Object, l loc.Loc)        { c.defined++ }
 func (c *countingHooks) StaticWrite(b value.Value, p string, v value.Value) { c.staticWrites++ }
-func (c *countingHooks) EvalCode(module, source string)                  { c.evals++ }
+func (c *countingHooks) EvalCode(module, source string)                     { c.evals++ }
 func (c *countingHooks) BeforeCall(site loc.Loc, callee *value.Object, this value.Value, args []value.Value) {
 	c.calls++
 }

@@ -5,12 +5,17 @@
 package modules
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/interp"
@@ -39,10 +44,11 @@ type Project struct {
 	// node_modules.
 	MainPrefix string
 
-	// Shared parse cache: every pipeline phase (approximate interpretation,
-	// static analysis, corpus statistics, vulnerability selection, dynamic
-	// call graphs) parses through it, so each file is parsed exactly once
-	// per project. Lazily created; see Parse.
+	// Shared per-file cache: every pipeline phase (approximate
+	// interpretation, static analysis, corpus statistics, vulnerability
+	// selection, dynamic call graphs) parses through it, so each file is
+	// parsed exactly once per project, and Fingerprint hashes each file
+	// version once. Lazily created; see Parse and Fingerprint.
 	parseOnce  sync.Once
 	parseCache *parseCache
 }
@@ -51,30 +57,60 @@ type Project struct {
 // node: module behind it.
 var ErrNoSource = errors.New("modules: no such file")
 
-// parseCache holds parse results for one project, keyed by path. Each
-// entry keeps the source it was parsed from, and a lookup hits only when
-// that source is still the file's current one, so an in-session edit
-// re-parses instead of serving a stale AST. The mutex is held across
-// parsing, which both serializes concurrent parsers of the same project
-// (the corpus driver parallelizes across projects, not within one) and
-// guarantees each file version is parsed exactly once.
+// parseCache holds one entry per path of a project: the file's parse, its
+// SHA-256 digest, or both. Each entry keeps the source they were computed
+// from, and an entry is valid only while that source is still the file's
+// current one, so an in-session edit re-parses and re-hashes instead of
+// serving a stale AST or digest. An unchanged file costs one string
+// comparison, which returns early when both strings share their data. The
+// mutex is held across parsing and hashing, which both serializes
+// concurrent users of the same project (the corpus driver parallelizes
+// across projects, not within one) and guarantees each file version is
+// parsed and hashed at most once.
 type parseCache struct {
 	mu      sync.Mutex
-	entries map[string]parseEntry
+	entries map[string]fileEntry
+	// paths is the sorted path list of the file set Fingerprint last
+	// sorted; it is reused while the file set is the same.
+	paths []string
 
 	parses, hits int64
 }
 
-// parseEntry is one cached parse and the source it came from.
-type parseEntry struct {
-	src  string
-	prog *ast.Program
+// fileEntry is one file version's memoized parse and digest. An entry made
+// by Fingerprint has no parse yet (prog is nil); one made by Parse has no
+// digest yet (hashed is false).
+type fileEntry struct {
+	src    string
+	prog   *ast.Program
+	sum    [sha256.Size]byte
+	hashed bool
+}
+
+// sortPaths records and returns the sorted paths of files. Callers hold
+// c.mu.
+func (c *parseCache) sortPaths(files map[string]string) []string {
+	c.paths = make([]string, 0, len(files))
+	for path := range files {
+		c.paths = append(c.paths, path)
+	}
+	slices.Sort(c.paths)
+	return c.paths
 }
 
 // cache returns the project's parse cache, creating it on first use.
 func (p *Project) cache() *parseCache {
-	p.parseOnce.Do(func() { p.parseCache = &parseCache{entries: map[string]parseEntry{}} })
+	p.parseOnce.Do(func() { p.parseCache = &parseCache{entries: map[string]fileEntry{}} })
 	return p.parseCache
+}
+
+// entry returns path's entry if it was computed from src, else an empty
+// entry for src. Callers hold c.mu.
+func (c *parseCache) entry(path, src string) fileEntry {
+	if e, ok := c.entries[path]; ok && e.src == src {
+		return e
+	}
+	return fileEntry{src: src}
 }
 
 // source returns the source text of path: a project file or a built-in
@@ -98,7 +134,8 @@ func (p *Project) Parse(path string) (*ast.Program, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSource, path)
 	}
-	if e, ok := c.entries[path]; ok && e.src == src {
+	e := c.entry(path, src)
+	if e.prog != nil {
 		c.hits++
 		perf.Global().AddParseHit()
 		return e.prog, nil
@@ -110,16 +147,89 @@ func (p *Project) Parse(path string) (*ast.Program, error) {
 	}
 	c.parses++
 	perf.Global().AddParse(time.Since(start))
-	c.entries[path] = parseEntry{src, prog}
+	e.prog = prog
+	c.entries[path] = e
 	return prog, nil
 }
 
-// PruneParses evicts cached parses whose path is gone from the project or
-// whose source is no longer the path's current one, so a long-lived
-// session's cache stays bounded by its current file set (plus the built-in
-// node: modules, which stay resident). The caller must ensure p.Files is
-// not concurrently mutated (delta sessions call this under their session
-// lock).
+// Fingerprint hashes everything the analysis pipeline reads from the
+// project: its name (reports embed it), entry configuration, and the file
+// set. Each string is length-framed and each list is prefixed by its
+// element count, so list boundaries cannot alias (MainEntries=["x"] with
+// empty TestEntries hashes differently from the reverse). The file set is
+// hashed as sorted (path, SHA-256 of content) pairs, and each file
+// version's digest is computed once and kept in the per-file cache, so
+// re-fingerprinting an unchanged project hashes only its paths. Two
+// projects with equal fingerprints are indistinguishable to every pipeline
+// phase. The result is lowercase hex. Fingerprint performs no parse and is
+// safe for concurrent use with Parse; p.Files must not be concurrently
+// mutated.
+func (p *Project) Fingerprint() string {
+	c := p.cache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	paths := c.paths
+	if len(paths) != len(p.Files) {
+		paths = c.sortPaths(p.Files)
+	}
+	size := 5*8 + len(p.Name) + len(p.MainPrefix)
+	for _, e := range p.MainEntries {
+		size += 8 + len(e)
+	}
+	for _, e := range p.TestEntries {
+		size += 8 + len(e)
+	}
+	for _, path := range paths {
+		size += 8 + len(path) + sha256.Size
+	}
+
+	buf := make([]byte, 0, size)
+	str := func(s string) {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	count := func(n int) { buf = binary.BigEndian.AppendUint64(buf, uint64(n)) }
+	str(p.Name)
+	str(p.MainPrefix)
+	count(len(p.MainEntries))
+	for _, e := range p.MainEntries {
+		str(e)
+	}
+	count(len(p.TestEntries))
+	for _, e := range p.TestEntries {
+		str(e)
+	}
+	count(len(paths))
+	fileSection := len(buf)
+	for i := 0; i < len(paths); i++ {
+		path := paths[i]
+		src, ok := p.Files[path]
+		if !ok {
+			// The file set has the old size but not the old paths: sort
+			// the current set and hash it from its start.
+			paths, buf, i = c.sortPaths(p.Files), buf[:fileSection], -1
+			continue
+		}
+		e := c.entry(path, src)
+		if !e.hashed {
+			// Hash the string's bytes in place: the digest only reads them.
+			e.sum = sha256.Sum256(unsafe.Slice(unsafe.StringData(src), len(src)))
+			e.hashed = true
+			c.entries[path] = e
+		}
+		str(path)
+		buf = append(buf, e.sum[:]...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// PruneParses evicts cached parses and digests whose path is gone from the
+// project or whose source is no longer the path's current one, so a
+// long-lived session's cache stays bounded by its current file set (plus
+// the built-in node: modules, which stay resident). The caller must ensure
+// p.Files is not concurrently mutated (delta sessions call this under their
+// session lock).
 func (p *Project) PruneParses() {
 	c := p.cache()
 	c.mu.Lock()

@@ -137,12 +137,13 @@ func (s *DeltaSession) dirtyCount() int {
 }
 
 // inputFingerprint hashes every input the analysis outcome depends on: the
-// full file set, the entry configuration, the hints, and all
-// outcome-affecting options. Every variable-length section is prefixed by
-// its element count and every string is length-framed, so section
-// boundaries cannot alias with entry values. SolverWorkers is deliberately
-// excluded — the epoch engine is report- and counter-identical at every
-// worker count (see Options.SolverWorkers).
+// project fingerprint (file set and entry configuration, see
+// modules.Project.Fingerprint), the hints, and all outcome-affecting
+// options. Every variable-length section is prefixed by its element count
+// and every string is length-framed, so section boundaries cannot alias
+// with entry values. SolverWorkers is deliberately excluded — the epoch
+// engine is report- and counter-identical at every worker count (see
+// Options.SolverWorkers).
 func (s *DeltaSession) inputFingerprint(opts Options) string {
 	h := sha256.New()
 	var lenBuf [8]byte
@@ -155,23 +156,7 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(n))
 		h.Write(lenBuf[:])
 	}
-	p := s.project
-	wr(p.Name)
-	wr(p.MainPrefix)
-	wrN(len(p.MainEntries))
-	for _, e := range p.MainEntries {
-		wr(e)
-	}
-	wrN(len(p.TestEntries))
-	for _, e := range p.TestEntries {
-		wr(e)
-	}
-	paths := p.SortedPaths()
-	wrN(len(paths))
-	for _, path := range paths {
-		wr(path)
-		wr(p.Files[path])
-	}
+	wr(s.project.Fingerprint())
 	wr(fmt.Sprintf("opts %d %t %t %t %t %t", opts.Mode,
 		opts.DisableDPR, opts.DisableModuleHints, opts.EvalHints,
 		opts.UnknownArgHints, opts.DisableCopyElim))

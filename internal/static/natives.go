@@ -57,7 +57,7 @@ var protoMembers = map[string]map[string]bool{
 		"keys", "values", "size", "constructor"),
 	"Set.prototype": setOf("add", "has", "delete", "clear", "forEach",
 		"values", "size", "constructor"),
-	"Promise.prototype": setOf("then", "catch", "finally", "constructor"),
+	"Promise.prototype":   setOf("then", "catch", "finally", "constructor"),
 	"Generator.prototype": setOf("next", "return", "throw", "constructor"),
 }
 

@@ -279,10 +279,10 @@ func (d TokenDesc) String() string {
 type Provenance struct {
 	a *analyzer
 
-	inEdges  map[Var][]Var   // reverse adjacency over journaled edges
-	sites    map[loc.Loc]provCallSite
-	readVarSite map[Var]loc.Loc // dynamic-read result var → site
-	fnTokens map[loc.Loc]Token // function definition site → token
+	inEdges     map[Var][]Var // reverse adjacency over journaled edges
+	sites       map[loc.Loc]provCallSite
+	readVarSite map[Var]loc.Loc   // dynamic-read result var → site
+	fnTokens    map[loc.Loc]Token // function definition site → token
 }
 
 // newProvenance freezes the query indexes after the final fixpoint.

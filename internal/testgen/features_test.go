@@ -72,15 +72,15 @@ func TestFeatureTierGating(t *testing.T) {
 // tier all appear somewhere in a modest seed range — no tier starves.
 func TestFeatureTierCoverage(t *testing.T) {
 	wanted := []string{
-		"for (var", "of ",          // generator for-of driver
-		".next()",                  // iterator protocol driver
-		"[...",                     // spread driver
-		".return(",                 // return driver
-		"yield*",                   // delegation
+		"for (var", "of ", // generator for-of driver
+		".next()",  // iterator protocol driver
+		"[...",     // spread driver
+		".return(", // return driver
+		"yield*",   // delegation
 		"Promise.all(", "Promise.race(", "Promise.allSettled(", "Promise.any(",
 		"new Proxy(", "apply: function", "get: function",
 		"Reflect.apply(", "Reflect.set(", "Reflect.ownKeys(",
-		" in ",                     // has trap
+		" in ",                    // has trap
 		"import * as", "import {", // esm namespace + named imports
 		"export var", "export function", "export {", " as ", // live bindings, renames
 	}
