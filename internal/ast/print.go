@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -302,7 +303,12 @@ func (p *printer) expr(e Expr) {
 	case *Ident:
 		p.sb.WriteString(e.Name)
 	case *NumberLit:
-		p.sb.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
+		if math.IsInf(e.Value, 1) {
+			// FormatFloat's +Inf does not lex; an overflowing literal does.
+			p.sb.WriteString("1e999")
+		} else {
+			p.sb.WriteString(strconv.FormatFloat(e.Value, 'g', -1, 64))
+		}
 	case *StringLit:
 		p.sb.WriteString(quoteJS(e.Value))
 	case *BoolLit:

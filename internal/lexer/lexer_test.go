@@ -1,8 +1,12 @@
 package lexer
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/loc"
 )
 
 func tokens(t *testing.T, src string) []Token {
@@ -53,6 +57,78 @@ func TestNumbers(t *testing.T) {
 	}
 }
 
+// TestNumbersLikeJavaScript pins literals a float64 cannot hold exactly:
+// out-of-range decimals are Infinity or zero, and hex literals round to
+// the nearest double however many digits they have.
+func TestNumbersLikeJavaScript(t *testing.T) {
+	cases := []struct {
+		src  string
+		want float64
+	}{
+		{"1e999", math.Inf(1)},
+		{"1E400", math.Inf(1)},
+		{"1e-400", 0},
+		{"0xFFFFFFFFFFFFFFFFFF", 1 << 72},
+		{"0x1FFFFFFFFFFFFF", 1<<53 - 1},
+		{"0x20000000000001", 1 << 53}, // halfway: rounds to even
+		{"0x20000000000003", 1<<53 + 4},
+		{"0X1f", 31},
+		{"0x" + strings.Repeat("f", 300), math.Inf(1)},
+	}
+	for _, c := range cases {
+		toks := tokens(t, c.src)
+		if toks[0].Kind != Number || toks[0].Num != c.want || toks[0].Text != c.src {
+			t.Errorf("lex %q = %v (num %v), want %v", c.src, toks[0], toks[0].Num, c.want)
+		}
+	}
+	if _, err := New("t.js", "0x").All(); err == nil {
+		t.Error("expected error for 0x without digits")
+	}
+}
+
+// TestEscapeDigits checks that \x takes exactly two hex digits and \u
+// exactly four, as in JavaScript; fewer, or a non-hex digit among them, is
+// an error rather than a shorter code point.
+func TestEscapeDigits(t *testing.T) {
+	ok := map[string]string{
+		`"\u0041"`:   "A",
+		`"\u00e9"`:   "\u00e9",
+		`"a\u0042c"`: "aBc",
+		`"\u004A1"`:  "J1",
+		`'\x4a\x4B'`: "JK",
+		`"x\x41"`:    "xA",
+	}
+	for src, want := range ok {
+		toks := tokens(t, src)
+		if toks[0].Kind != String || toks[0].Text != want {
+			t.Errorf("lex %s = %q, want %q", src, toks[0].Text, want)
+		}
+	}
+	for _, src := range []string{`"\u12G4"`, `"\u12"`, `"\u-123"`, `"\u{41}"`, `"\x4"`, `"\xG1"`, `"\x4G"`} {
+		if toks, err := New("t.js", src).All(); err == nil {
+			t.Errorf("lex %s = %q, want an escape error", src, toks[0].Text)
+		}
+	}
+}
+
+// TestStringSlicesSource checks that a string without escapes is a slice
+// of the source rather than a copy.
+func TestStringSlicesSource(t *testing.T) {
+	src := `x = "plain text"`
+	toks := tokens(t, src)
+	if toks[2].Text != "plain text" || unsafe.StringData(toks[2].Text) != unsafe.StringData(src[5:]) {
+		t.Errorf("string %q is not the source slice", toks[2].Text)
+	}
+}
+
+// TestTokenSize guards the compact token: the parser holds every token of
+// a file at once.
+func TestTokenSize(t *testing.T) {
+	if n := unsafe.Sizeof(Token{}); n > 40 {
+		t.Errorf("Token is %d bytes, want at most 40", n)
+	}
+}
+
 func TestStringsAndEscapes(t *testing.T) {
 	cases := map[string]string{
 		`"hello"`:       "hello",
@@ -66,8 +142,8 @@ func TestStringsAndEscapes(t *testing.T) {
 	}
 	for src, want := range cases {
 		toks := tokens(t, src)
-		if toks[0].Kind != String || toks[0].Str != want {
-			t.Errorf("lex %s = %q, want %q", src, toks[0].Str, want)
+		if toks[0].Kind != String || toks[0].Text != want {
+			t.Errorf("lex %s = %q, want %q", src, toks[0].Text, want)
 		}
 	}
 }
@@ -86,13 +162,13 @@ func TestTemplates(t *testing.T) {
 	if toks[0].Kind != Template {
 		t.Fatalf("got %v, want template", toks[0])
 	}
-	if toks[0].Str != "a${x + 1}b" {
-		t.Errorf("template raw = %q", toks[0].Str)
+	if toks[0].Text != "a${x + 1}b" {
+		t.Errorf("template raw = %q", toks[0].Text)
 	}
 	// Nested braces inside interpolation must not terminate early.
 	toks = tokens(t, "`v=${f({a: 1})}`")
-	if toks[0].Str != "v=${f({a: 1})}" {
-		t.Errorf("template raw = %q", toks[0].Str)
+	if toks[0].Text != "v=${f({a: 1})}" {
+		t.Errorf("template raw = %q", toks[0].Text)
 	}
 }
 
@@ -107,8 +183,8 @@ func TestRegexVsDivision(t *testing.T) {
 	if toks[2].Kind != Regex {
 		t.Fatalf("got %v, want regex", toks[2])
 	}
-	if toks[2].Str != "ab+c" || toks[2].Flags != "g" {
-		t.Errorf("regex = %q flags %q", toks[2].Str, toks[2].Flags)
+	if pattern, flags := toks[2].Regex(); pattern != "ab+c" || flags != "g" || toks[2].Text != "/ab+c/g" {
+		t.Errorf("regex %q = %q flags %q", toks[2].Text, pattern, flags)
 	}
 	// After '(', regex.
 	toks = tokens(t, `s.replace(/x\//, "y")`)
@@ -116,8 +192,8 @@ func TestRegexVsDivision(t *testing.T) {
 	for _, tk := range toks {
 		if tk.Kind == Regex {
 			foundRegex = true
-			if tk.Str != `x\/` {
-				t.Errorf("regex = %q", tk.Str)
+			if pattern, flags := tk.Regex(); pattern != `x\/` || flags != "" {
+				t.Errorf("regex %q = %q flags %q", tk.Text, pattern, flags)
 			}
 		}
 	}
@@ -126,7 +202,7 @@ func TestRegexVsDivision(t *testing.T) {
 	}
 	// Character class containing / must not terminate the literal.
 	toks = tokens(t, `x = /[/]/`)
-	if toks[2].Kind != Regex || toks[2].Str != "[/]" {
+	if pattern, _ := toks[2].Regex(); toks[2].Kind != Regex || pattern != "[/]" {
 		t.Errorf("got %v", toks[2])
 	}
 }
@@ -168,14 +244,14 @@ func TestNewlineTracking(t *testing.T) {
 
 func TestLocations(t *testing.T) {
 	toks := tokens(t, "ab\n  cd")
-	if toks[0].Loc.Line != 1 || toks[0].Loc.Col != 1 {
-		t.Errorf("ab at %v", toks[0].Loc)
+	if toks[0].Line != 1 || toks[0].Col != 1 {
+		t.Errorf("ab at %d:%d", toks[0].Line, toks[0].Col)
 	}
-	if toks[1].Loc.Line != 2 || toks[1].Loc.Col != 3 {
-		t.Errorf("cd at %v", toks[1].Loc)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("cd at %d:%d", toks[1].Line, toks[1].Col)
 	}
-	if toks[0].Loc.File != "test.js" {
-		t.Errorf("file = %q", toks[0].Loc.File)
+	if got, want := toks[1].Loc("test.js"), (loc.Loc{File: "test.js", Line: 2, Col: 3}); got != want {
+		t.Errorf("cd Loc = %v, want %v", got, want)
 	}
 }
 

@@ -21,8 +21,8 @@ type interpolation struct {
 // the brace that balances its ${.
 func interpolations(tok lexer.Token) []interpolation {
 	var out []interpolation
-	raw := tok.Str
-	line, col := tok.Loc.Line, tok.Loc.Col+1
+	raw := tok.Text
+	line, col := int(tok.Line), int(tok.Col)+1
 	bump := func(c byte) {
 		if c == '\n' {
 			line, col = line+1, 1

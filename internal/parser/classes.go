@@ -56,7 +56,7 @@ func (p *parser) classExpr() (ast.Expr, string) {
 		superExpr = p.callExpr() // LeftHandSideExpression
 	}
 	members := p.classBody()
-	return p.desugarClass(kw.Loc, name, superExpr, members), name
+	return p.desugarClass(kw.Loc(p.file), name, superExpr, members), name
 }
 
 func (p *parser) classBody() []*classMember {
@@ -73,7 +73,7 @@ func (p *parser) classBody() []*classMember {
 }
 
 func (p *parser) classMember() *classMember {
-	m := &classMember{kind: ast.NormalProp, loc: p.peek().Loc}
+	m := &classMember{kind: ast.NormalProp, loc: p.peek().Loc(p.file)}
 
 	if p.atKeyword("static") {
 		// `static` may itself be a method name (static() {}).
@@ -111,12 +111,12 @@ func (p *parser) classMember() *classMember {
 		m.name = t.Text
 	case t.Kind == lexer.String:
 		p.next()
-		m.name = t.Str
+		m.name = t.Text
 	case t.Kind == lexer.Number:
 		p.next()
 		m.name = trimFloat(t.Num)
 	default:
-		p.fail(t.Loc, "expected class member name but found %s", t)
+		p.fail(t.Loc(p.file), "expected class member name but found %s", t)
 	}
 
 	switch {

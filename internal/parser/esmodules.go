@@ -83,11 +83,11 @@ func requireCallExpr(at loc.Loc, name string) *ast.CallExpr {
 
 func (p *parser) importStmt() ast.Stmt {
 	kw := p.next() // consume "import"
-	at := kw.Loc
+	at := kw.Loc(p.file)
 
 	// import 'm';
 	if p.at(lexer.String) {
-		mod := p.next().Str
+		mod := p.next().Text
 		p.expectSemi()
 		return &ast.ExprStmt{X: requireCallExpr(at, mod)}
 	}
@@ -121,7 +121,7 @@ func (p *parser) importStmt() ast.Stmt {
 	case p.atPunct("*"):
 		p.next()
 		if !(p.at(lexer.Ident) && p.peek().Text == "as") {
-			p.fail(p.peek().Loc, "expected 'as' after import *")
+			p.fail(p.peek().Loc(p.file), "expected 'as' after import *")
 		}
 		p.next()
 		local, _ := p.identName()
@@ -143,13 +143,13 @@ func (p *parser) importStmt() ast.Stmt {
 	}
 
 	if !(p.at(lexer.Ident) && p.peek().Text == "from") {
-		p.fail(p.peek().Loc, "expected 'from' in import statement")
+		p.fail(p.peek().Loc(p.file), "expected 'from' in import statement")
 	}
 	p.next()
 	if !p.at(lexer.String) {
-		p.fail(p.peek().Loc, "expected module specifier string")
+		p.fail(p.peek().Loc(p.file), "expected module specifier string")
 	}
-	mod := p.next().Str
+	mod := p.next().Text
 	p.expectSemi()
 	if len(bindings) == 0 {
 		// import {} from 'm'; binds nothing, so it is import 'm';
@@ -183,7 +183,7 @@ func (p *parser) importStmt() ast.Stmt {
 
 func (p *parser) exportStmt() ast.Stmt {
 	kw := p.next() // consume "export"
-	at := kw.Loc
+	at := kw.Loc(p.file)
 
 	exportAssign := func(name string, v ast.Expr) ast.Stmt {
 		return &ast.ExprStmt{X: &ast.AssignExpr{

@@ -57,7 +57,7 @@ func parseExpr(lx *lexer.Lexer, file string, depth int) (e ast.Expr, err error) 
 	defer p.catchBailout(&err)
 	e = p.expression()
 	if !p.at(lexer.EOF) {
-		return nil, &Error{p.peek().Loc, "unexpected trailing input"}
+		return nil, &Error{p.peek().Loc(p.file), "unexpected trailing input"}
 	}
 	return e, err
 }
@@ -93,7 +93,7 @@ const maxDepth = 2000
 func (p *parser) enter() {
 	p.depth++
 	if p.depth > maxDepth {
-		p.fail(p.peek().Loc, "nesting deeper than %d levels", maxDepth)
+		p.fail(p.peek().Loc(p.file), "nesting deeper than %d levels", maxDepth)
 	}
 }
 
@@ -115,9 +115,9 @@ func (p *parser) catchBailout(err *error) {
 		// position the parser had reached, instead of unwinding further.
 		l := loc.Loc{File: p.file, Line: 1, Col: 1}
 		if p.pos < len(p.toks) {
-			l = p.toks[p.pos].Loc
+			l = p.toks[p.pos].Loc(p.file)
 		} else if len(p.toks) > 0 {
-			l = p.toks[len(p.toks)-1].Loc
+			l = p.toks[len(p.toks)-1].Loc(p.file)
 		}
 		*err = &Error{l, fmt.Sprintf("internal parser panic: %v", r)}
 	}
@@ -175,7 +175,7 @@ func (p *parser) eatKeyword(text string) bool {
 func (p *parser) expectPunct(text string) lexer.Token {
 	if !p.atPunct(text) {
 		t := p.peek()
-		p.fail(t.Loc, "expected %q but found %s", text, t)
+		p.fail(t.Loc(p.file), "expected %q but found %s", text, t)
 	}
 	return p.next()
 }
@@ -183,7 +183,7 @@ func (p *parser) expectPunct(text string) lexer.Token {
 func (p *parser) expectKeyword(text string) lexer.Token {
 	if !p.atKeyword(text) {
 		t := p.peek()
-		p.fail(t.Loc, "expected keyword %q but found %s", text, t)
+		p.fail(t.Loc(p.file), "expected keyword %q but found %s", text, t)
 	}
 	return p.next()
 }
@@ -194,9 +194,9 @@ func (p *parser) identName() (string, loc.Loc) {
 	t := p.peek()
 	if t.Kind == lexer.Ident || (t.Kind == lexer.Keyword && lexer.IsContextualKeyword(t.Text)) {
 		p.pos++
-		return t.Text, t.Loc
+		return t.Text, t.Loc(p.file)
 	}
-	p.fail(t.Loc, "expected identifier but found %s", t)
+	p.fail(t.Loc(p.file), "expected identifier but found %s", t)
 	return "", loc.Loc{}
 }
 
@@ -210,7 +210,7 @@ func (p *parser) expectSemi() {
 	if t.Kind == lexer.EOF || (t.Kind == lexer.Punct && t.Text == "}") || t.NewlineBefore {
 		return
 	}
-	p.fail(t.Loc, "expected ';' but found %s", t)
+	p.fail(t.Loc(p.file), "expected ';' but found %s", t)
 }
 
 // ---------------------------------------------------------------- statements
@@ -227,7 +227,7 @@ func (p *parser) statement() ast.Stmt {
 		return p.blockStmt()
 	case t.Kind == lexer.Punct && t.Text == ";":
 		p.next()
-		return &ast.EmptyStmt{Loc: t.Loc}
+		return &ast.EmptyStmt{Loc: t.Loc(p.file)}
 	case t.Kind == lexer.Keyword:
 		switch t.Text {
 		case "var", "const":
@@ -260,11 +260,11 @@ func (p *parser) statement() ast.Stmt {
 		case "break":
 			p.next()
 			p.expectSemi()
-			return &ast.BreakStmt{Loc: t.Loc}
+			return &ast.BreakStmt{Loc: t.Loc(p.file)}
 		case "continue":
 			p.next()
 			p.expectSemi()
-			return &ast.ContinueStmt{Loc: t.Loc}
+			return &ast.ContinueStmt{Loc: t.Loc(p.file)}
 		case "throw":
 			return p.throwStmt()
 		case "try":
@@ -275,13 +275,13 @@ func (p *parser) statement() ast.Stmt {
 			// Class declarations desugar to `var Name = (function(){…})()`.
 			expr, name := p.classExpr()
 			if name == "" {
-				p.fail(t.Loc, "class declaration requires a name")
+				p.fail(t.Loc(p.file), "class declaration requires a name")
 			}
 			p.expectSemi()
 			return &ast.VarDecl{
 				Kind:  ast.Var,
-				Decls: []*ast.Declarator{{Name: name, Init: expr, Loc: t.Loc}},
-				Loc:   t.Loc,
+				Decls: []*ast.Declarator{{Name: name, Init: expr, Loc: t.Loc(p.file)}},
+				Loc:   t.Loc(p.file),
 			}
 		}
 	}
@@ -292,7 +292,7 @@ func (p *parser) statement() ast.Stmt {
 
 func (p *parser) blockStmt() *ast.BlockStmt {
 	open := p.expectPunct("{")
-	b := &ast.BlockStmt{Loc: open.Loc}
+	b := &ast.BlockStmt{Loc: open.Loc(p.file)}
 	for !p.atPunct("}") && !p.at(lexer.EOF) {
 		b.Body = append(b.Body, p.statement())
 	}
@@ -302,7 +302,7 @@ func (p *parser) blockStmt() *ast.BlockStmt {
 
 func (p *parser) varDecl() *ast.VarDecl {
 	kw := p.next()
-	d := &ast.VarDecl{Kind: ast.VarKind(kw.Text), Loc: kw.Loc}
+	d := &ast.VarDecl{Kind: ast.VarKind(kw.Text), Loc: kw.Loc(p.file)}
 	for {
 		name, nloc := p.identName()
 		decl := &ast.Declarator{Name: name, Loc: nloc}
@@ -327,14 +327,14 @@ func (p *parser) funcDeclStmt() ast.Stmt {
 // declarations.
 func (p *parser) funcLit(requireName bool) *ast.FuncLit {
 	kw := p.expectKeyword("function")
-	f := &ast.FuncLit{Loc: kw.Loc, RestIdx: -1}
+	f := &ast.FuncLit{Loc: kw.Loc(p.file), RestIdx: -1}
 	if p.eatPunct("*") {
 		f.IsGenerator = true
 	}
 	if p.at(lexer.Ident) || (p.at(lexer.Keyword) && lexer.IsContextualKeyword(p.peek().Text)) {
 		f.Name, _ = p.identName()
 	} else if requireName {
-		p.fail(p.peek().Loc, "function declaration requires a name")
+		p.fail(p.peek().Loc(p.file), "function declaration requires a name")
 	}
 	p.parseParams(f)
 	f.Body = p.blockStmt()
@@ -369,7 +369,7 @@ func (p *parser) ifStmt() ast.Stmt {
 	if p.eatKeyword("else") {
 		els = p.statement()
 	}
-	return &ast.IfStmt{Cond: cond, Then: then, Else: els, Loc: kw.Loc}
+	return &ast.IfStmt{Cond: cond, Then: then, Else: els, Loc: kw.Loc(p.file)}
 }
 
 func (p *parser) whileStmt() ast.Stmt {
@@ -377,7 +377,7 @@ func (p *parser) whileStmt() ast.Stmt {
 	p.expectPunct("(")
 	cond := p.expression()
 	p.expectPunct(")")
-	return &ast.WhileStmt{Cond: cond, Body: p.statement(), Loc: kw.Loc}
+	return &ast.WhileStmt{Cond: cond, Body: p.statement(), Loc: kw.Loc(p.file)}
 }
 
 func (p *parser) doWhileStmt() ast.Stmt {
@@ -388,7 +388,7 @@ func (p *parser) doWhileStmt() ast.Stmt {
 	cond := p.expression()
 	p.expectPunct(")")
 	p.expectSemi()
-	return &ast.DoWhileStmt{Body: body, Cond: cond, Loc: kw.Loc}
+	return &ast.DoWhileStmt{Body: body, Cond: cond, Loc: kw.Loc(p.file)}
 }
 
 func (p *parser) forStmt() ast.Stmt {
@@ -396,7 +396,7 @@ func (p *parser) forStmt() ast.Stmt {
 	p.expectPunct("(")
 
 	// for (var x in e) / for (var x of e) / for (x in e) / for (x of e)
-	if st, ok := p.tryForIn(kw.Loc); ok {
+	if st, ok := p.tryForIn(kw.Loc(p.file)); ok {
 		return st
 	}
 
@@ -404,7 +404,7 @@ func (p *parser) forStmt() ast.Stmt {
 	if !p.atPunct(";") {
 		if p.atKeyword("var") || p.atKeyword("let") || p.atKeyword("const") {
 			kind := ast.VarKind(p.next().Text)
-			d := &ast.VarDecl{Kind: kind, Loc: kw.Loc}
+			d := &ast.VarDecl{Kind: kind, Loc: kw.Loc(p.file)}
 			for {
 				name, nloc := p.identName()
 				decl := &ast.Declarator{Name: name, Loc: nloc}
@@ -432,7 +432,7 @@ func (p *parser) forStmt() ast.Stmt {
 		post = p.expression()
 	}
 	p.expectPunct(")")
-	return &ast.ForStmt{Init: init, Cond: cond, Post: post, Body: p.statement(), Loc: kw.Loc}
+	return &ast.ForStmt{Init: init, Cond: cond, Post: post, Body: p.statement(), Loc: kw.Loc(p.file)}
 }
 
 // tryForIn recognizes for-in and for-of headers by lookahead from the token
@@ -465,7 +465,7 @@ func (p *parser) tryForIn(at loc.Loc) (ast.Stmt, bool) {
 
 func (p *parser) returnStmt() ast.Stmt {
 	kw := p.expectKeyword("return")
-	st := &ast.ReturnStmt{Loc: kw.Loc}
+	st := &ast.ReturnStmt{Loc: kw.Loc(p.file)}
 	t := p.peek()
 	if !t.NewlineBefore && !p.atPunct(";") && !p.atPunct("}") && t.Kind != lexer.EOF {
 		st.X = p.expression()
@@ -477,16 +477,16 @@ func (p *parser) returnStmt() ast.Stmt {
 func (p *parser) throwStmt() ast.Stmt {
 	kw := p.expectKeyword("throw")
 	if p.peek().NewlineBefore {
-		p.fail(kw.Loc, "newline not allowed after throw")
+		p.fail(kw.Loc(p.file), "newline not allowed after throw")
 	}
 	x := p.expression()
 	p.expectSemi()
-	return &ast.ThrowStmt{X: x, Loc: kw.Loc}
+	return &ast.ThrowStmt{X: x, Loc: kw.Loc(p.file)}
 }
 
 func (p *parser) tryStmt() ast.Stmt {
 	kw := p.expectKeyword("try")
-	st := &ast.TryStmt{Loc: kw.Loc, Block: p.blockStmt()}
+	st := &ast.TryStmt{Loc: kw.Loc(p.file), Block: p.blockStmt()}
 	if p.eatKeyword("catch") {
 		if p.eatPunct("(") {
 			st.CatchParam, _ = p.identName()
@@ -498,7 +498,7 @@ func (p *parser) tryStmt() ast.Stmt {
 		st.Finally = p.blockStmt()
 	}
 	if st.Catch == nil && st.Finally == nil {
-		p.fail(kw.Loc, "try requires catch or finally")
+		p.fail(kw.Loc(p.file), "try requires catch or finally")
 	}
 	return st
 }
@@ -509,10 +509,10 @@ func (p *parser) switchStmt() ast.Stmt {
 	disc := p.expression()
 	p.expectPunct(")")
 	p.expectPunct("{")
-	st := &ast.SwitchStmt{Disc: disc, Loc: kw.Loc}
+	st := &ast.SwitchStmt{Disc: disc, Loc: kw.Loc(p.file)}
 	sawDefault := false
 	for !p.atPunct("}") && !p.at(lexer.EOF) {
-		c := &ast.SwitchCase{Loc: p.peek().Loc}
+		c := &ast.SwitchCase{Loc: p.peek().Loc(p.file)}
 		if p.eatKeyword("default") {
 			if sawDefault {
 				p.fail(c.Loc, "duplicate default case")
@@ -568,11 +568,11 @@ func (p *parser) assignExpr() ast.Expr {
 		switch lhs.(type) {
 		case *ast.Ident, *ast.MemberExpr:
 		default:
-			p.fail(t.Loc, "invalid assignment target")
+			p.fail(t.Loc(p.file), "invalid assignment target")
 		}
 		p.next()
 		rhs := p.assignExpr()
-		return &ast.AssignExpr{Op: t.Text, Target: lhs, Value: rhs, Loc: t.Loc}
+		return &ast.AssignExpr{Op: t.Text, Target: lhs, Value: rhs, Loc: t.Loc(p.file)}
 	}
 	return lhs
 }
@@ -584,7 +584,7 @@ func (p *parser) assignExpr() ast.Expr {
 // expression.
 func (p *parser) yieldExpr() ast.Expr {
 	kw := p.expectKeyword("yield")
-	y := &ast.YieldExpr{Loc: kw.Loc}
+	y := &ast.YieldExpr{Loc: kw.Loc(p.file)}
 	if p.eatPunct("*") {
 		y.X = p.assignExpr()
 		y.Delegate = true
@@ -644,7 +644,7 @@ func (p *parser) tryArrow() (ast.Expr, bool) {
 	if n := p.toks[c+1]; !(n.Kind == lexer.Punct && n.Text == "=>") {
 		return nil, false
 	}
-	f := &ast.FuncLit{IsArrow: true, RestIdx: -1, Loc: t.Loc}
+	f := &ast.FuncLit{IsArrow: true, RestIdx: -1, Loc: t.Loc(p.file)}
 	p.parseParams(f)
 	p.expectPunct("=>")
 	p.arrowBody(f)
@@ -713,7 +713,7 @@ func (p *parser) condExpr() ast.Expr {
 	then := p.assignExpr()
 	p.expectPunct(":")
 	els := p.assignExpr()
-	return &ast.CondExpr{Cond: cond, Then: then, Else: els, Loc: q.Loc}
+	return &ast.CondExpr{Cond: cond, Then: then, Else: els, Loc: q.Loc(p.file)}
 }
 
 // binary operator precedence levels; higher binds tighter.
@@ -757,9 +757,9 @@ func (p *parser) binaryExpr(minPrec int) ast.Expr {
 		}
 		right := p.binaryExpr(nextMin)
 		if op == "&&" || op == "||" || op == "??" {
-			left = &ast.LogicalExpr{Op: op, L: left, R: right, Loc: t.Loc}
+			left = &ast.LogicalExpr{Op: op, L: left, R: right, Loc: t.Loc(p.file)}
 		} else {
-			left = &ast.BinaryExpr{Op: op, L: left, R: right, Loc: t.Loc}
+			left = &ast.BinaryExpr{Op: op, L: left, R: right, Loc: t.Loc(p.file)}
 		}
 	}
 }
@@ -772,23 +772,23 @@ func (p *parser) unaryExpr() ast.Expr {
 		switch t.Text {
 		case "!", "~", "+", "-":
 			p.next()
-			return &ast.UnaryExpr{Op: t.Text, X: p.unaryExpr(), Loc: t.Loc}
+			return &ast.UnaryExpr{Op: t.Text, X: p.unaryExpr(), Loc: t.Loc(p.file)}
 		case "++", "--":
 			p.next()
 			x := p.unaryExpr()
-			return &ast.UpdateExpr{Op: t.Text, X: x, Prefix: true, Loc: t.Loc}
+			return &ast.UpdateExpr{Op: t.Text, X: x, Prefix: true, Loc: t.Loc(p.file)}
 		}
 	}
 	if t.Kind == lexer.Keyword {
 		switch t.Text {
 		case "typeof", "void", "delete":
 			p.next()
-			return &ast.UnaryExpr{Op: t.Text, X: p.unaryExpr(), Loc: t.Loc}
+			return &ast.UnaryExpr{Op: t.Text, X: p.unaryExpr(), Loc: t.Loc(p.file)}
 		case "await":
 			// await is treated as a unary operator wherever it appears (a
 			// simplification: top-level await is legal here too).
 			p.next()
-			return &ast.UnaryExpr{Op: "await", X: p.unaryExpr(), Loc: t.Loc}
+			return &ast.UnaryExpr{Op: "await", X: p.unaryExpr(), Loc: t.Loc(p.file)}
 		}
 	}
 	return p.postfixExpr()
@@ -799,7 +799,7 @@ func (p *parser) postfixExpr() ast.Expr {
 	t := p.peek()
 	if t.Kind == lexer.Punct && (t.Text == "++" || t.Text == "--") && !t.NewlineBefore {
 		p.next()
-		return &ast.UpdateExpr{Op: t.Text, X: x, Prefix: false, Loc: t.Loc}
+		return &ast.UpdateExpr{Op: t.Text, X: x, Prefix: false, Loc: t.Loc(p.file)}
 	}
 	return x
 }
@@ -825,15 +825,15 @@ func (p *parser) callTail(x ast.Expr) ast.Expr {
 		case ".":
 			p.next()
 			name := p.propertyName()
-			x = &ast.MemberExpr{Obj: x, Prop: name, Loc: t.Loc}
+			x = &ast.MemberExpr{Obj: x, Prop: name, Loc: t.Loc(p.file)}
 		case "[":
 			p.next()
 			idx := p.expression()
 			p.expectPunct("]")
-			x = &ast.MemberExpr{Obj: x, PropExpr: idx, Computed: true, Loc: t.Loc}
+			x = &ast.MemberExpr{Obj: x, PropExpr: idx, Computed: true, Loc: t.Loc(p.file)}
 		case "(":
 			args := p.arguments()
-			x = &ast.CallExpr{Callee: x, Args: args, Loc: t.Loc}
+			x = &ast.CallExpr{Callee: x, Args: args, Loc: t.Loc(p.file)}
 		default:
 			return x
 		}
@@ -848,7 +848,7 @@ func (p *parser) propertyName() string {
 		p.next()
 		return t.Text
 	}
-	p.fail(t.Loc, "expected property name but found %s", t)
+	p.fail(t.Loc(p.file), "expected property name but found %s", t)
 	return ""
 }
 
@@ -858,7 +858,7 @@ func (p *parser) arguments() []ast.Expr {
 	for !p.atPunct(")") {
 		if p.atPunct("...") {
 			s := p.next()
-			args = append(args, &ast.SpreadExpr{X: p.assignExpr(), Loc: s.Loc})
+			args = append(args, &ast.SpreadExpr{X: p.assignExpr(), Loc: s.Loc(p.file)})
 		} else {
 			args = append(args, p.assignExpr())
 		}
@@ -889,12 +889,12 @@ func (p *parser) newExpr() ast.Expr {
 		}
 		if t.Text == "." {
 			p.next()
-			callee = &ast.MemberExpr{Obj: callee, Prop: p.propertyName(), Loc: t.Loc}
+			callee = &ast.MemberExpr{Obj: callee, Prop: p.propertyName(), Loc: t.Loc(p.file)}
 		} else if t.Text == "[" {
 			p.next()
 			idx := p.expression()
 			p.expectPunct("]")
-			callee = &ast.MemberExpr{Obj: callee, PropExpr: idx, Computed: true, Loc: t.Loc}
+			callee = &ast.MemberExpr{Obj: callee, PropExpr: idx, Computed: true, Loc: t.Loc(p.file)}
 		} else {
 			break
 		}
@@ -903,7 +903,7 @@ func (p *parser) newExpr() ast.Expr {
 	if p.atPunct("(") {
 		args = p.arguments()
 	}
-	return &ast.NewExpr{Callee: callee, Args: args, Loc: kw.Loc}
+	return &ast.NewExpr{Callee: callee, Args: args, Loc: kw.Loc(p.file)}
 }
 
 func (p *parser) primaryExpr() ast.Expr {
@@ -911,33 +911,34 @@ func (p *parser) primaryExpr() ast.Expr {
 	switch t.Kind {
 	case lexer.Number:
 		p.next()
-		return &ast.NumberLit{Value: t.Num, Raw: t.Text, Loc: t.Loc}
+		return &ast.NumberLit{Value: t.Num, Raw: t.Text, Loc: t.Loc(p.file)}
 	case lexer.String:
 		p.next()
-		return &ast.StringLit{Value: t.Str, Loc: t.Loc}
+		return &ast.StringLit{Value: t.Text, Loc: t.Loc(p.file)}
 	case lexer.Template:
 		p.next()
 		return p.templateLit(t)
 	case lexer.Regex:
 		p.next()
-		return &ast.RegexLit{Pattern: t.Str, Flags: t.Flags, Loc: t.Loc}
+		pattern, flags := t.Regex()
+		return &ast.RegexLit{Pattern: pattern, Flags: flags, Loc: t.Loc(p.file)}
 	case lexer.Ident:
 		p.next()
-		return &ast.Ident{Name: t.Text, Loc: t.Loc}
+		return &ast.Ident{Name: t.Text, Loc: t.Loc(p.file)}
 	case lexer.Keyword:
 		switch t.Text {
 		case "this":
 			p.next()
-			return &ast.ThisExpr{Loc: t.Loc}
+			return &ast.ThisExpr{Loc: t.Loc(p.file)}
 		case "true", "false":
 			p.next()
-			return &ast.BoolLit{Value: t.Text == "true", Loc: t.Loc}
+			return &ast.BoolLit{Value: t.Text == "true", Loc: t.Loc(p.file)}
 		case "null":
 			p.next()
-			return &ast.NullLit{Loc: t.Loc}
+			return &ast.NullLit{Loc: t.Loc(p.file)}
 		case "undefined":
 			p.next()
-			return &ast.UndefinedLit{Loc: t.Loc}
+			return &ast.UndefinedLit{Loc: t.Loc(p.file)}
 		case "function":
 			return p.funcLit(false)
 		case "class":
@@ -952,11 +953,11 @@ func (p *parser) primaryExpr() ast.Expr {
 			}
 			// Plain identifier use of the contextual keyword.
 			p.next()
-			return &ast.Ident{Name: t.Text, Loc: t.Loc}
+			return &ast.Ident{Name: t.Text, Loc: t.Loc(p.file)}
 		default:
 			if lexer.IsContextualKeyword(t.Text) {
 				p.next()
-				return &ast.Ident{Name: t.Text, Loc: t.Loc}
+				return &ast.Ident{Name: t.Text, Loc: t.Loc(p.file)}
 			}
 		}
 	case lexer.Punct:
@@ -972,13 +973,13 @@ func (p *parser) primaryExpr() ast.Expr {
 			return p.objectLit()
 		}
 	}
-	p.fail(t.Loc, "unexpected token %s", t)
+	p.fail(t.Loc(p.file), "unexpected token %s", t)
 	return nil
 }
 
 func (p *parser) arrayLit() ast.Expr {
 	open := p.expectPunct("[")
-	lit := &ast.ArrayLit{Loc: open.Loc}
+	lit := &ast.ArrayLit{Loc: open.Loc(p.file)}
 	for !p.atPunct("]") {
 		if p.atPunct(",") {
 			p.next()
@@ -987,7 +988,7 @@ func (p *parser) arrayLit() ast.Expr {
 		}
 		if p.atPunct("...") {
 			s := p.next()
-			lit.Elems = append(lit.Elems, &ast.SpreadExpr{X: p.assignExpr(), Loc: s.Loc})
+			lit.Elems = append(lit.Elems, &ast.SpreadExpr{X: p.assignExpr(), Loc: s.Loc(p.file)})
 		} else {
 			lit.Elems = append(lit.Elems, p.assignExpr())
 		}
@@ -1001,7 +1002,7 @@ func (p *parser) arrayLit() ast.Expr {
 
 func (p *parser) objectLit() ast.Expr {
 	open := p.expectPunct("{")
-	lit := &ast.ObjectLit{Loc: open.Loc}
+	lit := &ast.ObjectLit{Loc: open.Loc(p.file)}
 	for !p.atPunct("}") {
 		lit.Props = append(lit.Props, p.objectProp())
 		if !p.eatPunct(",") {
@@ -1014,7 +1015,7 @@ func (p *parser) objectLit() ast.Expr {
 
 func (p *parser) objectProp() *ast.Property {
 	t := p.peek()
-	prop := &ast.Property{Loc: t.Loc}
+	prop := &ast.Property{Loc: t.Loc(p.file)}
 
 	// get/set accessor: "get" or "set" followed by a key (not ':'/'('/',').
 	if t.Kind == lexer.Keyword && (t.Text == "get" || t.Text == "set") {
@@ -1030,7 +1031,7 @@ func (p *parser) objectProp() *ast.Property {
 				prop.Kind = ast.SetterProp
 			}
 			p.propKey(prop)
-			f := &ast.FuncLit{Loc: p.peek().Loc, RestIdx: -1}
+			f := &ast.FuncLit{Loc: p.peek().Loc(p.file), RestIdx: -1}
 			p.parseParams(f)
 			f.Body = p.blockStmt()
 			prop.Value = f
@@ -1069,7 +1070,7 @@ func (p *parser) propKey(prop *ast.Property) {
 		prop.Key = t.Text
 	case t.Kind == lexer.String:
 		p.next()
-		prop.Key = t.Str
+		prop.Key = t.Text
 	case t.Kind == lexer.Number:
 		p.next()
 		prop.Key = trimFloat(t.Num)
@@ -1078,7 +1079,7 @@ func (p *parser) propKey(prop *ast.Property) {
 		prop.Computed = p.assignExpr()
 		p.expectPunct("]")
 	default:
-		p.fail(t.Loc, "expected property key but found %s", t)
+		p.fail(t.Loc(p.file), "expected property key but found %s", t)
 	}
 }
 
@@ -1086,10 +1087,10 @@ func (p *parser) propKey(prop *ast.Property) {
 // expressions and sub-parses the expressions with location-corrected
 // lexers so allocation sites inside interpolations remain meaningful.
 func (p *parser) templateLit(t lexer.Token) ast.Expr {
-	lit := &ast.TemplateLit{Loc: t.Loc}
-	raw := t.Str
+	lit := &ast.TemplateLit{Loc: t.Loc(p.file)}
+	raw := t.Text
 	// Content begins one column after the backtick.
-	line, col := t.Loc.Line, t.Loc.Col+1
+	line, col := int(t.Line), int(t.Col)+1
 	var quasi strings.Builder
 	i := 0
 	bump := func(c byte) {
@@ -1147,12 +1148,12 @@ func (p *parser) templateLit(t lexer.Token) ast.Expr {
 				bump(raw[i])
 				i++
 			}
-			p.fail(t.Loc, "unterminated template interpolation")
+			p.fail(t.Loc(p.file), "unterminated template interpolation")
 		closed:
 			sub := raw[start:i]
 			expr, err := parseExpr(lexer.NewAt(p.file, sub, startLine, startCol), p.file, p.depth)
 			if err != nil {
-				panic(bailout{&Error{t.Loc, "in template interpolation: " + err.Error()}})
+				panic(bailout{&Error{t.Loc(p.file), "in template interpolation: " + err.Error()}})
 			}
 			lit.Exprs = append(lit.Exprs, expr)
 			bump('}')

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -316,6 +317,22 @@ func TestRegexLiteral(t *testing.T) {
 	re := prog.Body[0].(*ast.VarDecl).Decls[0].Init.(*ast.RegexLit)
 	if re.Pattern != "a+b" || re.Flags != "gi" {
 		t.Errorf("regex = %+v", re)
+	}
+}
+
+// TestOverflowingNumbersPrint checks that literals beyond float64 range
+// parse, and that an infinite literal prints as one that lexes back to
+// Infinity.
+func TestOverflowingNumbersPrint(t *testing.T) {
+	prog := parse(t, "x = 1e999; y = 0xFFFFFFFFFFFFFFFFFF; z = (1e999).toString();")
+	out := ast.Print(prog)
+	for _, want := range []string{"(x = 1e999);", "(y = 4.722366482869645e+21);", "(z = (1e999).toString());"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("printed output missing %q:\n%s", want, out)
+		}
+	}
+	if out2 := ast.Print(parse(t, out)); out2 != out {
+		t.Errorf("print is not a fixpoint:\nfirst:\n%s\nsecond:\n%s", out, out2)
 	}
 }
 

@@ -930,24 +930,26 @@ func (s *solver) condensationUpTo(limit Var) [][]Var {
 		limit = Var(s.nVars)
 	}
 	s.collapseAllSCCs()
-	byRep := map[Var]int{}
+	// Most classes are singletons. Count members per representative first,
+	// so only multi-member classes get a slice. A representative's slot
+	// then turns from its member count into -(group index + 1) when its
+	// group is created, at its smallest member.
+	slot := make([]int32, s.nVars)
+	for v := Var(0); v < limit; v++ {
+		slot[s.find(v)]++
+	}
 	var groups [][]Var
 	for v := Var(0); v < limit; v++ {
 		r := s.find(v)
-		if gi, ok := byRep[r]; ok {
-			groups[gi] = append(groups[gi], v)
-		} else {
-			byRep[r] = len(groups)
-			groups = append(groups, []Var{v})
+		switch n := slot[r]; {
+		case n < 0:
+			groups[-n-1] = append(groups[-n-1], v)
+		case n >= 2:
+			slot[r] = -int32(len(groups)) - 1
+			groups = append(groups, append(make([]Var, 0, n), v))
 		}
 	}
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) >= 2 {
-			out = append(out, g)
-		}
-	}
-	return out
+	return groups
 }
 
 // ----------------------------------------------------------------- rollback
