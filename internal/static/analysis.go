@@ -234,6 +234,9 @@ type analyzer struct {
 	protoVars map[Token]Var
 	fnInfos   map[Token]*fnInfo
 	loadSeen  map[loadKey]bool
+	// accessors is the wake state of each accessor pseudo-property name
+	// (see features.go).
+	accessors map[accName]*accessorReads
 
 	globals map[string]Var
 
@@ -322,6 +325,7 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 		protoVars:      map[Token]Var{},
 		fnInfos:        map[Token]*fnInfo{},
 		loadSeen:       map[loadKey]bool{},
+		accessors:      map[accName]*accessorReads{},
 		globals:        map[string]Var{},
 		moduleExports:  map[string]Var{},
 		moduleFrames:   map[string]*frame{},
@@ -648,6 +652,7 @@ func (a *analyzer) propVar(t Token, prop string) Var {
 	// injection) long after generation; never substitute them away.
 	a.s.protect(v)
 	a.propVars[key] = v
+	a.wakeAccessor(prop)
 	return v
 }
 

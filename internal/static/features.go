@@ -28,34 +28,173 @@ import (
 // the member-expression (or operator) site — matching where the recorder
 // sees the interpreter's accessor invocation — and this/parameters/returns
 // are wired.
+//
+// Reads of these pseudo-properties are wired on demand. Most projects
+// define no accessor and no Proxy, yet every member access would otherwise
+// walk its base's prototype chains for them. So each pseudo-property name
+// sleeps until propVar creates its first ⟦t.name⟧ for any token; until then
+// a read of it is a {base, collector} entry on the name's waiting list, and
+// waking the name registers the waiting reads in order. This is exact:
+// every writer of ⟦t.name⟧ (object-literal accessors, defineProperty,
+// Proxy traps, plain stores and [DPW] hints that name a $-property) gets
+// the variable from propVar, so before the wake every variable a waiting
+// read would create is empty and has no in-edges, and registering the read
+// later adds nothing the monotone fixpoint would not already hold. The
+// collector that receives the accessor functions, and its invocation
+// trigger, stay eager: a collector created at wake time inside a rollback
+// window would be a variable rollbackTo releases while a pre-window
+// waiting entry still names it.
+
+// accKind is the family of an accessor pseudo-property name.
+type accKind uint8
+
+const (
+	accGet     accKind = iota // $get$<key>
+	accSet                    // $set$<key>
+	accGetAny                 // $getany
+	accSetAny                 // $setany
+	accGetsAll                // $getsall
+	accSetsAll                // $setsall
+	accHasAny                 // $hasany
+	accKeysAny                // $keysany
+)
+
+// accKeyless spells the pseudo-property names that carry no key.
+var accKeyless = [...]string{
+	accGetAny:  "$getany",
+	accSetAny:  "$setany",
+	accGetsAll: "$getsall",
+	accSetsAll: "$setsall",
+	accHasAny:  "$hasany",
+	accKeysAny: "$keysany",
+}
+
+// accName is an accessor pseudo-property name, kept as its family and key
+// so that a read site does not build the "$get$"+key string.
+type accName struct {
+	kind accKind
+	key  string // the accessor's property key, for accGet and accSet
+}
+
+func (n accName) String() string {
+	switch n.kind {
+	case accGet:
+		return "$get$" + n.key
+	case accSet:
+		return "$set$" + n.key
+	}
+	return accKeyless[n.kind]
+}
+
+// accessorNameOf parses a property name as an accessor pseudo-property.
+func accessorNameOf(prop string) (accName, bool) {
+	if len(prop) < len("$get$") || prop[0] != '$' {
+		return accName{}, false
+	}
+	switch prop[:len("$get$")] {
+	case "$get$":
+		return accName{accGet, prop[len("$get$"):]}, true
+	case "$set$":
+		return accName{accSet, prop[len("$set$"):]}, true
+	}
+	for k := accGetAny; k <= accKeysAny; k++ {
+		if prop == accKeyless[k] {
+			return accName{kind: k}, true
+		}
+	}
+	return accName{}, false
+}
+
+// accessorReads is the wake state of one accessor pseudo-property name.
+type accessorReads struct {
+	awake bool
+	// waiting holds the reads requested while the name slept, in request
+	// order; ctxs holds their rule contexts when provenance is on.
+	waiting []accessorRead
+	ctxs    []provRecord
+}
+
+type accessorRead struct{ base, fns Var }
+
+// readAccessor wires the read of pseudo-property n of base's non-native
+// tokens, prototype chains included, into the collector fns: at once if n
+// is awake, or when it wakes. fns is protected now, because the read may
+// add its in-edges at any later point of the solve.
+func (a *analyzer) readAccessor(base Var, n accName, fns Var) {
+	a.s.protect(fns)
+	w := a.accessorState(n)
+	if w.awake {
+		a.wireAccessorRead(base, n.String(), fns)
+		return
+	}
+	w.waiting = append(w.waiting, accessorRead{base, fns})
+	if j := a.s.prov; j != nil {
+		w.ctxs = append(w.ctxs, j.cur)
+	}
+	if a.journal != nil {
+		a.journal.accessorWaits = append(a.journal.accessorWaits, n)
+	}
+}
+
+// wakeAccessor is called by propVar for every property variable it creates.
+// The first variable of an accessor pseudo-property name wakes the name and
+// registers its waiting reads, each under the rule context it was requested
+// in.
+func (a *analyzer) wakeAccessor(prop string) {
+	n, ok := accessorNameOf(prop)
+	if !ok {
+		return
+	}
+	w := a.accessorState(n)
+	if w.awake {
+		return
+	}
+	w.awake = true
+	if a.journal != nil {
+		a.journal.accessorWakes = append(a.journal.accessorWakes, n)
+	}
+	j := a.s.prov
+	var ambient provRecord
+	if j != nil {
+		ambient = j.cur
+	}
+	for i, r := range w.waiting {
+		if j != nil {
+			j.cur = w.ctxs[i]
+		}
+		a.wireAccessorRead(r.base, prop, r.fns)
+	}
+	if j != nil {
+		j.cur = ambient
+	}
+}
+
+func (a *analyzer) accessorState(n accName) *accessorReads {
+	w := a.accessors[n]
+	if w == nil {
+		w = &accessorReads{}
+		a.accessors[n] = w
+	}
+	return w
+}
+
+// wireAccessorRead registers the prototype-chain read of pseudo-property
+// prop of base's tokens into fns.
+func (a *analyzer) wireAccessorRead(base Var, prop string, fns Var) {
+	a.onTokenCtx(base, func(t Token) {
+		if a.tokens[t].kind == tokNative {
+			return // native members are plain data; no accessor model
+		}
+		a.loadFromToken(t, prop, fns)
+	})
+}
 
 // accessorLoad wires accessor invocation for a named property read: getter
 // functions stored under $get$<prop> and Proxy get traps under $getany are
 // called at the read site, their this bound to the base and their results
 // flowing to the read's destination.
 func (a *analyzer) accessorLoad(base Var, prop string, dst Var, site loc.Loc) {
-	a.s.protect(dst)
-	encl := a.curFn
-	getters := a.s.newVar()
-	prev := a.pushCtx(RuleAccessor, site, prop)
-	a.onTokenCtx(base, func(t Token) {
-		if a.tokens[t].kind == tokNative {
-			return // native members are plain data; no accessor model
-		}
-		a.loadFromToken(t, "$get$"+prop, getters)
-		a.loadFromToken(t, "$getany", getters)
-	})
-	a.onTokenCtx(getters, func(t Token) {
-		if a.tokens[t].kind != tokFunction {
-			return
-		}
-		a.cg.AddSite(site, encl)
-		a.cg.AddEdge(site, a.tokens[t].fn.Loc)
-		fi := a.fnInfoFor(t)
-		a.s.addEdge(base, fi.this)
-		a.s.addEdge(fi.out, dst)
-	})
-	a.popCtx(prev)
+	a.callGetters(base, dst, site, prop, accName{accGet, prop}, accName{kind: accGetAny})
 }
 
 // accessorLoadAny wires accessor invocation for a computed property read
@@ -63,17 +202,19 @@ func (a *analyzer) accessorLoad(base Var, prop string, dst Var, site loc.Loc) {
 // getter of the base ($getsall — the accessor analogue of the $elem
 // conflation) are called at the read site.
 func (a *analyzer) accessorLoadAny(base Var, dst Var, site loc.Loc) {
+	a.callGetters(base, dst, site, "", accName{kind: accGetAny}, accName{kind: accGetsAll})
+}
+
+// callGetters calls, at site, the functions read from pseudo-properties n1
+// and n2 of base's tokens, their this bound to base and their results
+// flowing to dst.
+func (a *analyzer) callGetters(base, dst Var, site loc.Loc, detail string, n1, n2 accName) {
 	a.s.protect(dst)
 	encl := a.curFn
 	getters := a.s.newVar()
-	prev := a.pushCtx(RuleAccessor, site, "")
-	a.onTokenCtx(base, func(t Token) {
-		if a.tokens[t].kind == tokNative {
-			return
-		}
-		a.loadFromToken(t, "$getany", getters)
-		a.loadFromToken(t, "$getsall", getters)
-	})
+	prev := a.pushCtx(RuleAccessor, site, detail)
+	a.readAccessor(base, n1, getters)
+	a.readAccessor(base, n2, getters)
 	a.onTokenCtx(getters, func(t Token) {
 		if a.tokens[t].kind != tokFunction {
 			return
@@ -84,41 +225,6 @@ func (a *analyzer) accessorLoadAny(base Var, dst Var, site loc.Loc) {
 		a.s.addEdge(base, fi.this)
 		a.s.addEdge(fi.out, dst)
 	})
-	a.popCtx(prev)
-}
-
-// accessorStoreAny wires accessor invocation for a computed property write
-// x[k] = v: Proxy set traps ($setany) receive the written value as their
-// third parameter, named setters ($setsall) as their first.
-func (a *analyzer) accessorStoreAny(base Var, val Var, site loc.Loc) {
-	encl := a.curFn
-	named := a.s.newVar()
-	traps := a.s.newVar()
-	prev := a.pushCtx(RuleAccessor, site, "")
-	a.onTokenCtx(base, func(t Token) {
-		if a.tokens[t].kind == tokNative {
-			return
-		}
-		a.loadFromToken(t, "$setsall", named)
-		a.loadFromToken(t, "$setany", traps)
-	})
-	wire := func(fns Var, valIdx int) {
-		a.onTokenCtx(fns, func(t Token) {
-			if a.tokens[t].kind != tokFunction {
-				return
-			}
-			a.cg.AddSite(site, encl)
-			a.cg.AddEdge(site, a.tokens[t].fn.Loc)
-			fi := a.fnInfoFor(t)
-			a.s.addEdge(base, fi.this)
-			if valIdx < len(fi.params) && valIdx != fi.restIdx {
-				a.s.addEdge(val, fi.params[valIdx])
-			}
-			a.s.addEdge(val, fi.argsElem)
-		})
-	}
-	wire(named, 0)
-	wire(traps, 2)
 	a.popCtx(prev)
 }
 
@@ -127,17 +233,26 @@ func (a *analyzer) accessorStoreAny(base Var, val Var, site loc.Loc) {
 // parameter; Proxy set traps under $setany receive it as their third
 // (target, key, value, receiver).
 func (a *analyzer) accessorStore(base Var, prop string, val Var, site loc.Loc) {
+	a.callSetters(base, val, site, prop, accName{accSet, prop})
+}
+
+// accessorStoreAny wires accessor invocation for a computed property write
+// x[k] = v: Proxy set traps ($setany) receive the written value as their
+// third parameter, named setters ($setsall) as their first.
+func (a *analyzer) accessorStoreAny(base Var, val Var, site loc.Loc) {
+	a.callSetters(base, val, site, "", accName{kind: accSetsAll})
+}
+
+// callSetters calls, at site, the setters read from pseudo-property named
+// of base's tokens with val as their first parameter, and the Proxy set
+// traps read from $setany with val as their third.
+func (a *analyzer) callSetters(base, val Var, site loc.Loc, detail string, named accName) {
 	encl := a.curFn
-	named := a.s.newVar()
+	setters := a.s.newVar()
 	traps := a.s.newVar()
-	prev := a.pushCtx(RuleAccessor, site, prop)
-	a.onTokenCtx(base, func(t Token) {
-		if a.tokens[t].kind == tokNative {
-			return
-		}
-		a.loadFromToken(t, "$set$"+prop, named)
-		a.loadFromToken(t, "$setany", traps)
-	})
+	prev := a.pushCtx(RuleAccessor, site, detail)
+	a.readAccessor(base, named, setters)
+	a.readAccessor(base, accName{kind: accSetAny}, traps)
 	wire := func(fns Var, valIdx int) {
 		a.onTokenCtx(fns, func(t Token) {
 			if a.tokens[t].kind != tokFunction {
@@ -153,7 +268,7 @@ func (a *analyzer) accessorStore(base Var, prop string, val Var, site loc.Loc) {
 			a.s.addEdge(val, fi.argsElem)
 		})
 	}
-	wire(named, 0)
+	wire(setters, 0)
 	wire(traps, 2)
 	a.popCtx(prev)
 }
@@ -165,12 +280,7 @@ func (a *analyzer) hasTrapCheck(base Var, site loc.Loc) {
 	encl := a.curFn
 	traps := a.s.newVar()
 	prev := a.pushCtx(RuleAccessor, site, "in")
-	a.onTokenCtx(base, func(t Token) {
-		if a.tokens[t].kind == tokNative {
-			return
-		}
-		a.loadFromToken(t, "$hasany", traps)
-	})
+	a.readAccessor(base, accName{kind: accHasAny}, traps)
 	a.onTokenCtx(traps, func(t Token) {
 		if a.tokens[t].kind != tokFunction {
 			return

@@ -243,6 +243,10 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 type deltaJournal struct {
 	loadSeen    []loadKey
 	dynRequires []loc.Loc
+	// accessorWakes lists the accessor names woken in the window, and
+	// accessorWaits the name of every read appended to a waiting list.
+	accessorWakes []accName
+	accessorWaits []accName
 }
 
 // analyzerRollback snapshots the analyzer (and its solver) at the baseline
@@ -263,7 +267,8 @@ type analyzerRollback struct {
 // the analyzer journals insertions into the maps whose delta-phase growth a
 // watermark cannot detect (loadSeen and dynRequires, which can gain entries
 // built entirely from pre-window variables and tokens when an old token
-// reaches an old variable's trigger only during the delta).
+// reaches an old variable's trigger only during the delta), and the
+// accessor names woken and the accessor reads queued in the window.
 func (a *analyzer) beginRollbackWindow(baseGraph *callgraph.Graph) *analyzerRollback {
 	a.journal = &deltaJournal{}
 	return &analyzerRollback{
@@ -346,6 +351,15 @@ func (a *analyzer) rollbackTo(rb *analyzerRollback) {
 	}
 	for _, s := range a.journal.dynRequires {
 		delete(a.dynRequires, s)
+	}
+	// A name woken in the window sleeps again, and its waiting list loses
+	// the reads appended in the window, which sit at the list's tail.
+	for _, n := range a.journal.accessorWakes {
+		a.accessors[n].awake = false
+	}
+	for _, n := range a.journal.accessorWaits {
+		w := a.accessors[n]
+		w.waiting = w.waiting[:len(w.waiting)-1]
 	}
 	a.journal = &deltaJournal{}
 	a.cg = rb.baseCG.Clone()

@@ -822,12 +822,7 @@ func (a *analyzer) nativeCall(name string, site loc.Loc, recvVar Var, recvValid 
 		a.s.addToken(result, t)
 		if base, ok := argOr(0); ok {
 			traps := a.s.newVar()
-			a.onTokenCtx(base, func(bt Token) {
-				if a.tokens[bt].kind == tokNative {
-					return
-				}
-				a.loadFromToken(bt, "$keysany", traps)
-			})
+			a.readAccessor(base, accName{kind: accKeysAny}, traps)
 			a.onTokenCtx(traps, func(ft Token) {
 				if a.tokens[ft].kind != tokFunction {
 					return
