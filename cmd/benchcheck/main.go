@@ -90,7 +90,6 @@ var (
 	structureCounters = []counter{
 		{"cycles_collapsed", func(r *perf.Row) int64 { return r.CyclesCollapsed }},
 		{"vars_unified", func(r *perf.Row) int64 { return r.VarsUnified }},
-		{"copies_substituted", func(r *perf.Row) int64 { return r.CopiesSubstituted }},
 		{"edges_deduped", func(r *perf.Row) int64 { return r.EdgesDeduped }},
 		{"redundant_deliveries_skipped", func(r *perf.Row) int64 { return r.RedundantSkipped }},
 		{"solver_epochs", func(r *perf.Row) int64 { return r.SolverEpochs }},

@@ -68,15 +68,13 @@ type Counters struct {
 	modulesDegraded atomic.Int64
 
 	// Cycle-collapse activity in the subset solver: unification events,
-	// variables absorbed into representatives (including offline copy
-	// substitution, also reported on its own), edges dropped as duplicate
+	// variables absorbed into representatives, edges dropped as duplicate
 	// or self under condensation, and deliveries short-circuited because
 	// the representative had already processed the token.
-	cyclesCollapsed   atomic.Int64
-	varsUnified       atomic.Int64
-	copiesSubstituted atomic.Int64
-	edgesDeduped      atomic.Int64
-	redundantSkipped  atomic.Int64
+	cyclesCollapsed  atomic.Int64
+	varsUnified      atomic.Int64
+	edgesDeduped     atomic.Int64
+	redundantSkipped atomic.Int64
 
 	// Epoch-engine activity: epochs crossed, chunks stolen across workers,
 	// deliveries whose target landed in a different shard than the source,
@@ -146,12 +144,11 @@ func (c *Counters) AddIncrementalSolve(baseIters, baseTokens, deltaIters, deltaT
 }
 
 // AddSolveStructure accrues one solver's cycle-collapse activity: collapse
-// events, variables unified (and, of those, variables removed by offline
-// copy substitution), edges deduplicated, and redundant deliveries skipped.
-func (c *Counters) AddSolveStructure(cycles, unified, substituted, deduped, skipped int64) {
+// events, variables unified, edges deduplicated, and redundant deliveries
+// skipped.
+func (c *Counters) AddSolveStructure(cycles, unified, deduped, skipped int64) {
 	c.cyclesCollapsed.Add(cycles)
 	c.varsUnified.Add(unified)
-	c.copiesSubstituted.Add(substituted)
 	c.edgesDeduped.Add(deduped)
 	c.redundantSkipped.Add(skipped)
 }
@@ -227,7 +224,6 @@ func (c *Counters) Reset() {
 	c.modulesDegraded.Store(0)
 	c.cyclesCollapsed.Store(0)
 	c.varsUnified.Store(0)
-	c.copiesSubstituted.Store(0)
 	c.edgesDeduped.Store(0)
 	c.redundantSkipped.Store(0)
 	c.solverEpochs.Store(0)
@@ -269,11 +265,10 @@ type Snapshot struct {
 	ModulesDegraded int64 `json:"modules_degraded,omitempty"`
 
 	// Cycle-collapse activity (zero when unification is disabled).
-	CyclesCollapsed   int64 `json:"cycles_collapsed,omitempty"`
-	VarsUnified       int64 `json:"vars_unified,omitempty"`
-	CopiesSubstituted int64 `json:"copies_substituted,omitempty"`
-	EdgesDeduped      int64 `json:"edges_deduped,omitempty"`
-	RedundantSkipped  int64 `json:"redundant_deliveries_skipped,omitempty"`
+	CyclesCollapsed  int64 `json:"cycles_collapsed,omitempty"`
+	VarsUnified      int64 `json:"vars_unified,omitempty"`
+	EdgesDeduped     int64 `json:"edges_deduped,omitempty"`
+	RedundantSkipped int64 `json:"redundant_deliveries_skipped,omitempty"`
 
 	// Epoch-engine activity. SolverEpochs, SolverCrossShard, and
 	// SolverAsyncSweeps are deterministic at every worker count;
@@ -316,7 +311,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ModulesDegraded:      c.modulesDegraded.Load(),
 		CyclesCollapsed:      c.cyclesCollapsed.Load(),
 		VarsUnified:          c.varsUnified.Load(),
-		CopiesSubstituted:    c.copiesSubstituted.Load(),
 		EdgesDeduped:         c.edgesDeduped.Load(),
 		RedundantSkipped:     c.redundantSkipped.Load(),
 		SolverEpochs:         c.solverEpochs.Load(),
@@ -372,8 +366,8 @@ func (s Snapshot) Render(w io.Writer) {
 			s.FaultsContained, s.ModulesDegraded)
 	}
 	if s.VarsUnified+s.EdgesDeduped+s.RedundantSkipped > 0 {
-		fmt.Fprintf(w, "cycle collapse:     %d cycles, %d vars unified (%d by copy substitution), %d edges deduped, %d redundant deliveries skipped\n",
-			s.CyclesCollapsed, s.VarsUnified, s.CopiesSubstituted, s.EdgesDeduped, s.RedundantSkipped)
+		fmt.Fprintf(w, "cycle collapse:     %d cycles, %d vars unified, %d edges deduped, %d redundant deliveries skipped\n",
+			s.CyclesCollapsed, s.VarsUnified, s.EdgesDeduped, s.RedundantSkipped)
 	}
 	if s.SolverEpochs > 0 {
 		fmt.Fprintf(w, "parallel solver:    %d epochs, %d steals, %d cross-shard deliveries, %d async sweeps, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep overlap %.1f ms)\n",

@@ -150,7 +150,6 @@ func runAccessorWakeRow(t *testing.T, row accessorWakeRow, workers int) {
 	check(0)
 	a.injectHints()
 	check(1)
-	a.s.substituteCopies()
 	a.s.solve()
 	check(2)
 
@@ -195,7 +194,6 @@ func TestAccessorWakeRollback(t *testing.T) {
 	if _, ok := a.dynReads[idx(8, 12)]; !ok {
 		t.Fatalf("no dynamic read at %v", idx(8, 12))
 	}
-	a.s.substituteCopies()
 	a.s.solve()
 	waiting := func(n accName) []accessorRead {
 		if w := a.accessors[n]; w != nil {
@@ -256,7 +254,6 @@ func TestAccessorNoProducerCorpusProject(t *testing.T) {
 		if err := a.generate(); err != nil {
 			t.Fatal(err)
 		}
-		a.s.substituteCopies()
 		a.s.solve()
 		reads := 0
 		for n, w := range a.accessors {

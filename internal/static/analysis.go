@@ -63,12 +63,6 @@ type Options struct {
 	// under every hint-consuming variant). Results are unchanged; only
 	// solver effort drops. See solver.preUnify for the full argument.
 	PreUnify [][]Var
-	// DisableCopyElim turns off the pre-solve copy substitution (unifying
-	// single-source, insert-free, unprotected variables into their source;
-	// see solver.substituteCopies). Results are identical either way — the
-	// switch exists so differential tests can compare the substituting run
-	// against the plain engine.
-	DisableCopyElim bool
 	// SolverWorkers is the number of scan workers of the sharded epoch
 	// engine (parallel.go) that propagates constraints; 0 and 1 both mean
 	// one worker, with every epoch run inline. Results, solver-effort and
@@ -421,15 +415,6 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	// Inject hints (the [DPR]/[DPW] rules of §4).
 	a.injectHints()
 
-	// With the full pre-solve constraint graph in place (generation plus
-	// injected hints), substitute away pure copy variables. Runs after
-	// injection so injection-added edges count toward in-degrees; every
-	// constraint that can still arrive (solve-time triggers) targets
-	// protected variables only.
-	if !opts.DisableCopyElim {
-		a.s.substituteCopies()
-	}
-
 	// Solve to fixpoint.
 	solveStart := time.Now()
 	a.s.solve()
@@ -439,7 +424,7 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	perf.Global().AddSolve(iters, delivered)
 	ss := a.s.structure()
 	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped)
+		ss.EdgesDeduped, ss.RedundantSkipped)
 	pstats := a.recordParallelStats()
 
 	res := &Result{
@@ -502,11 +487,6 @@ func (a *analyzer) genEvalHints() {
 		a.curFn = callgraph.ModuleFunc(e.Module)
 		prevCtx := a.pushCtx(RuleEvalHint, loc.Loc{File: e.Module}, file)
 		a.hoistInto(prog.Body, fr)
-		// Names the eval code hoists into the module frame are addressable by
-		// later eval hints of the same module, like all module-scope bindings.
-		for _, v := range fr.vars {
-			a.s.protect(v)
-		}
 		for _, st := range prog.Body {
 			// A direct eval returns the completion value of the evaluated
 			// program. Route every top-level expression statement's value
@@ -530,7 +510,6 @@ func (a *analyzer) evalResultVar(module string) Var {
 	v, ok := a.evalResults[module]
 	if !ok {
 		v = a.s.newVar()
-		a.s.protect(v) // eval-hint completion values route here later
 		a.evalResults[module] = v
 	}
 	return v
@@ -648,9 +627,6 @@ func (a *analyzer) propVar(t Token, prop string) Var {
 		return v
 	}
 	v := a.s.newVar()
-	// Property variables are addressed by solve-time triggers (stores, hint
-	// injection) long after generation; never substitute them away.
-	a.s.protect(v)
 	a.propVars[key] = v
 	a.wakeAccessor(prop)
 	return v
@@ -662,7 +638,6 @@ func (a *analyzer) protoVar(t Token) Var {
 		return v
 	}
 	v := a.s.newVar()
-	a.s.protect(v) // targeted by setPrototypeOf/new-wiring triggers
 	a.protoVars[t] = v
 	return v
 }
@@ -679,10 +654,6 @@ func (a *analyzer) fnInfoFor(t Token) *fnInfo {
 		ret:     a.s.newVar(),
 		this:    a.s.newVar(),
 	}
-	// Call-processing triggers wire arguments, this, and returns into these
-	// variables whenever a new call site resolves to this function.
-	a.s.protect(fi.ret)
-	a.s.protect(fi.this)
 	switch {
 	case f.IsGenerator:
 		// Calls to generator functions receive a generator object whose
@@ -707,11 +678,8 @@ func (a *analyzer) fnInfoFor(t Token) *fnInfo {
 	default:
 		fi.out = fi.ret
 	}
-	a.s.protect(fi.out)
 	for range f.Params {
-		p := a.s.newVar()
-		a.s.protect(p)
-		fi.params = append(fi.params, p)
+		fi.params = append(fi.params, a.s.newVar())
 	}
 	// arguments object token and element var.
 	argsTok := a.newToken(tokenInfo{kind: tokObject, site: loc.Loc{}})
@@ -734,7 +702,6 @@ func (a *analyzer) globalVar(name string) Var {
 		return v
 	}
 	v := a.s.newVar()
-	a.s.protect(v) // eval-generated code injected later may assign globals
 	a.globals[name] = v
 	return v
 }
@@ -745,7 +712,6 @@ func (a *analyzer) dynReadVar(site loc.Loc) Var {
 		return v
 	}
 	v := a.s.newVar()
-	a.s.protect(v) // [DPR]/unknown-arg hints inject into this variable
 	a.dynReads[site] = v
 	return v
 }
@@ -762,16 +728,12 @@ func (a *analyzer) strArg(site loc.Loc, i int) (string, bool) {
 // addLoad adds the constraint that reads of prop on every object in
 // ⟦base⟧ (following prototype chains) flow into dst.
 func (a *analyzer) addLoad(base Var, prop string, dst Var) {
-	// dst receives edges as base's tokens (and their prototype chains)
-	// arrive, at any point of the solve.
-	a.s.protect(dst)
 	prev := a.pushCtx(RuleLoad, loc.Loc{}, prop)
 	a.onTokenCtx(base, func(t Token) { a.loadFromToken(t, prop, dst) })
 	a.popCtx(prev)
 }
 
 func (a *analyzer) loadFromToken(t Token, prop string, dst Var) {
-	a.s.protect(dst)
 	key := loadKey{t, prop, dst}
 	if a.loadSeen[key] {
 		return
@@ -807,7 +769,6 @@ func (a *analyzer) loadFromToken(t Token, prop string, dst Var) {
 // conflating them under $elem would spuriously resolve arbitrary computed
 // reads on Math and friends.
 func (a *analyzer) elemRead(base, dst Var, site loc.Loc) {
-	a.s.protect(dst)
 	prev := a.pushCtx(RuleElemRead, site, "")
 	a.onTokenCtx(base, func(t Token) {
 		if a.tokens[t].kind == tokNative {

@@ -55,7 +55,6 @@ func TestCondensationMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %v", b.Project.Name, err)
 		}
 		genVars := Var(a.s.numVars())
-		a.s.substituteCopies()
 		a.s.solve()
 		for _, limit := range []Var{genVars, genVars / 2} {
 			want := condensationUpToReference(a.s, limit)

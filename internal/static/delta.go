@@ -159,7 +159,7 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 	wr(s.project.Fingerprint())
 	wr(fmt.Sprintf("opts %d %t %t %t %t %t", opts.Mode,
 		opts.DisableDPR, opts.DisableModuleHints, opts.EvalHints,
-		opts.UnknownArgHints, opts.DisableCopyElim))
+		opts.UnknownArgHints, opts.Provenance))
 	if opts.Hints != nil {
 		var hj bytes.Buffer
 		_ = opts.Hints.WriteJSON(&hj)

@@ -112,16 +112,19 @@ func TestDeltaSessionOptionsInvalidate(t *testing.T) {
 	if _, _, _, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New()}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, reused, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New(), DisableCopyElim: true})
+	_, ext, reused, err := s.Analyze(Options{Mode: WithHints, Hints: hints.New(), Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reused {
 		t.Error("changed options served the memoized fixpoint")
 	}
+	if ext.Provenance == nil {
+		t.Error("Provenance requested but the result carries none")
+	}
 	// SolverWorkers is excluded by design: the epoch engine is
 	// graph-identical at every worker count, so switching engines reuses.
-	if _, _, reused, err = s.Analyze(Options{Mode: WithHints, Hints: hints.New(), DisableCopyElim: true, SolverWorkers: 2}); err != nil || !reused {
+	if _, _, reused, err = s.Analyze(Options{Mode: WithHints, Hints: hints.New(), Provenance: true, SolverWorkers: 2}); err != nil || !reused {
 		t.Errorf("SolverWorkers change broke reuse: reused=%t err=%v", reused, err)
 	}
 }

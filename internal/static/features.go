@@ -118,10 +118,8 @@ type accessorRead struct{ base, fns Var }
 
 // readAccessor wires the read of pseudo-property n of base's non-native
 // tokens, prototype chains included, into the collector fns: at once if n
-// is awake, or when it wakes. fns is protected now, because the read may
-// add its in-edges at any later point of the solve.
+// is awake, or when it wakes.
 func (a *analyzer) readAccessor(base Var, n accName, fns Var) {
-	a.s.protect(fns)
 	w := a.accessorState(n)
 	if w.awake {
 		a.wireAccessorRead(base, n.String(), fns)
@@ -209,7 +207,6 @@ func (a *analyzer) accessorLoadAny(base Var, dst Var, site loc.Loc) {
 // and n2 of base's tokens, their this bound to base and their results
 // flowing to dst.
 func (a *analyzer) callGetters(base, dst Var, site loc.Loc, detail string, n1, n2 accName) {
-	a.s.protect(dst)
 	encl := a.curFn
 	getters := a.s.newVar()
 	prev := a.pushCtx(RuleAccessor, site, detail)

@@ -38,16 +38,11 @@ func (a *analyzer) genModule(path string, prog *ast.Program) {
 		},
 		thisVar: exportsVar, // CommonJS: top-level this is module.exports
 	}
+	// Eval-hint code of this module is generated later in this frame
+	// (direct-eval scoping), so it may read and assign every module-scope
+	// binding.
 	a.moduleFrames[path] = fr
 	a.hoistInto(prog.Body, fr)
-	// Module-scope bindings stay addressable after generation: eval-hint
-	// code injected later is generated in this frame (direct-eval scoping)
-	// and may assign any of them. Function-local frames are not reachable
-	// that way — eval hints parse fresh ASTs — so their bindings stay
-	// eligible for copy substitution.
-	for _, v := range fr.vars {
-		a.s.protect(v)
-	}
 	for _, s := range prog.Body {
 		a.genStmt(s, fr)
 	}
@@ -582,9 +577,6 @@ func (a *analyzer) genNew(e *ast.NewExpr, fr *frame) Var {
 // arrive at calleeVar, arguments, this, and results are wired, and call
 // edges are recorded.
 func (a *analyzer) wireCall(site loc.Loc, calleeVar, recvVar Var, recvValid bool, argVars []Var, result Var, newTok Token, isNew bool) {
-	// Every callee token that arrives — at any point of the solve — may wire
-	// return values (or native results) into result.
-	a.s.protect(result)
 	prev := a.pushCtx(RuleCall, site, "")
 	a.onTokenCtx(calleeVar, func(t Token) {
 		info := a.tokens[t]

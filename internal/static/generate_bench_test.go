@@ -22,7 +22,6 @@ func BenchmarkGenerate(b *testing.B) {
 		if err := a.generate(); err != nil {
 			b.Fatalf("%s: %v", bench.Project.Name, err)
 		}
-		a.s.substituteCopies()
 		a.s.solve()
 		return a
 	}

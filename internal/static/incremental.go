@@ -99,16 +99,6 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	}
 	genVars := a.s.numVars()
 	preSolveTokens := len(a.tokens)
-	// Copy substitution before the baseline solve is safe for the later
-	// delta phase too: every destination the injected hints (and the eval
-	// code they generate) can address — dynamic-read variables, property and
-	// prototype variables, call results, load destinations, module-scope
-	// bindings — is protected, so substituted variables never gain new
-	// in-flows. The standalone baseline path runs the same pass at the same
-	// point, keeping the returned baseline result bit-identical to it.
-	if !opts.DisableCopyElim {
-		a.s.substituteCopies()
-	}
 	baseSolveStart := time.Now()
 	a.s.solve()
 	baseSolveWall := time.Since(baseSolveStart)
@@ -232,7 +222,7 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	perf.Global().AddSolve(finalIters, finalDelivered)
 	ss := a.s.structure()
 	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.CopiesSubstituted, ss.EdgesDeduped, ss.RedundantSkipped)
+		ss.EdgesDeduped, ss.RedundantSkipped)
 	a.recordParallelStats()
 	return baseline, extended, ablation, nil
 }

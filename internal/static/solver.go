@@ -110,20 +110,14 @@ type solver struct {
 	nVars  int
 	// prov, when non-nil, journals every analyzer-issued constraint with
 	// the ambient rule context (see provenance.go). Structural rewires —
-	// cycle collapse, copy substitution, propagation — bypass addToken and
-	// addEdge, so the journal stays a record of the reference constraint
-	// system keyed by original variable ids. Nil (one pointer check per
+	// cycle collapse, preUnify, propagation — bypass addToken and addEdge,
+	// so the journal stays a record of the reference constraint system
+	// keyed by original variable ids. Nil (one pointer check per
 	// constraint) unless Options.Provenance is set.
 	prov *provJournal
 	// parent is the union-find forest over variables; parent[v] == v marks
 	// a representative. Paths are compressed on find.
 	parent []Var
-	// protected marks variables that later-arriving constraints may target:
-	// solve-time triggers, hint injection, or eval-generated code can add
-	// edges or tokens addressed to them after the pre-solve graph is fixed.
-	// Only unprotected variables are eligible for copy substitution (see
-	// substituteCopies); collapse ORs the flag into the representative.
-	protected []bool
 	// queue of pending (var, token) deliveries, consumed from head (a
 	// ring-style head index instead of re-slicing, so popping is O(1) and
 	// the backing array is reused once drained). Entries hold the variable
@@ -170,11 +164,10 @@ type solver struct {
 	iterations      int64
 	tokensDelivered int64
 	// Structure counters: cycle-collapse activity.
-	cyclesCollapsed   int64 // unification events (one per collapsed group)
-	varsUnified       int64 // members absorbed into a representative
-	edgesDeduped      int64 // edges dropped as self or duplicate under condensation
-	redundantSkipped  int64 // deliveries short-circuited (token already processed by the representative, or self-edge after condensation)
-	copiesSubstituted int64 // variables removed by offline copy substitution (subset of varsUnified)
+	cyclesCollapsed  int64 // unification events (one per collapsed group)
+	varsUnified      int64 // members absorbed into a representative
+	edgesDeduped     int64 // edges dropped as self or duplicate under condensation
+	redundantSkipped int64 // deliveries short-circuited (token already processed by the representative, or self-edge after condensation)
 }
 
 type varState struct {
@@ -320,13 +313,8 @@ func (s *solver) newVar() Var {
 	v := Var(s.nVars)
 	s.nVars++
 	s.parent = append(s.parent, v)
-	s.protected = append(s.protected, false)
 	return v
 }
-
-// protect marks v as a potential target of later-arriving constraints, which
-// excludes it from copy substitution. Idempotent.
-func (s *solver) protect(v Var) { s.protected[v] = true }
 
 // addToken inserts token t into ⟦v⟧ (and schedules propagation).
 func (s *solver) addToken(v Var, t Token) {
@@ -588,20 +576,15 @@ func (s *solver) collapse(members []Var) {
 	}
 	s.cyclesCollapsed++
 	// Contraction can close new representative-level cycles when the group
-	// is not itself an SCC (preUnify's set-equal classes, copy chains), so
-	// the clean-graph sweep skip must be invalidated. collapseAllSCCs
-	// clears the flag again after its own collapses.
+	// is not itself an SCC (preUnify's classes need not be SCCs of the
+	// pre-solve graph), so the clean-graph sweep skip must be invalidated.
+	// collapseAllSCCs clears the flag again after its own collapses.
 	s.sccDirty = true
 	// Point every member at the winner first, so intra-group edges resolve
-	// to self (and are dropped) while the contents merge. The protected flag
-	// is sticky: if any member could be targeted by later constraints, so can
-	// the unified variable.
+	// to self (and are dropped) while the contents merge.
 	for _, m := range members {
 		if m != winner {
 			s.parent[m] = winner
-			if s.protected[m] {
-				s.protected[winner] = true
-			}
 		}
 	}
 	for _, m := range members {
@@ -784,13 +767,10 @@ func (s *solver) collapseAllSCCs() {
 // front cannot change it — the original fixpoint satisfies the augmented
 // system, and monotonicity gives inclusion both ways. The intended source
 // of groups is condensationUpTo from a baseline solve of the same project,
-// whose classes are either cycles (hint rules only ever add constraints, so
+// whose classes are cycles: hint rules only ever add constraints, so
 // baseline cycles stay cycles — and set-equal — in every hint-consuming
-// variant) or copy-substitution chains (whose members receive flow only
-// from the class source in every variant, because all later-arriving
-// constraint targets are protected; see substituteCopies). Unknown variable
-// ids are skipped, making a stale group set safe (it can only
-// under-collapse, never miscollapse).
+// variant. Unknown variable ids are skipped, making a stale group set safe
+// (it can only under-collapse, never miscollapse).
 func (s *solver) preUnify(groups [][]Var) {
 	if s.noUnify {
 		return
@@ -813,106 +793,6 @@ func (s *solver) preUnify(groups [][]Var) {
 		if len(members) >= 2 {
 			s.collapse(members)
 		}
-	}
-}
-
-// substituteCopies performs offline variable substitution (in the spirit of
-// Rountev & Chandra): every representative whose in-flow is a single
-// distinct source edge, whose token set is empty (no direct inserts), and
-// which is not protected is unified into that source. Such a variable's
-// final set provably equals its source's — its only in-flow is the source's
-// whole set, and the protected marking guarantees no later-arriving
-// constraint (solve-time trigger edges, hint injection, eval-generated
-// code) can ever address it. Equal final sets is exactly the collapse
-// exactness condition, so substitution never changes the solution; it only
-// removes the copy-edge crossing every token would otherwise pay. Chains
-// (a→b→c) and even all-eligible cycles group transitively through a local
-// union-find. Must run before solving, while token sets still reflect
-// direct inserts only.
-func (s *solver) substituteCopies() {
-	if s.noUnify || s.nVars == 0 {
-		return
-	}
-	n := s.nVars
-	// Distinct in-sources per representative: -1 none, otherwise the single
-	// source seen so far; multi marks a second distinct source.
-	srcOf := make([]Var, n)
-	for i := range srcOf {
-		srcOf[i] = -1
-	}
-	multi := make([]bool, n)
-	for v := 0; v < n; v++ {
-		rv := Var(v)
-		if s.find(rv) != rv {
-			continue
-		}
-		for _, e := range s.state(rv).edges {
-			te := s.find(e)
-			if te == rv {
-				continue
-			}
-			switch srcOf[te] {
-			case -1:
-				srcOf[te] = rv
-			case rv:
-			default:
-				multi[te] = true
-			}
-		}
-	}
-	// Union each eligible variable with its sole source. Union-by-smaller-id
-	// keeps grouping deterministic and handles chains and cycles uniformly.
-	dsu := make([]Var, n)
-	for i := range dsu {
-		dsu[i] = Var(i)
-	}
-	dfind := func(v Var) Var {
-		for dsu[v] != v {
-			dsu[v], v = dsu[dsu[v]], dsu[v]
-		}
-		return v
-	}
-	any := false
-	for v := 0; v < n; v++ {
-		rv := Var(v)
-		if s.find(rv) != rv || multi[v] || srcOf[v] < 0 || s.protected[v] ||
-			len(s.state(rv).tokens) > 0 {
-			continue
-		}
-		x, y := dfind(srcOf[v]), dfind(rv)
-		if x != y {
-			if y < x {
-				x, y = y, x
-			}
-			dsu[y] = x
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	// Bucket non-root members under their class root (the class minimum, by
-	// construction) in ascending order, then collapse each group.
-	memberOf := map[Var][]Var{}
-	var order []Var
-	for v := 0; v < n; v++ {
-		rv := Var(v)
-		if s.find(rv) != rv {
-			continue
-		}
-		r := dfind(rv)
-		if r == rv {
-			continue
-		}
-		if _, ok := memberOf[r]; !ok {
-			order = append(order, r)
-		}
-		memberOf[r] = append(memberOf[r], rv)
-	}
-	for _, r := range order {
-		g := append(memberOf[r], r)
-		s.copiesSubstituted += int64(len(g) - 1)
-		s.collapse(g)
 	}
 }
 
@@ -1017,7 +897,6 @@ func (s *solver) rollbackTo(rp *rollbackPoint) {
 	}
 	s.nVars = rp.nVars
 	s.parent = s.parent[:rp.nVars]
-	s.protected = s.protected[:rp.nVars]
 	for v := 0; v < rp.nVars; v++ {
 		st := s.state(Var(v))
 		if st.merged {
@@ -1066,26 +945,23 @@ func (s *solver) stats() (iterations, tokensDelivered int64) {
 }
 
 // StructureStats describes cycle-collapse activity: collapse events,
-// variables unified (including, separately, those removed by offline copy
-// substitution), edges dropped as duplicate or self under condensation, and
-// deliveries short-circuited as redundant. Exposed on Result so callers can
-// compare solver structure — not just reports — across configurations.
+// variables unified, edges dropped as duplicate or self under condensation,
+// and deliveries short-circuited as redundant. Exposed on Result so callers
+// can compare solver structure — not just reports — across configurations.
 type StructureStats struct {
-	CyclesCollapsed   int64
-	VarsUnified       int64
-	EdgesDeduped      int64
-	RedundantSkipped  int64
-	CopiesSubstituted int64
+	CyclesCollapsed  int64
+	VarsUnified      int64
+	EdgesDeduped     int64
+	RedundantSkipped int64
 }
 
 // structure reports the cycle-collapse counters so far.
 func (s *solver) structure() StructureStats {
 	return StructureStats{
-		CyclesCollapsed:   s.cyclesCollapsed,
-		VarsUnified:       s.varsUnified,
-		EdgesDeduped:      s.edgesDeduped,
-		RedundantSkipped:  s.redundantSkipped,
-		CopiesSubstituted: s.copiesSubstituted,
+		CyclesCollapsed:  s.cyclesCollapsed,
+		VarsUnified:      s.varsUnified,
+		EdgesDeduped:     s.edgesDeduped,
+		RedundantSkipped: s.redundantSkipped,
 	}
 }
 

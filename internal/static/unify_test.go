@@ -274,47 +274,3 @@ func TestAblationArmMatchesFromScratch(t *testing.T) {
 		t.Fatal("no write-hint benchmark in the dynamic-CG subset; the test checked nothing")
 	}
 }
-
-// TestCopyElimEquivalence checks that offline copy substitution is
-// invisible in results: with and without it, baseline and extended
-// analyses produce identical call graphs, metrics, and system sizes on a
-// corpus sample. Only effort counters may differ.
-func TestCopyElimEquivalence(t *testing.T) {
-	benches := corpus.All()
-	if len(benches) > 24 {
-		benches = benches[:24]
-	}
-	for _, b := range benches {
-		ar, err := approx.Run(b.Project, approx.Options{})
-		if err != nil {
-			t.Fatalf("%s: approx: %v", b.Project.Name, err)
-		}
-		for _, mode := range []Mode{Baseline, WithHints} {
-			opts := Options{Mode: mode}
-			if mode != Baseline {
-				opts.Hints = ar.Hints
-			}
-			on, err := Analyze(b.Project, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", b.Project.Name, err)
-			}
-			optsOff := opts
-			optsOff.DisableCopyElim = true
-			off, err := Analyze(b.Project, optsOff)
-			if err != nil {
-				t.Fatalf("%s: %v", b.Project.Name, err)
-			}
-			if !on.Graph.Equal(off.Graph) {
-				t.Errorf("%s mode %d: call graphs differ with copy elimination (on %d edges, off %d)",
-					b.Project.Name, mode, on.Graph.NumEdges(), off.Graph.NumEdges())
-			}
-			if m1, m2 := on.Metrics(), off.Metrics(); m1 != m2 {
-				t.Errorf("%s mode %d: metrics differ: %v vs %v", b.Project.Name, mode, m1, m2)
-			}
-			if on.NumVars != off.NumVars || on.NumTokens != off.NumTokens {
-				t.Errorf("%s mode %d: system size differs: %d/%d vs %d/%d", b.Project.Name, mode,
-					on.NumVars, on.NumTokens, off.NumVars, off.NumTokens)
-			}
-		}
-	}
-}
