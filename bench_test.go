@@ -211,16 +211,22 @@ func BenchmarkAblationRelationalHints(b *testing.B) {
 	var relMono, nameMono float64
 	for i := 0; i < b.N; i++ {
 		relMono, nameMono = 0, 0
-		for _, bench := range bs {
-			o, err := experiments.RunAblation(bench)
-			if err != nil {
-				b.Fatal(err)
-			}
+		outs, err := experiments.RunCorpusOpts(bs, experiments.Options{
+			WithDynCG: true, WithAblation: true, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := experiments.AblationRows(outs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range rows {
 			relMono += o.RelationalMonomorphic
 			nameMono += o.NameOnlyMonomorphic
 		}
-		relMono /= float64(len(bs))
-		nameMono /= float64(len(bs))
+		relMono /= float64(len(rows))
+		nameMono /= float64(len(rows))
 	}
 	b.ReportMetric(relMono, "mono-relational-pct")
 	b.ReportMetric(nameMono, "mono-nameonly-pct")

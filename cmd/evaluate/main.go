@@ -151,7 +151,9 @@ func main() {
 	if *quick {
 		benches = corpus.WithDynCG()
 	}
-	needDyn := *table2 || *table3 || *vuln || *summary
+	// The ablation table's precision column compares against dynamic call
+	// graphs too.
+	needDyn := *table2 || *table3 || *vuln || *summary || *ablation
 
 	var store *cache.Store
 	if *cacheDir != "" {
@@ -238,18 +240,15 @@ func main() {
 		experiments.Banner(w, "Table 3")
 		experiments.RenderTable3(w, outs)
 	}
-	// The dyn-CG subset of the evaluated benchmarks. Reusing the same
-	// *Benchmark values (rather than regenerating via corpus.WithDynCG)
-	// keeps each one paired with its outcome, whose dynamic call graph the
-	// ablation reuses.
-	var dynBenches []*corpus.Benchmark
-	for _, b := range benches {
-		if b.HasDynCG {
-			dynBenches = append(dynBenches, b)
-		}
-	}
-
 	if *vuln {
+		// The dyn-CG subset of the evaluated benchmarks; VulnStudy pairs
+		// each with its outcome by name.
+		var dynBenches []*corpus.Benchmark
+		for _, b := range benches {
+			if b.HasDynCG {
+				dynBenches = append(dynBenches, b)
+			}
+		}
 		experiments.Banner(w, "Vulnerability reachability")
 		vr, err := experiments.VulnStudy(dynBenches, outs)
 		if err != nil {
@@ -262,29 +261,25 @@ func main() {
 		experiments.Banner(w, "Hint statistics")
 		experiments.RenderHintStats(w, outs)
 	}
-	// Outcomes of the main corpus run, by benchmark name. The ablation and
-	// §6-extension runs reuse the extended (relational-hints) analysis from
-	// them instead of re-solving the identical constraint system; reuse is
-	// declined per benchmark when the outcome saw faults or degradation.
-	outByName := map[string]*experiments.Outcome{}
-	for _, o := range outs {
-		outByName[o.Name] = o
-	}
-
 	if *ablation {
 		experiments.Banner(w, "Ablation (§4)")
-		var abl []*experiments.AblationOutcome
-		for _, b := range dynBenches {
-			o, err := experiments.RunAblationReusing(b, outByName[b.Project.Name])
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "evaluate: ablation:", err)
-				os.Exit(1)
-			}
-			abl = append(abl, o)
+		abl, err := experiments.AblationRows(outs)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "evaluate: ablation:", err)
+			os.Exit(1)
 		}
 		experiments.RenderAblation(w, abl)
 	}
 	if *exts {
+		// Outcomes of the main corpus run, by benchmark name. The §6
+		// extension runs reuse the extended (relational-hints) analysis from
+		// them instead of re-solving the identical constraint system; reuse
+		// is declined per benchmark when the outcome saw faults or
+		// degradation.
+		outByName := map[string]*experiments.Outcome{}
+		for _, o := range outs {
+			outByName[o.Name] = o
+		}
 		experiments.Banner(w, "§6 extensions")
 		eo, err := experiments.RunExtensionsCorpus(corpus.WithDynCG()[:12], outByName)
 		if err != nil {

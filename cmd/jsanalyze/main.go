@@ -55,15 +55,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	base, err := static.Analyze(project, static.Options{Mode: static.Baseline})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("baseline:  %v  (vars=%d tokens=%d modules=%d, %s)\n",
-		base.Metrics(), base.NumVars, base.NumTokens, base.AnalyzedModules, base.Duration)
-
-	var ext *static.Result
-	if !*baselineOnly {
+	// Without -baseline-only, baseline and extended come from one
+	// incremental solve: the baseline fixpoint, then the hint deltas.
+	var base, ext *static.Result
+	var approxLine string
+	if *baselineOnly {
+		var err error
+		if base, err = static.Analyze(project, static.Options{Mode: static.Baseline}); err != nil {
+			fatal(err)
+		}
+	} else {
 		var h *hints.Hints
 		if *hintsFile != "" {
 			f, err := os.Open(*hintsFile)
@@ -81,16 +82,22 @@ func main() {
 				fatal(err)
 			}
 			h = ar.Hints
-			fmt.Printf("approx:    %d hints, %d/%d functions visited, %s\n",
+			approxLine = fmt.Sprintf("approx:    %d hints, %d/%d functions visited, %s\n",
 				h.Count(), ar.FunctionsVisited, ar.FunctionsTotal, ar.Duration)
 		}
-		ext, err = static.Analyze(project, static.Options{
+		var err error
+		base, ext, err = static.AnalyzeBoth(project, static.Options{
 			Mode: static.WithHints, Hints: h, DisableDPR: *disableDPR,
 			UnknownArgHints: *unknownArgs,
 		})
 		if err != nil {
 			fatal(err)
 		}
+	}
+	fmt.Printf("baseline:  %v  (vars=%d tokens=%d modules=%d, %s)\n",
+		base.Metrics(), base.NumVars, base.NumTokens, base.AnalyzedModules, base.Duration)
+	if ext != nil {
+		fmt.Print(approxLine)
 		fmt.Printf("extended:  %v  (%s)\n", ext.Metrics(), ext.Duration)
 	}
 

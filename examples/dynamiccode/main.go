@@ -14,10 +14,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/approx"
 	"repro/internal/corpus"
 	"repro/internal/loc"
 	"repro/internal/modules"
+	"repro/internal/static"
 )
 
 func main() {
@@ -45,27 +46,33 @@ var result = f(21);
 
 func run(title string, project *modules.Project) {
 	fmt.Printf("== %s ==\n", title)
-	res, err := core.Analyze(project, core.Config{})
+	ar, err := approx.Run(project, approx.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("hints: %d\n", res.Hints().Count())
-	for _, w := range res.Hints().WriteHints() {
+	base, ext, err := static.AnalyzeBoth(project, static.Options{
+		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("hints: %d\n", ar.Hints.Count())
+	for _, w := range ar.Hints.WriteHints() {
 		evalNote := ""
 		if !w.Site.Valid() {
 			evalNote = "   (write occurred inside eval'd code)"
 		}
 		fmt.Printf("  write hint: (%v).%s ← %v%s\n", w.Target, w.Prop, w.Value, evalNote)
 	}
-	fmt.Printf("baseline: %v\n", res.BaselineMetrics)
-	fmt.Printf("extended: %v\n", res.ExtendedMetrics)
+	fmt.Printf("baseline: %v\n", base.Metrics())
+	fmt.Printf("extended: %v\n", ext.Metrics())
 	if project.Name == "eval-inline" {
 		// The f(21) call at line 6 resolves only with hints.
 		site := loc.Loc{File: "/app/index.js", Line: 6, Col: 15}
 		target := loc.Loc{File: "/app/index.js", Line: 2, Col: 15}
 		fmt.Printf("f(21) resolves to compute: baseline=%v extended=%v\n",
-			res.Baseline.Graph.HasEdge(site, target),
-			res.Extended.Graph.HasEdge(site, target))
+			base.Graph.HasEdge(site, target),
+			ext.Graph.HasEdge(site, target))
 	}
 	fmt.Println()
 }

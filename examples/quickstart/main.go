@@ -13,32 +13,50 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/approx"
+	"repro/internal/callgraph"
 	"repro/internal/corpus"
+	"repro/internal/dyncg"
 	"repro/internal/loc"
+	"repro/internal/static"
 )
 
 func main() {
 	project := corpus.Motivating()
 
-	res, err := core.Analyze(project, core.Config{WithDynamicCG: true})
+	// Phase 1: approximate interpretation (the dynamic pre-analysis).
+	ar, err := approx.Run(project, approx.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Phases 2 and 3: the baseline analysis and the hint-extended one, as
+	// one incremental solve. Modules whose pre-analysis faulted fall back
+	// to baseline-only constraints.
+	base, ext, err := static.AnalyzeBoth(project, static.Options{
+		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The dynamic call graph from the project's tests, for recall/precision.
+	dyn, err := dyncg.Build(project, dyncg.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("== Approximate interpretation (pre-analysis) ==")
 	fmt.Printf("hints collected: %d   functions visited: %d/%d\n",
-		res.Approx.Hints.Count(), res.Approx.FunctionsVisited, res.Approx.FunctionsTotal)
+		ar.Hints.Count(), ar.FunctionsVisited, ar.FunctionsTotal)
 	fmt.Println("\nwrite hints for the web-application object (paper §3):")
-	for _, w := range res.Hints().WriteHints() {
+	for _, w := range ar.Hints.WriteHints() {
 		if w.Prop == "get" || w.Prop == "listen" {
 			fmt.Printf("  (%v, %q, %v)\n", w.Target, w.Prop, w.Value)
 		}
 	}
 
 	fmt.Println("\n== Static analysis ==")
-	fmt.Printf("baseline: %v\n", res.BaselineMetrics)
-	fmt.Printf("extended: %v\n", res.ExtendedMetrics)
+	fmt.Printf("baseline: %v\n", base.Metrics())
+	fmt.Printf("extended: %v\n", ext.Metrics())
 
 	// The two calls the paper's Fig. 1 centers on.
 	siteGet := loc.Loc{File: "/app/server.js", Line: 3, Col: 8}
@@ -48,16 +66,16 @@ func main() {
 
 	report := func(name string, site loc.Loc, target loc.Loc) {
 		fmt.Printf("\n%s:\n", name)
-		fmt.Printf("  baseline resolves it: %v\n", res.Baseline.Graph.HasEdge(site, target))
+		fmt.Printf("  baseline resolves it: %v\n", base.Graph.HasEdge(site, target))
 		fmt.Printf("  extended resolves it: %v  → %v\n",
-			res.Extended.Graph.HasEdge(site, target), target)
+			ext.Graph.HasEdge(site, target), target)
 	}
 	report("app.get('/', …) at server.js:3", siteGet, fnMethodTable)
 	report("app.listen(8080) at server.js:7", siteListen, fnListen)
 
+	baseAcc := callgraph.CompareWithDynamic(base.Graph, dyn.Graph)
+	extAcc := callgraph.CompareWithDynamic(ext.Graph, dyn.Graph)
 	fmt.Println("\n== Accuracy vs dynamic call graph (test suite) ==")
-	fmt.Printf("baseline: recall %.1f%%  precision %.1f%%\n",
-		res.BaselineAccuracy.Recall, res.BaselineAccuracy.Precision)
-	fmt.Printf("extended: recall %.1f%%  precision %.1f%%\n",
-		res.ExtendedAccuracy.Recall, res.ExtendedAccuracy.Precision)
+	fmt.Printf("baseline: recall %.1f%%  precision %.1f%%\n", baseAcc.Recall, baseAcc.Precision)
+	fmt.Printf("extended: recall %.1f%%  precision %.1f%%\n", extAcc.Recall, extAcc.Precision)
 }

@@ -32,7 +32,7 @@ import (
 
 // schemaVersion is folded into every artifact key; bump it whenever the
 // record layouts below change so stale encodings become misses.
-const schemaVersion = "v2"
+const schemaVersion = "v3"
 
 // approxRecord is the cached pre-analysis of one project fingerprint.
 type approxRecord struct {

@@ -42,12 +42,11 @@ func corpusOutcomes(tb testing.TB) ([]*corpus.Benchmark, []*Outcome) {
 	return f.bs, f.outs
 }
 
-// cachedView is what a cache hit must reproduce of a fresh outcome: the
-// dynamic call graph is never cached, only fault-free runs are, and the
-// codec does not tell a nil slice from an empty one (no reader does).
+// cachedView is what a cache hit must reproduce of a fresh outcome: only
+// fault-free runs are cached, and the codec does not tell a nil slice from
+// an empty one (no reader does).
 func cachedView(o *Outcome) Outcome {
 	v := *o
-	v.dyn = nil
 	if len(v.Faults) == 0 {
 		v.Faults = nil
 	}

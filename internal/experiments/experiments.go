@@ -59,20 +59,14 @@ type Outcome struct {
 
 	// baseCondensation is the baseline-final cycle structure over
 	// generation-time constraint variables (static.Result.Condensation),
-	// reused to pre-unify later solves of the same project (ablation arm,
-	// §6 extension variants).
+	// reused to pre-unify later solves of the same project (the §6
+	// extension variants).
 	baseCondensation [][]static.Var
 
-	// dyn is the dynamic call graph this evaluation built, carried so
-	// RunAblationReusing does not build it again. Nil when no graph was
-	// built or the outcome came from the artifact cache.
-	dyn *dyncg.Result
-
-	// Name-only ablation arm, precomputed by the main run as a rolled-back
-	// third phase of the incremental solve (Options.WithAblation) so that
-	// RunAblationReusing needs no solve of its own. hasAbl only when the
-	// run was clean (no faults, no degradation) and the dynamic comparison
-	// ran, mirroring RunAblationReusing's own reuse conditions.
+	// Name-only ablation arm (§4), produced by the main run as a rolled-back
+	// third phase of the incremental solve (Options.WithAblation). hasAbl
+	// whenever the run requested the arm and built the dynamic call graph
+	// its precision column needs; AblationRows reads the arm from here.
 	hasAbl   bool
 	ablEdges int
 	ablMono  float64
@@ -163,16 +157,16 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
 		SolverWorkers: opts.SolverWorkers,
 	}
-	// Piggy-back the §4 name-only arm on the incremental solve exactly when
-	// RunAblationReusing could consume it: a clean run of a dynamic-CG
-	// benchmark whose hints carry [DPW] writes (without them the arm equals
-	// the relational one and needs no solve).
-	if opts.WithAblation && opts.WithDynCG && b.HasDynCG &&
-		len(degrade) == 0 && len(out.Faults) == 0 &&
-		static.WriteHintsApply(hintSet) {
+	// The §4 name-only arm rides on the incremental solve of every dynamic-CG
+	// benchmark when requested. Only [DPW] write hints distinguish it from
+	// the relational arm; without them the two systems are identical and the
+	// arm takes the extended result, so no third phase runs.
+	wantAbl := opts.WithAblation && opts.WithDynCG && b.HasDynCG
+	if wantAbl && static.WriteHintsApply(hintSet) {
 		base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
 	} else {
 		base, ext, err = static.AnalyzeBoth(b.Project, sopts)
+		abl = ext
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
@@ -196,12 +190,11 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: dyncg: %w", b.Project.Name, err)
 		}
-		out.dyn = dr
 		out.DynEdges = dr.Graph.NumEdges()
 		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
 		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
 		out.Faults = append(out.Faults, dr.Faults...)
-		if abl != nil && len(dr.Faults) == 0 && len(out.Faults) == 0 {
+		if wantAbl {
 			out.hasAbl = true
 			out.ablEdges = abl.Graph.NumEdges()
 			out.ablMono = abl.Metrics().MonomorphicPct
@@ -251,10 +244,10 @@ type Options struct {
 	// DynCGDeadline is the per-entry wall-clock deadline of dynamic
 	// call-graph construction (0 = unlimited).
 	DynCGDeadline time.Duration
-	// WithAblation piggy-backs the §4 name-only ablation arm on each
-	// eligible benchmark's incremental solve (baseline solved once, two
-	// rolled-back deltas), so a later RunAblationReusing pass consumes it
-	// without solving anything.
+	// WithAblation adds the §4 name-only ablation arm to the evaluation of
+	// every dynamic-CG benchmark when WithDynCG is set: a rolled-back third
+	// phase of the incremental solve (baseline solved once, two deltas),
+	// read back by AblationRows.
 	WithAblation bool
 	// SolverWorkers is the epoch engine's scan-worker count per benchmark
 	// (static.Options.SolverWorkers; 0 and 1 both mean one worker).
@@ -482,107 +475,31 @@ type AblationOutcome struct {
 	NameOnlyPrecision     float64
 }
 
-// RunAblationReusing evaluates the §4 ablation, reusing the relational
-// column from an already-computed outcome of the same benchmark. The main
-// corpus run's extended analysis solves the exact same constraint system as
-// the ablation's relational arm (hints, no degradation), so re-solving it
-// here would repeat the most expensive fixpoint of the ablation; the
-// incremental-equivalence tests assert the two paths agree corpus-wide.
-// Falls back to RunAblation (both arms from scratch) when prior is nil, is
-// for a different project, saw contained faults or degraded modules (its
-// extended graph then differs from the clean relational arm), or lacks the
-// dynamic-accuracy comparison the ablation table needs.
-func RunAblationReusing(b *corpus.Benchmark, prior *Outcome) (*AblationOutcome, error) {
-	if prior == nil || prior.Name != b.Project.Name ||
-		len(prior.Faults) > 0 || len(prior.DegradedModules) > 0 ||
-		(b.HasDynCG && prior.DynEdges == 0) {
-		return RunAblation(b)
-	}
-	ar, err := approx.Run(b.Project, approx.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out := &AblationOutcome{
-		Name:                  b.Project.Name,
-		RelationalEdges:       prior.Ext.CallEdges,
-		RelationalMonomorphic: prior.Ext.MonomorphicPct,
-		RelationalPrecision:   prior.ExtAcc.Precision,
-	}
-	// Without [DPW] write hints the two ablation arms inject identical
-	// constraints, so the name-only column equals the relational one and
-	// needs no solve of its own.
-	if !static.WriteHintsApply(ar.Hints) {
-		out.NameOnlyEdges = out.RelationalEdges
-		out.NameOnlyMonomorphic = out.RelationalMonomorphic
-		out.NameOnlyPrecision = out.RelationalPrecision
-		return out, nil
-	}
-	// The main run may have precomputed the name-only arm as a rolled-back
-	// third phase of its incremental solve (Options.WithAblation); then the
-	// whole ablation row costs no solve at all.
-	if prior.hasAbl {
-		out.NameOnlyEdges = prior.ablEdges
-		out.NameOnlyMonomorphic = prior.ablMono
-		out.NameOnlyPrecision = prior.ablPrec
-		return out, nil
-	}
-	abl, err := static.Analyze(b.Project, static.Options{
-		Mode: static.AblationNameOnly, Hints: ar.Hints,
-		PreUnify: prior.baseCondensation,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.NameOnlyEdges = abl.Graph.NumEdges()
-	out.NameOnlyMonomorphic = abl.Metrics().MonomorphicPct
-	if b.HasDynCG {
-		dr := prior.dyn
-		if dr == nil {
-			// An outcome served from the artifact cache carries no graph.
-			if dr, err = dynGraph(b, dyncg.Options{}); err != nil {
-				return nil, err
-			}
+// AblationRows builds the §4 ablation table from a corpus run: one row per
+// dynamic-CG outcome, the relational column from its extended analysis and
+// the name-only column from the arm the run produced. It fails for a
+// dynamic-CG outcome evaluated without Options.WithAblation (or without
+// WithDynCG), which carries no arm.
+func AblationRows(outs []*Outcome) ([]*AblationOutcome, error) {
+	var rows []*AblationOutcome
+	for _, o := range outs {
+		if !o.HasDynCG {
+			continue
 		}
-		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
-	}
-	return out, nil
-}
-
-// RunAblation evaluates the §4 ablation on a benchmark.
-func RunAblation(b *corpus.Benchmark) (*AblationOutcome, error) {
-	ar, err := approx.Run(b.Project, approx.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rel, err := static.Analyze(b.Project, static.Options{Mode: static.WithHints, Hints: ar.Hints})
-	if err != nil {
-		return nil, err
-	}
-	abl := rel
-	if static.WriteHintsApply(ar.Hints) {
-		// Only [DPW] write hints distinguish the two arms; without them the
-		// name-only system is the relational one.
-		abl, err = static.Analyze(b.Project, static.Options{Mode: static.AblationNameOnly, Hints: ar.Hints})
-		if err != nil {
-			return nil, err
+		if !o.hasAbl {
+			return nil, fmt.Errorf("%s: outcome has no ablation arm (run with WithDynCG and WithAblation)", o.Name)
 		}
+		rows = append(rows, &AblationOutcome{
+			Name:                  o.Name,
+			RelationalEdges:       o.Ext.CallEdges,
+			NameOnlyEdges:         o.ablEdges,
+			RelationalMonomorphic: o.Ext.MonomorphicPct,
+			NameOnlyMonomorphic:   o.ablMono,
+			RelationalPrecision:   o.ExtAcc.Precision,
+			NameOnlyPrecision:     o.ablPrec,
+		})
 	}
-	out := &AblationOutcome{
-		Name:                  b.Project.Name,
-		RelationalEdges:       rel.Graph.NumEdges(),
-		NameOnlyEdges:         abl.Graph.NumEdges(),
-		RelationalMonomorphic: rel.Metrics().MonomorphicPct,
-		NameOnlyMonomorphic:   abl.Metrics().MonomorphicPct,
-	}
-	if b.HasDynCG {
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
-			return nil, err
-		}
-		out.RelationalPrecision = callgraph.CompareWithDynamic(rel.Graph, dr.Graph).Precision
-		out.NameOnlyPrecision = callgraph.CompareWithDynamic(abl.Graph, dr.Graph).Precision
-	}
-	return out, nil
+	return rows, nil
 }
 
 // ScaleRow is one size tier of the scalability study: how analysis cost

@@ -9,7 +9,6 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/corpus"
 	"repro/internal/dyncg"
-	"repro/internal/modules"
 	"repro/internal/static"
 )
 
@@ -97,50 +96,6 @@ func TestIncrementalMatchesTwoPassOutcomes(t *testing.T) {
 		if bufInc.String() != bufTwo.String() {
 			t.Errorf("%s reports differ:\nincremental:\n%s\ntwo-pass:\n%s",
 				render.name, bufInc.String(), bufTwo.String())
-		}
-	}
-}
-
-// TestDynCGMemoBuildsOnce asserts that one evaluation — a corpus run and
-// the ablation pass that reuses its outcome — builds a project's dynamic
-// call graph exactly once, and that nothing outlives the evaluation: a
-// second evaluation of the same project builds it again.
-func TestDynCGMemoBuildsOnce(t *testing.T) {
-	builds := 0
-	saved := buildDynCG
-	buildDynCG = func(p *modules.Project, opts dyncg.Options) (*dyncg.Result, error) {
-		builds++
-		return saved(p, opts)
-	}
-	defer func() { buildDynCG = saved }()
-
-	// A benchmark whose ablation arms differ, so RunAblationReusing needs
-	// the dynamic graph for the name-only precision.
-	var b *corpus.Benchmark
-	for _, cand := range corpus.WithDynCG() {
-		ar, err := approx.Run(cand.Project, approx.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if static.WriteHintsApply(ar.Hints) {
-			b = cand
-			break
-		}
-	}
-	if b == nil {
-		t.Fatal("no dyn-CG benchmark with [DPW] write hints available")
-	}
-	for eval := 1; eval <= 2; eval++ {
-		builds = 0
-		outs, err := RunCorpusOpts([]*corpus.Benchmark{b}, Options{WithDynCG: true, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunAblationReusing(b, outs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if builds != 1 {
-			t.Fatalf("evaluation %d built the dynamic call graph %d times, want 1", eval, builds)
 		}
 	}
 }

@@ -134,9 +134,8 @@ type Result struct {
 	// Condensation, set by AnalyzeBoth on the baseline result, lists the
 	// multi-member cycles of the baseline-final constraint graph over
 	// generation-time variables. Feeding it to Options.PreUnify lets later
-	// solves of the same project (the §4 ablation arm, the §6 extension
-	// variants) start condensed instead of rediscovering — and re-paying —
-	// the same cycles.
+	// solves of the same project (the §6 extension variants) start
+	// condensed instead of rediscovering — and re-paying — the same cycles.
 	Condensation [][]Var
 }
 

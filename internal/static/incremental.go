@@ -104,23 +104,24 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	baseSolveWall := time.Since(baseSolveStart)
 	baseStructure := a.s.structure()
 	baseParallel := a.s.parallelStats()
-	cp := a.s.checkpoint()
+	baseVars := a.s.numVars()
+	baseIters, baseDelivered := a.s.stats()
 	// Snapshot the baseline-final cycle structure over generation-time
 	// variables (running the full SCC sweep the delta solve would run at
 	// entry anyway). At a fixpoint every cycle's member sets are already
 	// equal, so the sweep moves no tokens and fires no triggers — it is
 	// semantically a no-op here — but its condensation lets later solves of
-	// the same project (ablation arm, §6 extension variants) start unified.
+	// the same project (the §6 extension variants) start unified.
 	condensation := a.s.condensationUpTo(Var(genVars))
 	postSolveTokens := len(a.tokens)
 	entries := a.mainEntries()
 	baseline = &Result{
 		Graph:           a.cg.Clone(),
 		MainEntries:     entries,
-		NumVars:         cp.nVars,
+		NumVars:         baseVars,
 		NumTokens:       postSolveTokens,
-		SolveIterations: cp.iterations,
-		TokensDelivered: cp.tokensDelivered,
+		SolveIterations: baseIters,
+		TokensDelivered: baseDelivered,
 		Structure:       baseStructure,
 		Parallel:        baseParallel,
 		SolveWall:       baseSolveWall,
@@ -156,8 +157,8 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	deltaSolveWall := time.Since(deltaSolveStart)
 
 	iters, delivered := a.s.stats()
-	perf.Global().AddIncrementalSolve(cp.iterations, cp.tokensDelivered,
-		iters-cp.iterations, delivered-cp.tokensDelivered)
+	perf.Global().AddIncrementalSolve(baseIters, baseDelivered,
+		iters-baseIters, delivered-baseDelivered)
 
 	extended = &Result{
 		Graph:           a.cg,

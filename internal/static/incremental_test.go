@@ -180,39 +180,3 @@ func TestAnalyzeBothRejectsBaseline(t *testing.T) {
 		t.Fatal("want error for missing hints")
 	}
 }
-
-// TestCheckpointFreezesTokenCounts covers the solver checkpoint directly:
-// tokensAt must keep returning the fixpoint-time membership after further
-// constraints are injected and solved, without having copied any set.
-func TestCheckpointFreezesTokenCounts(t *testing.T) {
-	s := newSolver()
-	v1, v2 := s.newVar(), s.newVar()
-	s.addEdge(v1, v2)
-	s.addToken(v1, 1)
-	s.addToken(v1, 2)
-	s.solve()
-	cp := s.checkpoint()
-
-	if got := s.tokensAt(cp, v2); len(got) != 2 {
-		t.Fatalf("checkpoint read-out: got %v, want 2 tokens", got)
-	}
-	// Inject a delta and resume.
-	s.addToken(v1, 3)
-	v3 := s.newVar()
-	s.addEdge(v2, v3)
-	s.solve()
-
-	if got := s.tokensAt(cp, v2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("frozen read-out changed after resume: got %v", got)
-	}
-	if got := s.tokens(v2); len(got) != 3 {
-		t.Fatalf("live set after resume: got %v, want 3 tokens", got)
-	}
-	// Vars allocated after the checkpoint read as empty at the checkpoint.
-	if got := s.tokensAt(cp, v3); len(got) != 0 {
-		t.Fatalf("post-checkpoint var should read empty: got %v", got)
-	}
-	if cp.iterations >= s.iterations {
-		t.Fatalf("checkpoint counters should be frozen: cp %d, live %d", cp.iterations, s.iterations)
-	}
-}

@@ -175,9 +175,7 @@ type varState struct {
 	// queue entry processed (edges pushed, triggers fired), the rest are
 	// pending. The prefix below delivered is immutable; pending tokens may
 	// be swapped within the suffix when deliveries arrive out of append
-	// order after a merge. Once a state is merged away its whole slice is
-	// frozen — checkpoints taken while it was a representative keep reading
-	// their prefix from it.
+	// order after a merge. A state merged away holds no tokens.
 	tokens []Token
 	// has is nil while len(tokens) <= smallSetMax; membership and position
 	// lookups then are a linear scan of tokens. When spilled, it maps each
@@ -191,9 +189,6 @@ type varState struct {
 	// edgeHas mirrors the spill rule of has for the edge set.
 	edgeHas  map[Var]struct{}
 	triggers []func(Token)
-	// merged marks a state absorbed into a representative; its tokens
-	// slice is frozen, everything else is released.
-	merged bool
 }
 
 // indexOf returns the position of t in st.tokens, or -1.
@@ -598,9 +593,8 @@ func (s *solver) collapse(members []Var) {
 // mergeContents folds the merged-away member m into its representative r:
 // triggers are reconciled so every (trigger, token) pair over the unified
 // set still fires exactly once, m's edges join r's (deduplicated), and m's
-// tokens not yet in r are inserted and scheduled. m's token slice is left
-// frozen in place — checkpoints taken while m was a representative keep
-// reading their frozen prefix from it.
+// tokens not yet in r are inserted and scheduled. m keeps nothing: every
+// read of its set resolves to r through find.
 func (s *solver) mergeContents(m, r Var) {
 	ms, rs := s.state(m), s.state(r)
 	s.varsUnified++
@@ -667,9 +661,7 @@ func (s *solver) mergeContents(m, r Var) {
 		s.addTokenRep(r, t)
 	}
 
-	// Release everything except the frozen token slice.
-	ms.edges, ms.edgeHas, ms.triggers, ms.has = nil, nil, nil, nil
-	ms.merged = true
+	*ms = varState{}
 }
 
 // compactEdges rewrites r's edge list with every target resolved to its
@@ -899,9 +891,6 @@ func (s *solver) rollbackTo(rp *rollbackPoint) {
 	s.parent = s.parent[:rp.nVars]
 	for v := 0; v < rp.nVars; v++ {
 		st := s.state(Var(v))
-		if st.merged {
-			continue // frozen before the snapshot; untouched since
-		}
 		tl := int(rp.tokensLen[v])
 		if len(st.tokens) > tl {
 			if st.has != nil {
@@ -963,66 +952,6 @@ func (s *solver) structure() StructureStats {
 		EdgesDeduped:     s.edgesDeduped,
 		RedundantSkipped: s.redundantSkipped,
 	}
-}
-
-// checkpoint freezes a view of the solver at a fixpoint: the effort
-// counters plus the per-variable token counts. Token slices are append-only
-// below each state's processed prefix, so a (slice owner, count) pair per
-// variable pins each set's membership at checkpoint time without copying
-// any set — tokensAt reads the frozen prefix later, even after further
-// constraints have been injected and solved on top (the incremental
-// baseline→extended resume), and even after the owner itself is unified
-// into a larger cycle (merging freezes the owner's slice wholly and swaps
-// only ever touch positions at or beyond the processed prefix).
-type checkpoint struct {
-	nVars  int
-	counts []int32
-	// owners maps each variable to the state owning its token slice at
-	// checkpoint time (its representative). nil when no unification had
-	// happened — every variable then owns its own slice.
-	owners          []Var
-	iterations      int64
-	tokensDelivered int64
-}
-
-// checkpoint captures the current fixpoint. It must be taken when the
-// delivery queue is drained (right after solve returns); otherwise the
-// "fixpoint" being frozen would include tokens whose triggers have not
-// fired yet — and the frozen prefixes could be disturbed by the
-// out-of-order swaps of a still-running pop loop.
-func (s *solver) checkpoint() *checkpoint {
-	cp := &checkpoint{
-		nVars:           s.nVars,
-		counts:          make([]int32, s.nVars),
-		iterations:      s.iterations,
-		tokensDelivered: s.tokensDelivered,
-	}
-	if s.varsUnified > 0 {
-		cp.owners = make([]Var, s.nVars)
-	}
-	for v := 0; v < s.nVars; v++ {
-		owner := s.find(Var(v))
-		if cp.owners != nil {
-			cp.owners[v] = owner
-		}
-		cp.counts[v] = int32(len(s.state(owner).tokens))
-	}
-	return cp
-}
-
-// tokensAt returns the members of ⟦v⟧ as of the checkpoint, in the arrival
-// order of the slice that held them (the variable's own order, or its
-// representative's if it had been unified into a cycle). Variables
-// allocated after the checkpoint read as empty.
-func (s *solver) tokensAt(cp *checkpoint, v Var) []Token {
-	if int(v) >= cp.nVars {
-		return nil
-	}
-	owner := v
-	if cp.owners != nil {
-		owner = cp.owners[v]
-	}
-	return s.state(owner).tokens[:cp.counts[v]]
 }
 
 // tokens returns the current members of ⟦v⟧ in processing order.

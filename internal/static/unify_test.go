@@ -17,6 +17,31 @@ func sortedTokens(ts []Token) []Token {
 	return out
 }
 
+// checkpoint is a copy of every variable's sorted set at a drained
+// fixpoint, so a test can compare two solvers at the same point of a run
+// after both have moved on.
+type checkpoint struct {
+	sets [][]Token
+}
+
+// checkpoint copies each variable's sorted set. The queue must be drained.
+func (s *solver) checkpoint() *checkpoint {
+	cp := &checkpoint{sets: make([][]Token, s.nVars)}
+	for v := range cp.sets {
+		cp.sets[v] = sortedTokens(s.tokens(Var(v)))
+	}
+	return cp
+}
+
+// tokensAt returns the sorted members of ⟦v⟧ as of cp. Variables allocated
+// after cp read as empty.
+func (cp *checkpoint) tokensAt(v Var) []Token {
+	if int(v) >= len(cp.sets) {
+		return nil
+	}
+	return cp.sets[v]
+}
+
 func tokensEqual(a, b []Token) bool {
 	if len(a) != len(b) {
 		return false
@@ -108,10 +133,10 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: var %d final sets differ: unifying %v, reference %v", seed, v, gu, gr)
 			}
 			for k := range cpsU {
-				fu := sortedTokens(su.tokensAt(cpsU[k], Var(v)))
-				fr := sortedTokens(sr.tokensAt(cpsR[k], Var(v)))
+				fu := cpsU[k].tokensAt(Var(v))
+				fr := cpsR[k].tokensAt(Var(v))
 				if !tokensEqual(fu, fr) {
-					t.Fatalf("seed %d: var %d checkpoint %d frozen views differ: unifying %v, reference %v",
+					t.Fatalf("seed %d: var %d checkpoint %d sets differ: unifying %v, reference %v",
 						seed, v, k, fu, fr)
 				}
 			}
@@ -167,7 +192,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			if got := sortedTokens(s.tokens(Var(v))); !tokensEqual(got, base[v]) {
 				t.Fatalf("seed %d: var %d after rollback %v, want base %v", seed, v, got, base[v])
 			}
-			if cp := cps[len(cps)-1]; !tokensEqual(sortedTokens(s.tokensAt(cp, Var(v))), base[v]) {
+			if cp := cps[len(cps)-1]; !tokensEqual(cp.tokensAt(Var(v)), base[v]) {
 				t.Fatalf("seed %d: var %d checkpoint view disturbed by rollback", seed, v)
 			}
 		}
