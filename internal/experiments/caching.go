@@ -27,12 +27,11 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/corpus"
 	"repro/internal/hints"
-	"repro/internal/static"
 )
 
 // schemaVersion is folded into every artifact key; bump it whenever the
 // record layouts below change so stale encodings become misses.
-const schemaVersion = "v3"
+const schemaVersion = "v4"
 
 // approxRecord is the cached pre-analysis of one project fingerprint.
 type approxRecord struct {
@@ -134,10 +133,6 @@ func encodeOutcome(out *Outcome) []byte {
 	}
 	w.funcs(out.baseReach)
 	w.funcs(out.extReach)
-	w.uvarint(uint64(len(out.baseCondensation)))
-	for _, c := range out.baseCondensation {
-		w.vars(c)
-	}
 	w.bool(out.hasAbl)
 	w.int(out.ablEdges)
 	w.float(out.ablMono)
@@ -177,12 +172,6 @@ func decodeOutcome(payload []byte) (*Outcome, error) {
 	}
 	out.baseReach = r.funcs()
 	out.extReach = r.funcs()
-	if n := r.count(1); n > 0 {
-		out.baseCondensation = make([][]static.Var, n)
-		for i := range out.baseCondensation {
-			out.baseCondensation[i] = r.vars()
-		}
-	}
 	out.hasAbl = r.bool()
 	out.ablEdges = r.int()
 	out.ablMono = r.float()

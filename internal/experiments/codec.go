@@ -11,9 +11,7 @@
 //   - flags are one byte, 0 or 1;
 //   - FuncID file paths go through a per-record string table: a path is
 //     written once, at its first use, and later uses write its index, so
-//     decoded FuncIDs of one file share one string;
-//   - static.Var lists are delta-coded, each member a varint difference
-//     from the one before it.
+//     decoded FuncIDs of one file share one string.
 //
 // Decoding is strict, so that every accepted record re-encodes to the same
 // bytes: a length or count larger than the remaining bytes could hold, a
@@ -29,7 +27,6 @@ import (
 	"math"
 
 	"repro/internal/callgraph"
-	"repro/internal/static"
 )
 
 // recWriter appends one record's fields to buf.
@@ -90,15 +87,6 @@ func (w *recWriter) funcs(fs []callgraph.FuncID) {
 	w.uvarint(uint64(len(fs)))
 	for _, f := range fs {
 		w.funcID(f)
-	}
-}
-
-func (w *recWriter) vars(vs []static.Var) {
-	w.uvarint(uint64(len(vs)))
-	prev := int64(0)
-	for _, v := range vs {
-		w.buf = binary.AppendVarint(w.buf, int64(v)-prev)
-		prev = int64(v)
 	}
 }
 
@@ -266,25 +254,4 @@ func (r *recReader) funcs() []callgraph.FuncID {
 		}
 	}
 	return fs
-}
-
-func (r *recReader) vars() []static.Var {
-	n := r.count(1)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]static.Var, n)
-	prev := int64(0)
-	for i := range vs {
-		prev += r.varint64()
-		if r.err != nil {
-			return nil
-		}
-		if prev < math.MinInt32 || prev > math.MaxInt32 {
-			r.fail(errRange)
-			return nil
-		}
-		vs[i] = static.Var(prev)
-	}
-	return vs
 }

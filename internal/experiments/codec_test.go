@@ -53,9 +53,6 @@ func cachedView(o *Outcome) Outcome {
 	if len(v.DegradedModules) == 0 {
 		v.DegradedModules = nil
 	}
-	if len(v.baseCondensation) == 0 {
-		v.baseCondensation = nil
-	}
 	return v
 }
 
@@ -150,7 +147,6 @@ func TestRecordDecodeRejects(t *testing.T) {
 		{"length past the end", func(r *recReader) { r.bytes() }, []byte{5, 'a', 'b'}},
 		{"string-table index past the table", func(r *recReader) { r.tableString() }, []byte{1}},
 		{"repeated string-table entry", func(r *recReader) { r.tableString(); r.tableString() }, []byte{0, 1, 'a', 1, 1, 'a'}},
-		{"var out of int32 range", func(r *recReader) { r.vars() }, []byte{1, 0x80, 0x80, 0x80, 0x80, 0x10}},
 		{"trailing byte", func(r *recReader) { r.bool() }, []byte{1, 0}},
 	} {
 		r := recReader{buf: tc.data}

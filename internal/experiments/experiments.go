@@ -57,12 +57,6 @@ type Outcome struct {
 	baseReach []callgraph.FuncID
 	extReach  []callgraph.FuncID
 
-	// baseCondensation is the baseline-final cycle structure over
-	// generation-time constraint variables (static.Result.Condensation),
-	// reused to pre-unify later solves of the same project (the §6
-	// extension variants).
-	baseCondensation [][]static.Var
-
 	// Name-only ablation arm (§4), produced by the main run as a rolled-back
 	// third phase of the incremental solve (Options.WithAblation). hasAbl
 	// whenever the run requested the arm and built the dynamic call graph
@@ -176,7 +170,6 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	out.BaselineTime = base.Duration
 	out.Base = base.Metrics()
 	out.baseReach = sortedFuncs(base.Graph.Reachable(base.MainEntries))
-	out.baseCondensation = base.Condensation
 	perf.Global().AddPhase(perf.PhaseBaseline, base.Duration)
 	perf.Global().AddPhaseAlloc(perf.PhaseBaseline, base.AllocBytes)
 	out.ExtendedTime = ext.Duration

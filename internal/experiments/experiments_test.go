@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/fault"
 )
 
 func slice(t *testing.T, n int) []*corpus.Benchmark {
@@ -192,6 +194,63 @@ func TestRunExtensions(t *testing.T) {
 	RenderExtensions(&sb, []*ExtensionOutcome{o})
 	if !strings.Contains(sb.String(), "mini-schema") {
 		t.Error("render missing benchmark name")
+	}
+}
+
+// TestRunExtensionsPrior covers the prior-reuse path of RunExtensions:
+// given the main run's outcomes it reports exactly what solving every
+// variant from scratch reports, it takes the plain-hints edge count from a
+// clean prior, and it re-solves when the prior saw faults or degradation
+// or belongs to another project.
+func TestRunExtensionsPrior(t *testing.T) {
+	bs := corpus.WithDynCG()[:12]
+	outs, err := RunCorpus(bs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := map[string]*Outcome{}
+	for _, o := range outs {
+		prior[o.Name] = o
+	}
+	want, err := RunExtensionsCorpus(bs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunExtensionsCorpus(bs, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: with prior %+v, from scratch %+v", want[i].Name, *got[i], *want[i])
+		}
+	}
+
+	// A sentinel edge count shows whether the prior's extended result was
+	// used or the plain-hints variant was solved again.
+	const sentinel = -1
+	b := bs[0]
+	clean := *prior[b.Project.Name]
+	clean.Ext.CallEdges = sentinel
+	o, err := RunExtensions(b.Project, nil, &clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.EdgesPlain != sentinel {
+		t.Errorf("clean prior: plain edges %d, want the prior's %d", o.EdgesPlain, sentinel)
+	}
+	faulted, degraded, other := clean, clean, clean
+	faulted.Faults = []fault.Record{{Phase: "approx", Detail: "injected"}}
+	degraded.DegradedModules = []string{"index.js"}
+	other.Name = "another-project"
+	for name, p := range map[string]*Outcome{"faulted": &faulted, "degraded": &degraded, "other project": &other} {
+		o, err := RunExtensions(b.Project, nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.EdgesPlain != want[0].EdgesPlain {
+			t.Errorf("%s prior: plain edges %d, want the re-solved %d", name, o.EdgesPlain, want[0].EdgesPlain)
+		}
 	}
 }
 

@@ -34,10 +34,8 @@ type ExtensionOutcome struct {
 // non-nil, is the main corpus run's outcome for the same project: its
 // extended analysis solved the identical constraint system as the
 // plain-hints variant, so that re-solve is skipped (only when the outcome
-// is fault-free — degradation changes the extended graph), and its
-// baseline cycle condensation pre-unifies the remaining variant solves
-// (valid regardless of faults: the baseline graph never depends on hints).
-// Pass nil to solve all four variants from scratch.
+// is fault-free — degradation changes the extended graph). Pass nil to
+// solve all four variants from scratch.
 func RunExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome) (*ExtensionOutcome, error) {
 	ar, err := approx.Run(project, approx.Options{})
 	if err != nil {
@@ -45,17 +43,12 @@ func RunExtensions(project *modules.Project, cache *approx.Cache, prior *Outcome
 	}
 	out := &ExtensionOutcome{Name: project.Name}
 
-	var preUnify [][]static.Var
-	if prior != nil && prior.Name == project.Name {
-		preUnify = prior.baseCondensation
-	}
 	analyze := func(unknownArgs, evalCode bool) (int, error) {
 		res, err := static.Analyze(project, static.Options{
 			Mode:            static.WithHints,
 			Hints:           ar.Hints,
 			UnknownArgHints: unknownArgs,
 			EvalHints:       evalCode,
-			PreUnify:        preUnify,
 		})
 		if err != nil {
 			return 0, err

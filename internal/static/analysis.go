@@ -40,8 +40,6 @@ type Options struct {
 	// DisableDPR turns off the read-hint rule while keeping [DPW]
 	// (used for the Table 2 benchmark marked *, where [dpr] caused OOM).
 	DisableDPR bool
-	// DisableModuleHints turns off dynamic-module-load hint consumption.
-	DisableModuleHints bool
 	// EvalHints enables the §6 "dynamically generated code" extension:
 	// program text observed at eval sites during approximate
 	// interpretation is parsed and analyzed as additional code in the
@@ -54,15 +52,6 @@ type Options struct {
 	// hint should only be produced when no hints would otherwise be
 	// produced").
 	UnknownArgHints bool
-	// PreUnify lists groups of generation-time constraint variables to
-	// unify before solving. Exactness requires every group to be cyclic in
-	// this run's final constraint graph; the intended source is
-	// Result.Condensation from a baseline solve of the same project
-	// (constraint generation is deterministic and mode-independent, and
-	// hint rules only add constraints, so baseline cycles remain cycles
-	// under every hint-consuming variant). Results are unchanged; only
-	// solver effort drops. See solver.preUnify for the full argument.
-	PreUnify [][]Var
 	// SolverWorkers is the number of scan workers of the sharded epoch
 	// engine (parallel.go) that propagates constraints; 0 and 1 both mean
 	// one worker, with every epoch run inline. Results, solver-effort and
@@ -131,12 +120,6 @@ type Result struct {
 	// Options.Provenance was requested (on the extended result for the
 	// incremental path). It retains the solved constraint system.
 	Provenance *Provenance
-	// Condensation, set by AnalyzeBoth on the baseline result, lists the
-	// multi-member cycles of the baseline-final constraint graph over
-	// generation-time variables. Feeding it to Options.PreUnify lets later
-	// solves of the same project (the §6 extension variants) start
-	// condensed instead of rediscovering — and re-paying — the same cycles.
-	Condensation [][]Var
 }
 
 // Metrics computes the paper's §5 call-graph metrics for this result.
@@ -401,9 +384,6 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	if err := a.generate(); err != nil {
 		return nil, err
 	}
-
-	// Start from known cycle structure, when the caller has it.
-	a.s.preUnify(opts.PreUnify)
 
 	// §6 extension: analyze dynamically generated code observed by the
 	// pre-analysis as additional code of its module.

@@ -157,9 +157,8 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 		h.Write(lenBuf[:])
 	}
 	wr(s.project.Fingerprint())
-	wr(fmt.Sprintf("opts %d %t %t %t %t %t", opts.Mode,
-		opts.DisableDPR, opts.DisableModuleHints, opts.EvalHints,
-		opts.UnknownArgHints, opts.Provenance))
+	wr(fmt.Sprintf("opts %d %t %t %t %t", opts.Mode,
+		opts.DisableDPR, opts.EvalHints, opts.UnknownArgHints, opts.Provenance))
 	if opts.Hints != nil {
 		var hj bytes.Buffer
 		_ = opts.Hints.WriteJSON(&hj)
@@ -178,14 +177,6 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 	wrN(len(files))
 	for _, f := range files {
 		wr(f)
-	}
-	wrN(len(opts.PreUnify))
-	for _, group := range opts.PreUnify {
-		wrN(len(group))
-		for _, v := range group {
-			binary.BigEndian.PutUint64(lenBuf[:], uint64(v))
-			h.Write(lenBuf[:])
-		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -97,7 +97,6 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	if err := a.generate(); err != nil {
 		return nil, nil, nil, err
 	}
-	genVars := a.s.numVars()
 	preSolveTokens := len(a.tokens)
 	baseSolveStart := time.Now()
 	a.s.solve()
@@ -106,13 +105,6 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	baseParallel := a.s.parallelStats()
 	baseVars := a.s.numVars()
 	baseIters, baseDelivered := a.s.stats()
-	// Snapshot the baseline-final cycle structure over generation-time
-	// variables (running the full SCC sweep the delta solve would run at
-	// entry anyway). At a fixpoint every cycle's member sets are already
-	// equal, so the sweep moves no tokens and fires no triggers — it is
-	// semantically a no-op here — but its condensation lets later solves of
-	// the same project (the §6 extension variants) start unified.
-	condensation := a.s.condensationUpTo(Var(genVars))
 	postSolveTokens := len(a.tokens)
 	entries := a.mainEntries()
 	baseline = &Result{
@@ -129,7 +121,6 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		Duration:        time.Since(start),
 		AllocBytes:      perf.TotalAllocBytes() - alloc0,
 		Faults:          a.faults,
-		Condensation:    condensation,
 	}
 
 	// Phase 2 — switch to the extended options and inject the deltas. With
@@ -364,7 +355,7 @@ func (a *analyzer) rollbackTo(rb *analyzerRollback) {
 // the resumed solve consume the hints directly in requireCall; linking is
 // idempotent, so a site may safely take both paths.
 func (a *analyzer) injectModuleHintDeltas() {
-	if a.opts.Mode == Baseline || a.opts.DisableModuleHints || a.opts.Hints == nil {
+	if a.opts.Mode == Baseline || a.opts.Hints == nil {
 		return
 	}
 	for _, mh := range a.opts.Hints.ModuleHints() {

@@ -871,7 +871,7 @@ func (a *analyzer) requireCall(site loc.Loc, result Var) {
 		a.journal.dynRequires = append(a.journal.dynRequires, site)
 	}
 	a.dynRequires[site] = result
-	if a.opts.Mode != Baseline && !a.opts.DisableModuleHints && a.opts.Hints != nil {
+	if a.opts.Mode != Baseline && a.opts.Hints != nil {
 		for _, mh := range a.opts.Hints.ModuleHints() {
 			if mh.Site == site {
 				prev := a.pushCtx(RuleModuleHint, site, mh.Path)

@@ -110,7 +110,7 @@ type solver struct {
 	nVars  int
 	// prov, when non-nil, journals every analyzer-issued constraint with
 	// the ambient rule context (see provenance.go). Structural rewires —
-	// cycle collapse, preUnify, propagation — bypass addToken and addEdge,
+	// cycle collapse, propagation — bypass addToken and addEdge,
 	// so the journal stays a record of the reference constraint system
 	// keyed by original variable ids. Nil (one pointer check per
 	// constraint) unless Options.Provenance is set.
@@ -570,11 +570,8 @@ func (s *solver) collapse(members []Var) {
 		}
 	}
 	s.cyclesCollapsed++
-	// Contraction can close new representative-level cycles when the group
-	// is not itself an SCC (preUnify's classes need not be SCCs of the
-	// pre-solve graph), so the clean-graph sweep skip must be invalidated.
-	// collapseAllSCCs clears the flag again after its own collapses.
-	s.sccDirty = true
+	// Contracting a strongly connected set closes no cycle the graph did
+	// not already contain, so the sccDirty flag is left as it is.
 	// Point every member at the winner first, so intra-group edges resolve
 	// to self (and are dropped) while the contents merge.
 	for _, m := range members {
@@ -750,78 +747,6 @@ func (s *solver) collapseAllSCCs() {
 	// skipped until an edge addition dirties it again. Cleared after the
 	// collapses, whose merge-time edge moves stay within this pass.
 	s.sccDirty = false
-}
-
-// preUnify unifies the given variable groups before (or during) a solve.
-// Exactness contract: every group's members must have equal sets at this
-// run's *final* least fixpoint. Then the unification constraints (v ⊆ w and
-// w ⊆ v for group mates) already hold at that fixpoint, so adding them up
-// front cannot change it — the original fixpoint satisfies the augmented
-// system, and monotonicity gives inclusion both ways. The intended source
-// of groups is condensationUpTo from a baseline solve of the same project,
-// whose classes are cycles: hint rules only ever add constraints, so
-// baseline cycles stay cycles — and set-equal — in every hint-consuming
-// variant. Unknown variable ids are skipped, making a stale group set safe
-// (it can only under-collapse, never miscollapse).
-func (s *solver) preUnify(groups [][]Var) {
-	if s.noUnify {
-		return
-	}
-	var members []Var
-	for _, g := range groups {
-		members = members[:0]
-		seen := map[Var]struct{}{}
-		for _, v := range g {
-			if int(v) >= s.nVars {
-				continue
-			}
-			r := s.find(v)
-			if _, dup := seen[r]; dup {
-				continue
-			}
-			seen[r] = struct{}{}
-			members = append(members, r)
-		}
-		if len(members) >= 2 {
-			s.collapse(members)
-		}
-	}
-}
-
-// condensationUpTo runs a full SCC sweep and returns the multi-member
-// union-find classes restricted to variables below limit (the
-// generation-time watermark), each ascending, ordered by smallest member.
-// The result is a deterministic snapshot of the solved graph's cycle
-// structure, suitable for preUnify on a later solve of any superset of
-// this constraint system.
-func (s *solver) condensationUpTo(limit Var) [][]Var {
-	if s.noUnify {
-		return nil
-	}
-	if int(limit) > s.nVars {
-		limit = Var(s.nVars)
-	}
-	s.collapseAllSCCs()
-	// Most classes are singletons. Count members per representative first,
-	// so only multi-member classes get a slice. A representative's slot
-	// then turns from its member count into -(group index + 1) when its
-	// group is created, at its smallest member.
-	slot := make([]int32, s.nVars)
-	for v := Var(0); v < limit; v++ {
-		slot[s.find(v)]++
-	}
-	var groups [][]Var
-	for v := Var(0); v < limit; v++ {
-		r := s.find(v)
-		switch n := slot[r]; {
-		case n < 0:
-			groups[-n-1] = append(groups[-n-1], v)
-		case n >= 2:
-			slot[r] = -int32(len(groups)) - 1
-			groups = append(groups, append(make([]Var, 0, n), v))
-		}
-	}
-	return groups
 }
 
 // ----------------------------------------------------------------- rollback
