@@ -33,10 +33,10 @@
 // -max-concurrency bounds how many analyses (full, delta, or provenance)
 // may run at once across all sessions — excess requests queue on the
 // global semaphore instead of oversubscribing the host. -solver-workers
-// selects the constraint-propagation engine for every solve (the sharded
-// epoch engine when >= 1); a request may override it per call with
-// "solver_workers", which is always safe: reports are byte-identical at
-// every worker count.
+// sets the epoch engine's worker count for every solve; reports are
+// byte-identical at every worker count. A request cannot change it: the
+// count sizes per-analysis buffers, so it is the operator's choice, not the
+// client's.
 package main
 
 import (
@@ -75,15 +75,11 @@ type deltaPayload struct {
 
 // analyzeRequest is the POST /analyze body: exactly one of Project (full
 // analysis, opens/replaces the session) or Delta (requires Session).
-// SolverWorkers, when present, overrides the daemon's -solver-workers for
-// this request only (the epoch engine's scan-worker count, 0 and 1 both
-// meaning one; reports are identical at every value, only the wall time
-// changes).
+// Unknown fields are ignored.
 type analyzeRequest struct {
-	Session       string          `json:"session,omitempty"`
-	Project       *projectPayload `json:"project,omitempty"`
-	Delta         *deltaPayload   `json:"delta,omitempty"`
-	SolverWorkers *int            `json:"solver_workers,omitempty"`
+	Session string          `json:"session,omitempty"`
+	Project *projectPayload `json:"project,omitempty"`
+	Delta   *deltaPayload   `json:"delta,omitempty"`
 }
 
 // graphSummary is the per-graph slice of an analysis response.
@@ -295,11 +291,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	solverWorkers := s.solverWorkers
-	if req.SolverWorkers != nil && *req.SolverWorkers >= 0 {
-		solverWorkers = *req.SolverWorkers
-	}
-	resp, err := s.analyze(sess, req.Delta, solverWorkers)
+	resp, err := s.analyze(sess, req.Delta)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 		return
@@ -467,7 +459,7 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 // sessions while independent sessions still run in parallel. The panic
 // guard converts a panicking analysis into an error response, keeping the
 // daemon and the session map alive.
-func (s *server) analyze(sess *session, delta *deltaPayload, solverWorkers int) (resp *analyzeResponse, err error) {
+func (s *server) analyze(sess *session, delta *deltaPayload) (resp *analyzeResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("analysis panicked (contained): %v", r)
@@ -500,7 +492,7 @@ func (s *server) analyze(sess *session, delta *deltaPayload, solverWorkers int) 
 
 	base, ext, reused, err := sess.ds.Analyze(static.Options{
 		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
-		SolverWorkers: solverWorkers,
+		SolverWorkers: s.solverWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("static: %w", err)
@@ -545,7 +537,7 @@ func main() {
 		addr           = flag.String("addr", ":8791", "listen address")
 		approxDeadline = flag.Duration("approx-deadline", 2*time.Second, "per-worklist-item deadline of the pre-analysis; tripped items become contained faults and degrade their module's hints (0 = unlimited)")
 		maxSessions    = flag.Int("max-sessions", 64, "maximum resident sessions; opening one more evicts the least recently used")
-		solverWorkers  = flag.Int("solver-workers", 0, "epoch-engine scan workers per analysis (0 and 1 both mean one worker — reports are identical at every value); overridable per request with \"solver_workers\"")
+		solverWorkers  = flag.Int("solver-workers", 0, "epoch-engine scan workers per analysis (0 and 1 both mean one worker — reports are identical at every value)")
 		maxConcurrency = flag.Int("max-concurrency", 0, "maximum analyses running at once across all sessions (0 = NumCPU); excess requests queue")
 	)
 	flag.Parse()

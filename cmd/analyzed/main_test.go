@@ -243,11 +243,10 @@ func TestConcurrentDeltaRequests(t *testing.T) {
 }
 
 // TestConcurrentSessionsMixedRequests drives several independent sessions
-// at once — each worker opens its own session with the parallel solver
-// engine, then alternates edit deltas and no-op deltas against it while a
-// separate worker keeps opening fresh full-analysis sessions — through a
-// server with a deliberately small -max-concurrency, so requests queue on
-// the global semaphore under -race. Every response must succeed, deltas
+// at once — each worker opens its own session, then alternates edit deltas
+// and no-op deltas against it — through a server with two solver workers
+// and a deliberately small -max-concurrency, so requests queue on the
+// global semaphore under -race. Every response must succeed, deltas
 // must land on the right session, and the per-session metrics must match a
 // single-threaded run of the same requests.
 func TestConcurrentSessionsMixedRequests(t *testing.T) {
@@ -269,8 +268,7 @@ func TestConcurrentSessionsMixedRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sw := i % 3 // mix sequential and epoch engines per session
-			status, full := post(t, ts, analyzeRequest{Project: testProjectPayload(), SolverWorkers: &sw})
+			status, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
 			if status != http.StatusOK {
 				errs <- fmt.Sprintf("worker %d: full analysis status %d", i, status)
 				return
@@ -305,6 +303,38 @@ func TestConcurrentSessionsMixedRequests(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestAnalyzeIgnoresSolverWorkersField sends the removed per-request
+// "solver_workers" override with a value no host could allocate buffers
+// for. The daemon must ignore it and answer with the metrics of a plain
+// request: the worker count is the operator's -solver-workers, never
+// client input.
+func TestAnalyzeIgnoresSolverWorkersField(t *testing.T) {
+	ts := newTestServer(t)
+	_, want := post(t, ts, analyzeRequest{Project: testProjectPayload()})
+
+	project, err := json.Marshal(testProjectPayload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"project": %s, "solver_workers": %d}`, project, int64(1)<<50)
+	res, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", res.StatusCode)
+	}
+	var got analyzeResponse
+	if err := json.NewDecoder(res.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Baseline != want.Baseline || got.Extended != want.Extended || got.HintCount != want.HintCount {
+		t.Errorf("metrics %+v / %+v, want the default request's %+v / %+v",
+			got.Baseline, got.Extended, want.Baseline, want.Extended)
 	}
 }
 

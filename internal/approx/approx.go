@@ -32,9 +32,6 @@ type Options struct {
 	MaxLoopIters int64
 	// MaxDepth bounds the call-stack depth per item (default 200).
 	MaxDepth int
-	// MaxItems bounds the total number of worklist items processed, as a
-	// safety net for generated corpora (default 100000).
-	MaxItems int
 	// ForceBranches enables the §6 "approximate interpretation of function
 	// fragments" extension: while forcing a function, the untaken branch
 	// of each if/else executes as well, discovering definitions behind
@@ -59,15 +56,16 @@ type Options struct {
 	WrapHooks func(interp.Hooks) interp.Hooks
 }
 
+// maxItems bounds the total number of worklist items processed, as a safety
+// net for generated corpora.
+const maxItems = 100000
+
 func (o Options) withDefaults() Options {
 	if o.MaxLoopIters == 0 {
 		o.MaxLoopIters = 20000
 	}
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 200
-	}
-	if o.MaxItems == 0 {
-		o.MaxItems = 100000
 	}
 	return o
 }
@@ -185,8 +183,7 @@ func Run(project *modules.Project, opts Options) (*Result, error) {
 	}
 	a.it = interp.New(interp.Options{
 		Hooks:        hooks,
-		Proxy:        true,
-		Lenient:      true,
+		Approximate:  true,
 		MaxLoopIters: opts.MaxLoopIters,
 		MaxDepth:     opts.MaxDepth,
 		Deadline:     opts.Deadline,
@@ -223,7 +220,7 @@ func Run(project *modules.Project, opts Options) (*Result, error) {
 	}
 
 	items := 0
-	for len(a.worklist) > 0 && items < opts.MaxItems {
+	for len(a.worklist) > 0 && items < maxItems {
 		item := a.worklist[0]
 		a.worklist = a.worklist[1:]
 		items++

@@ -21,7 +21,7 @@ var DefaultMegaWorkers = []int{1, 2, 4}
 // the effort and structure counters of every row must agree exactly;
 // RunMegaBench returns an error (rather than a snapshot) when they do not,
 // making any nondeterminism a hard failure of the benchmark itself. Wall
-// times and scheduling diagnostics (steals, phase splits) are the only fields
+// times and scheduling diagnostics (phase splits) are the only fields
 // allowed to vary.
 func RunMegaBench(nModules int, workers []int) (*perf.Bench, error) {
 	if len(workers) == 0 {
@@ -50,7 +50,6 @@ func RunMegaBench(nModules int, workers []int) (*perf.Bench, error) {
 				SolverTailMS:         float64(res.Parallel.TailNS) / 1e6,
 				SolverSweepOverlapMS: float64(res.Parallel.SweepOverlapNS) / 1e6,
 				SolverEpochs:         res.Parallel.Epochs,
-				SolverSteals:         res.Parallel.Steals,
 				SolverCrossShard:     res.Parallel.CrossShard,
 				SolverAsyncSweeps:    res.Parallel.AsyncSweeps,
 				SolveIterations:      res.SolveIterations,

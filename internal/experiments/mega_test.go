@@ -45,17 +45,18 @@ func TestRunMegaBench(t *testing.T) {
 }
 
 // TestCorpusSolverWorkersDeterministic runs a corpus slice through the full
-// evaluation pipeline at the default solver setting (0) and at several
-// epoch-engine worker counts, and requires the rendered report bytes, the
-// outcomes and the solver-effort counters to be identical — the 0-byte
-// report-diff guarantee, end to end — with the epoch engine running at
-// every setting.
+// evaluation pipeline, ablation arm included, at the default solver setting
+// (0) and at several epoch-engine worker counts, and requires the rendered
+// report bytes, the outcomes and the solver-effort counters to be
+// identical — the 0-byte report-diff guarantee, end to end — with the epoch
+// engine running at every setting. The rolled-back ablation arm runs its
+// window on the epoch engine too, so its epochs count at every setting.
 func TestCorpusSolverWorkersDeterministic(t *testing.T) {
 	type effort struct{ iterations, tokens, epochs int64 }
 	render := func(solverWorkers int) ([]byte, []*Outcome, effort) {
 		before := perf.Global().Snapshot()
 		outs, err := RunCorpusOpts(slice(t, 6), Options{
-			WithDynCG: true, Workers: 1, SolverWorkers: solverWorkers,
+			WithDynCG: true, WithAblation: true, Workers: 1, SolverWorkers: solverWorkers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,6 +75,11 @@ func TestCorpusSolverWorkersDeterministic(t *testing.T) {
 		RenderFigure(&buf, outs, 7)
 		RenderTable2(&buf, outs)
 		RenderSummary(&buf, Aggregate(outs))
+		rows, err := AblationRows(outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RenderAblation(&buf, rows)
 		return buf.Bytes(), outs, eff
 	}
 

@@ -43,7 +43,7 @@ func TestDeadlineContainsSpin(t *testing.T) {
 		opts Options
 	}{
 		{"strict", Options{Deadline: limit}},
-		{"lenient", Options{Deadline: limit, Proxy: true, Lenient: true}},
+		{"lenient", Options{Deadline: limit, Approximate: true}},
 	}
 	for _, mode := range modes {
 		for _, prog := range spinPrograms {
@@ -120,7 +120,7 @@ func TestStepBudget(t *testing.T) {
 		opts Options
 	}{
 		{"strict", Options{MaxSteps: 1000}},
-		{"lenient", Options{MaxSteps: 1000, Proxy: true, Lenient: true}},
+		{"lenient", Options{MaxSteps: 1000, Approximate: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			err := runWithOptions(t, "var i = 0; while (true) { i = i + 1; }", mode.opts)

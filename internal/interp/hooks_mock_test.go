@@ -42,7 +42,7 @@ func TestAccessors(t *testing.T) {
 // read yields the mock function, which invokes callable arguments with
 // proxy arguments and returns p*.
 func TestMockModuleSemantics(t *testing.T) {
-	it := New(Options{Proxy: true, Lenient: true})
+	it := New(Options{Approximate: true})
 	mock := it.NewMockModule()
 	prog, err := parser.Parse("t.js", `
 var sawArgs = null;

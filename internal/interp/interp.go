@@ -92,14 +92,12 @@ type Options struct {
 	// driven by some expression, so bounding steps bounds allocation.
 	// Resets on ResetBudget. Tripping it aborts even in lenient mode.
 	MaxSteps int64
-	// Lenient enables forced-execution error recovery: property accesses
-	// on undefined/null and calls to non-functions yield the proxy value
-	// instead of throwing TypeError. Requires Proxy mode.
-	Lenient bool
-	// Proxy enables approximate-interpretation mode: the interpreter
+	// Approximate enables approximate-interpretation mode: the interpreter
 	// allocates the global proxy object p* and gives it the semantics of
-	// Section 3 of the paper.
-	Proxy bool
+	// Section 3 of the paper, and recovers from errors the way forced
+	// execution needs — property accesses on undefined/null and calls to
+	// non-functions yield p* instead of throwing TypeError.
+	Approximate bool
 }
 
 type ctrlKind int
@@ -174,7 +172,7 @@ func New(opts Options) *Interp {
 		maxLoopIters: opts.MaxLoopIters,
 		deadlineDur:  opts.Deadline,
 		maxSteps:     opts.MaxSteps,
-		lenient:      opts.Lenient,
+		lenient:      opts.Approximate,
 		rngState:     0x9E3779B97F4A7C15,
 	}
 	it.budgetActive = it.deadlineDur > 0 || it.maxSteps > 0
@@ -190,7 +188,7 @@ func New(opts Options) *Interp {
 	if it.maxDepth == 0 {
 		it.maxDepth = 2500
 	}
-	if opts.Proxy {
+	if opts.Approximate {
 		it.proxy = &value.Object{Class: value.ClassProxy}
 	}
 	it.setupGlobals()

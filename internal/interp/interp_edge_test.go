@@ -258,7 +258,7 @@ var result = f();`), 10)
 }
 
 func TestProxyDeepBehaviors(t *testing.T) {
-	it := New(Options{Proxy: true, Lenient: true, MaxLoopIters: 1000})
+	it := New(Options{Approximate: true, MaxLoopIters: 1000})
 	p := it.Proxy()
 	prog, err := parser.Parse("test.js", `
 // Arithmetic with p*: NaN-ish, but never crashes.
@@ -297,7 +297,7 @@ var inst = new mystery(1, 2);
 }
 
 func TestForceCallBindsEverything(t *testing.T) {
-	it := New(Options{Proxy: true, Lenient: true, MaxLoopIters: 1000})
+	it := New(Options{Approximate: true, MaxLoopIters: 1000})
 	prog, err := parser.Parse("test.js", `
 var observed = null;
 function target(a, b) {

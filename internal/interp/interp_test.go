@@ -488,7 +488,7 @@ func TestBudgetLimits(t *testing.T) {
 }
 
 func TestProxyModeSemantics(t *testing.T) {
-	it := New(Options{Proxy: true, Lenient: true, MaxLoopIters: 10000})
+	it := New(Options{Approximate: true, MaxLoopIters: 10000})
 	p := it.Proxy()
 	if p == nil {
 		t.Fatal("no proxy value in proxy mode")
@@ -530,7 +530,7 @@ for (var i = 0; i < mystery.length; i++) { loopRan = "yes"; }
 }
 
 func TestLenientMode(t *testing.T) {
-	it := New(Options{Proxy: true, Lenient: true})
+	it := New(Options{Approximate: true})
 	prog, err := parser.Parse("test.js", `
 var a = totallyUndefinedVariable;
 var b = undefined_thing_2.prop.deeper;

@@ -16,8 +16,7 @@ import (
 func runGenerated(t *testing.T, src string, lenient bool) (string, error) {
 	t.Helper()
 	it := New(Options{
-		Proxy:        lenient,
-		Lenient:      lenient,
+		Approximate:  lenient,
 		MaxLoopIters: 50_000,
 		MaxDepth:     300,
 	})

@@ -200,7 +200,7 @@ func TestSandboxMocks(t *testing.T) {
 			"/app/index.js": "var fs = require('fs');\nmodule.exports = fs;",
 		},
 	}
-	it := interp.New(interp.Options{Proxy: true, Lenient: true})
+	it := interp.New(interp.Options{Approximate: true})
 	r := NewRegistry(p, it)
 	r.Sandbox = true
 	v, err := r.Load("/app/index.js")

@@ -76,14 +76,12 @@ type Counters struct {
 	edgesDeduped     atomic.Int64
 	redundantSkipped atomic.Int64
 
-	// Epoch-engine activity: epochs crossed, chunks stolen across workers,
-	// deliveries whose target landed in a different shard than the source,
+	// Epoch-engine activity: epochs crossed, deliveries whose target landed in a different shard than the source,
 	// concurrent Tarjan sweeps launched, and the wall time split between the
 	// pipeline phases — the read-only scan+winnow, the shard-owned parallel
 	// apply pass, and the serial reconciliation tail — plus the sweep compute
 	// time hidden behind the parallel phases.
 	solverEpochs         atomic.Int64
-	solverSteals         atomic.Int64
 	solverCrossShard     atomic.Int64
 	solverAsyncSweeps    atomic.Int64
 	solverScanNS         atomic.Int64
@@ -154,11 +152,10 @@ func (c *Counters) AddSolveStructure(cycles, unified, deduped, skipped int64) {
 }
 
 // AddSolverParallel accrues one parallel-solver run: epochs crossed,
-// chunks stolen, cross-shard deliveries, concurrent sweeps launched, and
-// the scan/apply/tail/sweep-overlap wall-time split.
-func (c *Counters) AddSolverParallel(epochs, steals, crossShard, asyncSweeps, scanNS, applyNS, tailNS, sweepOverlapNS int64) {
+// cross-shard deliveries, concurrent sweeps launched, and the
+// scan/apply/tail/sweep-overlap wall-time split.
+func (c *Counters) AddSolverParallel(epochs, crossShard, asyncSweeps, scanNS, applyNS, tailNS, sweepOverlapNS int64) {
 	c.solverEpochs.Add(epochs)
-	c.solverSteals.Add(steals)
 	c.solverCrossShard.Add(crossShard)
 	c.solverAsyncSweeps.Add(asyncSweeps)
 	c.solverScanNS.Add(scanNS)
@@ -227,7 +224,6 @@ func (c *Counters) Reset() {
 	c.edgesDeduped.Store(0)
 	c.redundantSkipped.Store(0)
 	c.solverEpochs.Store(0)
-	c.solverSteals.Store(0)
 	c.solverCrossShard.Store(0)
 	c.solverAsyncSweeps.Store(0)
 	c.solverScanNS.Store(0)
@@ -271,11 +267,10 @@ type Snapshot struct {
 	RedundantSkipped int64 `json:"redundant_deliveries_skipped,omitempty"`
 
 	// Epoch-engine activity. SolverEpochs, SolverCrossShard, and
-	// SolverAsyncSweeps are deterministic at every worker count;
-	// SolverSteals and the phase times (scan+winnow / parallel apply /
-	// serial tail / sweep overlap) are scheduling-dependent diagnostics.
+	// SolverAsyncSweeps are deterministic at every worker count; the phase
+	// times (scan+winnow / parallel apply / serial tail / sweep overlap) are
+	// scheduling-dependent diagnostics.
 	SolverEpochs         int64   `json:"solver_epochs,omitempty"`
-	SolverSteals         int64   `json:"solver_steals,omitempty"`
 	SolverCrossShard     int64   `json:"solver_cross_shard_deliveries,omitempty"`
 	SolverAsyncSweeps    int64   `json:"solver_async_sweeps,omitempty"`
 	SolverScanMS         float64 `json:"solver_scan_ms,omitempty"`
@@ -314,7 +309,6 @@ func (c *Counters) Snapshot() Snapshot {
 		EdgesDeduped:         c.edgesDeduped.Load(),
 		RedundantSkipped:     c.redundantSkipped.Load(),
 		SolverEpochs:         c.solverEpochs.Load(),
-		SolverSteals:         c.solverSteals.Load(),
 		SolverCrossShard:     c.solverCrossShard.Load(),
 		SolverAsyncSweeps:    c.solverAsyncSweeps.Load(),
 		SolverScanMS:         float64(c.solverScanNS.Load()) / 1e6,
@@ -370,8 +364,8 @@ func (s Snapshot) Render(w io.Writer) {
 			s.CyclesCollapsed, s.VarsUnified, s.EdgesDeduped, s.RedundantSkipped)
 	}
 	if s.SolverEpochs > 0 {
-		fmt.Fprintf(w, "parallel solver:    %d epochs, %d steals, %d cross-shard deliveries, %d async sweeps, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep overlap %.1f ms)\n",
-			s.SolverEpochs, s.SolverSteals, s.SolverCrossShard, s.SolverAsyncSweeps,
+		fmt.Fprintf(w, "parallel solver:    %d epochs, %d cross-shard deliveries, %d async sweeps, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep overlap %.1f ms)\n",
+			s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps,
 			s.SolverScanMS, s.SolverApplyMS, s.SolverTailMS, s.SolverSweepOverlapMS)
 	}
 	if s.CacheHits+s.CacheMisses > 0 {

@@ -52,13 +52,12 @@ type Options struct {
 	// hint should only be produced when no hints would otherwise be
 	// produced").
 	UnknownArgHints bool
-	// SolverWorkers is the number of scan workers of the sharded epoch
-	// engine (parallel.go) that propagates constraints; 0 and 1 both mean
-	// one worker, with every epoch run inline. Results, solver-effort and
-	// structure counters are identical for every value: the epoch schedule
-	// does not depend on the worker count. Phases that must run in exact
-	// no-unify mode (the rolled-back ablation arm) use the solver's plain
-	// pop loop regardless of this setting.
+	// SolverWorkers is the number of workers of the sharded epoch engine
+	// (parallel.go) that propagates constraints in every solve, the
+	// rolled-back ablation arm's included; 0 and 1 both mean one worker,
+	// with every epoch run inline. Results, solver-effort and structure
+	// counters are identical for every value: the epoch schedule does not
+	// depend on the worker count.
 	SolverWorkers int
 	// Provenance enables the constraint-provenance journal: every issued
 	// constraint records the rule chain that produced it (rule id, source
@@ -328,7 +327,7 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 // perf counters and returns them for the Result.
 func (a *analyzer) recordParallelStats() ParallelSolveStats {
 	ps := a.s.parallelStats()
-	perf.Global().AddSolverParallel(ps.Epochs, ps.Steals, ps.CrossShard, ps.AsyncSweeps,
+	perf.Global().AddSolverParallel(ps.Epochs, ps.CrossShard, ps.AsyncSweeps,
 		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepOverlapNS)
 	return ps
 }

@@ -1,9 +1,8 @@
 package static
 
-// The sharded, work-stealing propagation engine: the solver's only
-// unifying engine. It computes the least fixpoint with the same counter
-// values for any worker count, by splitting each round of propagation into
-// a pipeline of phases:
+// The sharded epoch engine: the solver's only propagation loop. It computes
+// the least fixpoint with the same counter values for any worker count, by
+// splitting each round of propagation into a pipeline of phases:
 //
 //   - a scan phase that is strictly read-only over solver state: the pending
 //     frontier (everything queued since the last round) is partitioned into
@@ -11,9 +10,8 @@ package static
 //     and scanned by the workers — each delivery's edge list is walked and
 //     the destinations that would newly receive the token are recorded as
 //     proposals, together with the frozen edge/self-edge counts the apply
-//     pass needs for exact effort accounting. Chunks are distributed
-//     round-robin over per-worker Chase-Lev deques; an idle worker steals
-//     from the top of a victim's deque while owners pop from the bottom.
+//     pass needs for exact effort accounting. Every chunk exists before the
+//     workers start, so they claim chunks through one shared cursor.
 //
 //   - a winnow phase (parallel, partitioned by destination shard) that
 //     resolves same-epoch duplicate proposals to exactly one winner per
@@ -54,23 +52,24 @@ package static
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
 // incremental baseline→extended resume exact, and the one the property
-// tests check against the no-unify reference solver. Determinism: proposal
-// slots are keyed by (shard, sequence), which depends only on the
-// epoch-start state, never on which worker scanned or applied a chunk or in
-// what order; ownership splits (shard mod workers) change which goroutine
-// performs an operation but not its position in the fixed replay order, and
-// everything order-sensitive (queue scheduling, LCD notes, triggers) runs in
-// the serial tail. Hence reports *and* effort counters are identical across
-// worker counts, and identical between the concurrent path and the inline
-// path used for small frontiers.
+// tests check against the FIFO reference solver (solveFIFO, a test file).
+// Determinism: proposal slots are keyed by (shard, sequence), which depends
+// only on the epoch-start state, never on which worker scanned or applied a
+// chunk or in what order; ownership splits (shard mod workers) change which
+// goroutine performs an operation but not its position in the fixed replay
+// order, and everything order-sensitive (queue scheduling, LCD notes,
+// triggers) runs in the serial tail. Hence reports *and* effort counters
+// are identical across worker counts, and identical between the concurrent
+// path and the inline path used for small frontiers.
 //
 // A collapsed SCC never spans shards: sharding hashes the union-find
 // representative, so every member of a unified group lands wherever its
 // representative lands. All unification (LCD, sweep reconciliation) runs
 // between epochs on the solver goroutine.
 //
-// The exact no-unify mode (rollback windows, the reference solver) runs the
-// plain pop loop in solve() instead.
+// A rollback window (noUnify) runs the same loop with collapsing off: no
+// entry sweep, no LCD or sweep rounds, and noteLCD records nothing, so every
+// mutation of the window stays append-only and rollbackTo can unwind it.
 
 import (
 	"sync"
@@ -80,15 +79,15 @@ import (
 
 const (
 	// shardBits fixes the shard count. 64 shards keep the partition pass
-	// cheap while giving the work-stealing layer enough grain to balance:
-	// the mega tier's frontiers spread over effectively all shards, and a
-	// chunk never crosses a shard boundary.
+	// cheap while giving the winnow and apply workers enough grain to
+	// balance: the mega tier's frontiers spread over effectively all shards,
+	// and a chunk never crosses a shard boundary.
 	shardBits = 6
 	nShards   = 1 << shardBits
 
-	// epochChunk is the steal granularity: deliveries per chunk. Small
-	// enough that one hot shard splits into many stealable pieces, large
-	// enough that deque traffic stays a fraction of scan work.
+	// epochChunk is the scan's claim granularity: deliveries per chunk.
+	// Small enough that one hot shard splits into many pieces, large enough
+	// that claiming stays a fraction of scan work.
 	epochChunk = 64
 
 	// cycleEpochCap bounds the deliveries consumed per epoch while lazy
@@ -123,17 +122,14 @@ var inlineFrontierMax = 512
 var asyncSweepMinFrontier = 1024
 
 // ParallelSolveStats describes one solver's epoch-engine activity.
-// Epochs, CrossShard, AsyncSweeps, and ShardDelivered are deterministic
-// (identical for every worker count); Steals and the phase times depend on
-// scheduling and are diagnostics only.
+// Epochs, CrossShard and AsyncSweeps are deterministic (identical for every
+// worker count); the phase times depend on scheduling and are diagnostics
+// only.
 type ParallelSolveStats struct {
 	// Epochs is the number of pipeline rounds run.
 	Epochs int64
-	// Steals counts chunks an idle worker took from another worker's deque.
-	Steals int64
 	// CrossShard counts applied proposals whose destination variable lives
-	// in a different shard than the delivery that produced them — the
-	// cross-shard edge traffic the steal deques exist to balance.
+	// in a different shard than the delivery that produced them.
 	CrossShard int64
 	// AsyncSweeps counts batched Tarjan sweeps launched concurrently with
 	// the parallel phases. The launch policy reads only deterministic solver
@@ -203,16 +199,16 @@ const (
 
 // chunkRef identifies one contiguous run of a shard's frontier (kind
 // chunkFrontier) or of the active push-task list (kind chunkPush, shard -1).
+// Its index in parallelEngine.chunks is its deterministic id.
 type chunkRef struct {
-	id    int32
 	shard int32
 	lo    int32
 	hi    int32
 	kind  int8
 }
 
-// chunkOut is the scan output of one chunk, indexed by the chunk's
-// deterministic id so its content never depends on which worker produced
+// chunkOut is the scan output of one chunk, at the chunk's index in
+// parallelEngine.chunks so its content never depends on which worker produced
 // it. Slices are parallel per delivery: ends[i] is the end offset of
 // delivery i's proposals in dests, edgeCnt[i] is the epoch-start edge count
 // (-1 when the delivery was already redundant at scan time), selfCnt[i] the
@@ -288,67 +284,6 @@ type winKey struct {
 	t Token
 }
 
-// wsDeque is a fixed-content Chase-Lev work-stealing deque: the owner pops
-// from the bottom (LIFO, cache-warm), thieves steal from the top with a
-// CAS. The item array is filled before the workers start and never written
-// afterwards, so the classic ring-buffer growth races cannot occur; top and
-// bottom are the only shared mutable words.
-type wsDeque struct {
-	items  []chunkRef
-	top    atomic.Int64
-	bottom atomic.Int64
-	// pad keeps neighboring deques off one cache line under false sharing.
-	_ [64]byte
-}
-
-func (d *wsDeque) reset() {
-	d.items = d.items[:0]
-	d.top.Store(0)
-	d.bottom.Store(0)
-}
-
-func (d *wsDeque) push(c chunkRef) {
-	// Pre-distribution only: runs before the workers launch.
-	d.items = append(d.items, c)
-	d.bottom.Store(int64(len(d.items)))
-}
-
-// popBottom takes the owner's next chunk, or reports an empty deque.
-func (d *wsDeque) popBottom() (chunkRef, bool) {
-	b := d.bottom.Add(-1)
-	t := d.top.Load()
-	if t > b {
-		d.bottom.Store(b + 1)
-		return chunkRef{}, false
-	}
-	c := d.items[b]
-	if t == b {
-		// Last item: contend with thieves for it via the top CAS.
-		if !d.top.CompareAndSwap(t, t+1) {
-			d.bottom.Store(b + 1)
-			return chunkRef{}, false
-		}
-		d.bottom.Store(b + 1)
-	}
-	return c, true
-}
-
-// stealTop takes the oldest chunk from a victim's deque. The third result
-// reports whether the deque looked nonempty (a failed CAS counts: someone
-// else won the race, so the thief should keep scanning victims).
-func (d *wsDeque) stealTop() (chunkRef, bool, bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return chunkRef{}, false, false
-	}
-	c := d.items[t]
-	if !d.top.CompareAndSwap(t, t+1) {
-		return chunkRef{}, false, true
-	}
-	return c, true, true
-}
-
 // applyAcc is one apply-pass worker's effort accumulator. The tail folds
 // the accumulators into the solver counters with plain integer sums, which
 // are independent of how deliveries were split across workers, so counters
@@ -366,20 +301,17 @@ type applyAcc struct {
 // scan or apply pass, shardFrontier/chunks are read-only, outs entries are
 // written by exactly one worker each (chunks are claimed exactly once in
 // the scan; the winnow and apply passes partition slots by shard), and the
-// deques synchronize claiming.
+// cursor synchronizes claiming.
 type parallelEngine struct {
 	workers int
 	stats   ParallelSolveStats
-	// shardDelivered counts apply-pass-processed deliveries per shard —
-	// deterministic, used to observe shard balance. Written only by each
-	// shard's owning worker.
-	shardDelivered [nShards]int64
 
 	shardFrontier [nShards][]delivery
 	chunks        []chunkRef
 	outs          []chunkOut
-	deques        []wsDeque
 	accs          []applyAcc
+	// cursor is the index of the next unclaimed scan chunk in chunks.
+	cursor atomic.Int64
 
 	// deferPush is set for the duration of a serial tail: addEdge calls
 	// from triggers record pushTasks instead of pushing token prefixes
@@ -421,7 +353,6 @@ func newParallelEngine(workers int) *parallelEngine {
 	}
 	return &parallelEngine{
 		workers: workers,
-		deques:  make([]wsDeque, workers),
 		accs:    make([]applyAcc, workers),
 	}
 }
@@ -433,17 +364,20 @@ func (s *solver) configureParallel(workers int) {
 	s.par = newParallelEngine(workers)
 }
 
-// solveParallel runs propagation to a fixpoint on the epoch engine. Between
-// epochs it runs the LCD/sweep cadence (with batched Tarjan sweeps handed to
-// a concurrent worker); within an epoch the frontier is scanned, winnowed,
-// and applied in parallel, then reconciled by the serial tail.
-func (s *solver) solveParallel() {
+// solve runs propagation to a fixpoint on the epoch engine. Between epochs
+// it runs the LCD/sweep cadence (with batched Tarjan sweeps handed to a
+// concurrent worker); within an epoch the frontier is scanned, winnowed,
+// and applied in parallel, then reconciled by the serial tail. Inside a
+// rollback window (noUnify) every collapse step is skipped.
+func (s *solver) solve() {
 	p := s.par
-	// Entry sweep: collapse every cycle the constraint generator (or a
-	// previous solve round plus injected deltas) built statically, before
-	// any token crosses its edges. Synchronous, since there is no parallel
-	// work to overlap it with yet.
-	s.collapseAllSCCs()
+	if !s.noUnify {
+		// Entry sweep: collapse every cycle the constraint generator (or a
+		// previous solve round plus injected deltas) built statically,
+		// before any token crosses its edges. Synchronous, since there is no
+		// parallel work to overlap it with yet.
+		s.collapseAllSCCs()
+	}
 	for s.head < len(s.queue) || len(p.pushTasks) > 0 || p.sweepLive || p.sweepDone {
 		if p.sweepDone {
 			// Reconcile the sweep joined by the previous tail: collapse its
@@ -469,7 +403,7 @@ func (s *solver) solveParallel() {
 			// possibly-uncollapsed state stays bounded.
 			budget = cycleEpochCap
 		}
-		if !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
+		if !s.noUnify && !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
 			// Collapse round: every epoch that produced cycle evidence gets
 			// one before the next epoch consumes more of the frontier.
 			// Deferred pushes never wait for it and never run inline for it —
@@ -646,8 +580,8 @@ func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
 
 // partition drains the delivery queue — all of it, or at most budget
 // entries when cycle detection asked for a short epoch — into per-shard
-// frontiers and cuts them into chunks in shard-ascending order. Chunk ids
-// are assigned in that fixed order, making every downstream index
+// frontiers and cuts them into chunks in shard-ascending order. A chunk's
+// index in that fixed order is its id, making every downstream index
 // deterministic. Addresses resolve through find (path compression) when the
 // parent forest is quiescent, or findRO while a concurrent sweep holds a
 // read-only view of it; both return the same representative.
@@ -677,7 +611,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 		s.queue = s.queue[:0]
 		s.head = 0
 	} else if s.head >= queueCompactMin && s.head*2 >= len(s.queue) {
-		// Same compaction policy as the no-unify pop loop in solve.
+		// Slide the live entries down (see queueCompactMin).
 		m := copy(s.queue, s.queue[s.head:])
 		s.queue = s.queue[:m]
 		s.head = 0
@@ -691,12 +625,12 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 				hi = n
 			}
 			p.chunks = append(p.chunks,
-				chunkRef{id: int32(len(p.chunks)), shard: int32(sh), lo: int32(lo), hi: int32(hi)})
+				chunkRef{shard: int32(sh), lo: int32(lo), hi: int32(hi)})
 		}
 	}
 	// Deferred prefix pushes from the previous tail run as scan work this
 	// epoch, chunked by token weight so one wide push cannot unbalance the
-	// steal deques. Their chunks follow the frontier chunks in the fixed
+	// scan workers. Their chunks follow the frontier chunks in the fixed
 	// replay order. Endpoints are re-resolved first: a collapse round since
 	// the task was recorded may have retired either rep (materialized tasks
 	// only — in-place tasks always precede the next unification). A merge
@@ -723,7 +657,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 			hi++
 		}
 		p.chunks = append(p.chunks,
-			chunkRef{id: int32(len(p.chunks)), shard: -1, lo: int32(lo), hi: int32(hi), kind: chunkPush})
+			chunkRef{shard: -1, lo: int32(lo), hi: int32(hi), kind: chunkPush})
 		lo, weight = hi, 0
 	}
 }
@@ -731,8 +665,8 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 // scan runs the read-only proposal phase over every chunk and returns the
 // effective worker count for the epoch (1 when it ran inline), which the
 // winnow and apply phases reuse. Small frontiers (or a single worker) run
-// inline on the solver goroutine; larger ones are distributed round-robin
-// over the worker deques and scanned concurrently.
+// inline on the solver goroutine; on larger ones each worker claims the
+// next unscanned chunk from the shared cursor until none are left.
 func (p *parallelEngine) scan(s *solver) int {
 	t0 := time.Now()
 	nc := len(p.chunks)
@@ -749,78 +683,41 @@ func (p *parallelEngine) scan(s *solver) int {
 		// A push task is scan work proportional to its prefix length.
 		frontier += int(p.pushActive[i].lim)
 	}
-	nw := p.workers
-	if nw > nc {
-		nw = nc
+	nw := min(p.workers, nc)
+	if nw < 1 || frontier <= inlineFrontierMax {
+		nw = 1
 	}
-	if nw <= 1 || frontier <= inlineFrontierMax {
-		for i := range p.chunks {
-			c := p.chunks[i]
-			p.scanChunk(s, c, &p.outs[c.id])
+	p.cursor.Store(0)
+	fanOut(nw, func(int) {
+		for {
+			i := p.cursor.Add(1) - 1
+			if i >= int64(nc) {
+				return
+			}
+			p.scanChunk(s, p.chunks[i], &p.outs[i])
 		}
-		p.stats.ScanNS += time.Since(t0).Nanoseconds()
-		return 1
-	}
-
-	for wi := 0; wi < nw; wi++ {
-		p.deques[wi].reset()
-	}
-	for i := range p.chunks {
-		p.deques[i%nw].push(p.chunks[i])
-	}
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			p.runWorker(s, wi, nw)
-		}(wi)
-	}
-	wg.Wait()
+	})
 	p.stats.ScanNS += time.Since(t0).Nanoseconds()
 	return nw
 }
 
-// runWorker drains the worker's own deque bottom-first, then steals chunks
-// from other workers until no deque has work left. No new chunks appear
-// during a scan, so an all-empty sweep over the victims is a sound
-// termination condition.
-func (p *parallelEngine) runWorker(s *solver, wi, nw int) {
-	d := &p.deques[wi]
-	var steals int64
-	for {
-		c, ok := d.popBottom()
-		if !ok {
-			c, ok = p.stealAny(wi, nw, &steals)
-			if !ok {
-				break
-			}
-		}
-		p.scanChunk(s, c, &p.outs[c.id])
+// fanOut runs fn once for every worker index in [0, nw) and returns when
+// all have finished: inline on the calling goroutine when nw ≤ 1, else on nw
+// goroutines.
+func fanOut(nw int, fn func(wi int)) {
+	if nw <= 1 {
+		fn(0)
+		return
 	}
-	if steals > 0 {
-		atomic.AddInt64(&p.stats.Steals, steals)
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for wi := 0; wi < nw; wi++ {
+		go func() {
+			defer wg.Done()
+			fn(wi)
+		}()
 	}
-}
-
-func (p *parallelEngine) stealAny(wi, nw int, steals *int64) (chunkRef, bool) {
-	for {
-		sawWork := false
-		for k := 1; k < nw; k++ {
-			v := &p.deques[(wi+k)%nw]
-			c, ok, nonempty := v.stealTop()
-			if ok {
-				*steals++
-				return c, true
-			}
-			if nonempty {
-				sawWork = true
-			}
-		}
-		if !sawWork {
-			return chunkRef{}, false
-		}
-	}
+	wg.Wait()
 }
 
 // scanChunk computes one chunk's proposals. Strictly read-only over solver
@@ -977,19 +874,8 @@ func (p *parallelEngine) winnow(s *solver, nw int) {
 	t0 := time.Now()
 	defer func() { p.stats.ScanNS += time.Since(t0).Nanoseconds() }()
 	p.winStamp++
-	if nw <= 1 {
-		p.winnowShards(s, 0, 1) // stride 1: one walk handles every shard
-		return
-	}
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		wg.Add(1)
-		go func(wi int32) {
-			defer wg.Done()
-			p.winnowShards(s, wi, int32(nw))
-		}(int32(wi))
-	}
-	wg.Wait()
+	// At nw 1 the stride is 1: one walk handles every shard.
+	fanOut(nw, func(wi int) { p.winnowShards(s, int32(wi), int32(nw)) })
 }
 
 // winnowShards computes the verdicts of every destination shard congruent to
@@ -998,7 +884,7 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 	stamp := p.winStamp
 	for ci := range p.chunks {
 		c := p.chunks[ci]
-		out := &p.outs[c.id]
+		out := &p.outs[ci]
 		if c.kind == chunkPush {
 			p.winnowPushChunk(s, c, out, first, stride, stamp)
 			continue
@@ -1114,19 +1000,7 @@ func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp in
 // parent state is written, which is what lets a concurrent sweep overlap it.
 func (p *parallelEngine) apply(s *solver, nw int) {
 	t0 := time.Now()
-	if nw <= 1 {
-		p.applyWorker(s, 0, 1)
-	} else {
-		var wg sync.WaitGroup
-		for wi := 0; wi < nw; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				p.applyWorker(s, wi, nw)
-			}(wi)
-		}
-		wg.Wait()
-	}
+	fanOut(nw, func(wi int) { p.applyWorker(s, wi, nw) })
 	// Fold the per-worker effort accumulators into the solver counters.
 	// Integer sums are independent of the ownership split, so the totals are
 	// identical at every worker count.
@@ -1146,7 +1020,7 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 	acc := &p.accs[wi]
 	for ci := range p.chunks {
 		c := p.chunks[ci]
-		out := &p.outs[c.id]
+		out := &p.outs[ci]
 		if c.kind == chunkPush {
 			p.applyPushChunk(s, c, out, acc, wi, nw)
 			continue
@@ -1187,7 +1061,6 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 							st.swapTokens(idx, st.delivered)
 						}
 						st.delivered++
-						p.shardDelivered[c.shard]++
 					}
 				}
 				if !live {
@@ -1289,7 +1162,7 @@ func (p *parallelEngine) tail(s *solver) {
 	}()
 	for ci := range p.chunks {
 		c := p.chunks[ci]
-		out := &p.outs[c.id]
+		out := &p.outs[ci]
 		if c.kind == chunkPush {
 			p.tailPushChunk(s, c, out)
 			continue

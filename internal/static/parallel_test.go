@@ -3,6 +3,7 @@ package static
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ import (
 var workerCounts = []int{0, 1, 2, 4, 8}
 
 // TestParallelSolverMatchesSequential is the randomized differential test
-// of the epoch engine against the no-unify reference solver (plain FIFO
-// propagation, no cycle collapsing): identical random constraint graphs
+// of the epoch engine against the reference solver (plain FIFO propagation
+// in solveFIFO, no cycle collapsing): identical random constraint graphs
 // with interleaved solves and checkpoints, compared on final sets, every
 // checkpoint's frozen views, and trigger deliveries. Effort/structure
 // counters are required to be identical across all worker counts (the
@@ -30,14 +31,14 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 		rounds := 1 + rng.Intn(3)
 
 		sq := newReferenceSolver()
-		cpsSeq, firedSeq := randomOps(seed, sq, nVars, rounds)
+		cpsSeq, firedSeq := randomOps(seed, sq, (*solver).solveFIFO, nVars, rounds)
 
 		var refIters, refDelivered int64
 		var refStruct StructureStats
 		for wi, workers := range workerCounts {
 			sp := newSolver()
 			sp.configureParallel(workers)
-			cpsPar, firedPar := randomOps(seed, sp, nVars, rounds)
+			cpsPar, firedPar := randomOps(seed, sp, (*solver).solve, nVars, rounds)
 
 			for v := 0; v < nVars; v++ {
 				gs := sortedTokens(sq.tokens(Var(v)))
@@ -81,7 +82,7 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 				}
 			}
 			if st := sp.parallelStats(); st.Epochs == 0 {
-				t.Fatalf("seed %d workers %d: epoch engine recorded no epochs — the no-unify pop loop ran instead", seed, workers)
+				t.Fatalf("seed %d workers %d: epoch engine recorded no epochs", seed, workers)
 			}
 		}
 	}
@@ -92,8 +93,8 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 // the same fixpoint, but that the scheduling-independent parallel
 // diagnostics (epochs, cross-shard deliveries, async sweep launches) are
 // themselves identical at every worker count — with every epoch forced
-// through the goroutine-and-deque path so chunks really are claimed and
-// stolen concurrently at workers 2..8, not served by the inline path.
+// through the goroutine path so chunks really are claimed concurrently at
+// workers 2..8, not served by the inline path.
 func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	savedInline := inlineFrontierMax
 	inlineFrontierMax = 0
@@ -104,7 +105,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 		for _, workers := range workerCounts {
 			s := newSolver()
 			s.configureParallel(workers)
-			randomOps(seed, s, 50, 2)
+			randomOps(seed, s, (*solver).solve, 50, 2)
 			st := s.parallelStats()
 			if refStats == nil {
 				refStats = &st
@@ -150,16 +151,16 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 		inlineFrontierMax = 1 << 30
 		si := newSolver()
 		si.configureParallel(1)
-		cpsInline, firedInline := randomOps(seed, si, nVars, rounds)
+		cpsInline, firedInline := randomOps(seed, si, (*solver).solve, nVars, rounds)
 		inlineIters, inlineDelivered := si.stats()
 		inlineStruct, inlineStats := si.structure(), si.parallelStats()
 
 		for _, workers := range []int{4, 8} {
-			// Concurrent arm: every epoch through the deque path.
+			// Concurrent arm: every epoch through the goroutine path.
 			inlineFrontierMax = 0
 			sc := newSolver()
 			sc.configureParallel(workers)
-			cpsConc, firedConc := randomOps(seed, sc, nVars, rounds)
+			cpsConc, firedConc := randomOps(seed, sc, (*solver).solve, nVars, rounds)
 
 			for v := 0; v < nVars; v++ {
 				if !tokensEqual(sortedTokens(si.tokens(Var(v))), sortedTokens(sc.tokens(Var(v)))) {
@@ -202,9 +203,9 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 }
 
 // TestParallelConcurrentScanPath forces every epoch — even one-delivery
-// frontiers — through the goroutine-and-deque scan path and re-checks the
-// differential against the no-unify reference solver. With -race this is the
-// test that actually exercises the Chase-Lev deques and concurrent findRO
+// frontiers — through the goroutine scan path and re-checks the
+// differential against the FIFO reference solver. With -race this is the
+// test that actually exercises the shared chunk cursor and concurrent findRO
 // walks; the frontiers of the other tests often fit under inlineFrontierMax.
 func TestParallelConcurrentScanPath(t *testing.T) {
 	saved := inlineFrontierMax
@@ -213,11 +214,11 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 
 	for seed := int64(0); seed < 6; seed++ {
 		sq := newReferenceSolver()
-		_, firedSeq := randomOps(seed, sq, 60, 2)
+		_, firedSeq := randomOps(seed, sq, (*solver).solveFIFO, 60, 2)
 		for _, workers := range []int{2, 4, 8} {
 			sp := newSolver()
 			sp.configureParallel(workers)
-			_, firedPar := randomOps(seed, sp, 60, 2)
+			_, firedPar := randomOps(seed, sp, (*solver).solve, 60, 2)
 			for v := 0; v < 60; v++ {
 				if !tokensEqual(sortedTokens(sq.tokens(Var(v))), sortedTokens(sp.tokens(Var(v)))) {
 					t.Fatalf("seed %d workers %d: var %d final sets differ on forced-concurrent path", seed, workers, v)
@@ -230,16 +231,113 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 	}
 }
 
-// TestParallelRollbackWindowFallsBackSequential checks the exact no-unify
-// configurations (reference solver, rollback windows) never enter the
-// epoch engine even when workers are configured: the dispatch in solve()
-// must route them to the pop loop.
-func TestParallelRollbackWindowFallsBackSequential(t *testing.T) {
-	s := newReferenceSolver()
-	s.configureParallel(4)
-	randomOps(7, s, 30, 2)
-	if st := s.parallelStats(); st.Epochs != 0 {
-		t.Fatalf("no-unify solver ran %d epochs; must stay on the pop loop", st.Epochs)
+// TestParallelRollbackWindowRunsEpochs drives a rollback window on the
+// forced-concurrent path: every epoch of the window runs through the epoch
+// engine with collapsing off. It checks that the window ran epochs,
+// collapsed nothing and recorded no cycle evidence, that rollbackTo restores every variable's token set,
+// edge list and trigger count to the pre-window checkpoint exactly, and
+// that a second delta on the rolled-back solver matches the FIFO reference
+// solving base + second delta.
+func TestParallelRollbackWindowRunsEpochs(t *testing.T) {
+	saved := inlineFrontierMax
+	inlineFrontierMax = 0
+	defer func() { inlineFrontierMax = saved }()
+
+	type varSnap struct {
+		tokens []Token
+		edges  []Var
+		trig   int
+	}
+	snapshot := func(s *solver) []varSnap {
+		out := make([]varSnap, s.nVars)
+		for v := range out {
+			st := s.state(Var(v))
+			out[v] = varSnap{append([]Token(nil), st.tokens...), append([]Var(nil), st.edges...), len(st.triggers)}
+		}
+		return out
+	}
+	delta := func(s *solver, seed int64, tokBase, nVars int, solve func(*solver)) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 80; i++ {
+			if rng.Intn(3) == 0 {
+				s.addToken(Var(rng.Intn(nVars)), Token(tokBase+rng.Intn(40)))
+			} else {
+				s.addEdge(Var(rng.Intn(nVars)), Var(rng.Intn(nVars)))
+			}
+		}
+		solve(s)
+	}
+
+	for _, workers := range []int{1, 4} {
+		for seed := int64(0); seed < 8; seed++ {
+			nVars := 40 + int(seed)
+			s := newSolver()
+			s.configureParallel(workers)
+			_, fired := randomOps(seed, s, (*solver).solve, nVars, 2)
+			base := snapshot(s)
+			baseFired := map[fireKey]int{}
+			for k, n := range fired {
+				baseFired[k] = n
+			}
+			epochs0, collapsed0, checked0 := s.parallelStats().Epochs, s.structure().CyclesCollapsed, len(s.lcdChecked)
+
+			rp := s.rollbackPoint()
+			// The first delta also grows the system the rollback must undo:
+			// fresh variables, and a trigger on a pre-window variable.
+			for i := 0; i < 4; i++ {
+				nv := s.newVar()
+				s.addEdge(Var(i), nv)
+				s.addEdge(nv, Var(nVars-1-i))
+			}
+			s.onToken(Var(1), func(Token) {})
+			delta(s, seed+1000, 100, nVars, (*solver).solve)
+			if s.parallelStats().Epochs == epochs0 {
+				t.Fatalf("workers %d seed %d: the rollback window ran no epochs", workers, seed)
+			}
+			if got := s.structure().CyclesCollapsed; got != collapsed0 {
+				t.Fatalf("workers %d seed %d: the rollback window collapsed %d cycles", workers, seed, got-collapsed0)
+			}
+			if len(s.lcdPending) != 0 || len(s.lcdChecked) != checked0 {
+				t.Fatalf("workers %d seed %d: the rollback window recorded cycle evidence", workers, seed)
+			}
+			s.rollbackTo(rp)
+			got := snapshot(s)
+			if len(got) != len(base) {
+				t.Fatalf("workers %d seed %d: %d variables after rollback, want %d", workers, seed, len(got), len(base))
+			}
+			for v := range base {
+				if !tokensEqual(got[v].tokens, base[v].tokens) || !reflect.DeepEqual(got[v].edges, base[v].edges) ||
+					got[v].trig != base[v].trig {
+					t.Fatalf("workers %d seed %d: var %d after rollback %+v, want checkpoint %+v",
+						workers, seed, v, got[v], base[v])
+				}
+			}
+			for k := range fired {
+				delete(fired, k)
+			}
+			for k, n := range baseFired {
+				fired[k] = n
+			}
+
+			delta(s, seed+2000, 200, nVars, (*solver).solve)
+			ref := newReferenceSolver()
+			_, firedRef := randomOps(seed, ref, (*solver).solveFIFO, nVars, 2)
+			delta(ref, seed+2000, 200, nVars, (*solver).solveFIFO)
+			for v := 0; v < nVars; v++ {
+				if g, w := sortedTokens(s.tokens(Var(v))), sortedTokens(ref.tokens(Var(v))); !tokensEqual(g, w) {
+					t.Fatalf("workers %d seed %d: var %d rolled-back+delta2 %v, reference %v", workers, seed, v, g, w)
+				}
+			}
+			if len(fired) != len(firedRef) {
+				t.Fatalf("workers %d seed %d: trigger deliveries %d, reference %d", workers, seed, len(fired), len(firedRef))
+			}
+			for k, n := range fired {
+				if n != 1 || firedRef[k] != 1 {
+					t.Fatalf("workers %d seed %d: delivery %v fired %d (reference %d), want exactly once",
+						workers, seed, k, n, firedRef[k])
+				}
+			}
+		}
 	}
 }
 
@@ -282,7 +380,7 @@ func BenchmarkSolverParallel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := newSolver()
 			s.configureParallel(workers)
-			randomOps(1, s, 400, 3)
+			randomOps(1, s, (*solver).solve, 400, 3)
 		}
 	}
 	for _, w := range []int{1, 2, 4} {

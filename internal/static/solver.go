@@ -27,11 +27,11 @@ type Token int32
 const smallSetMax = 12
 
 // queueCompactMin bounds how much dead prefix the delivery queue tolerates
-// before sliding live entries down to reuse the backing array. Compaction
-// is O(live entries), so it must be rare relative to pops: with the
-// additional s.head*2 >= len(s.queue) guard the amortized cost is O(1) per
-// pop for any value, and the constant only decides the floor below which we
-// never bother. 1024 keeps the queue inside a few pages for the small
+// before partition slides live entries down to reuse the backing array.
+// Compaction is O(live entries), so it must be rare relative to the entries
+// consumed: with the additional s.head*2 >= len(s.queue) guard the amortized
+// cost is O(1) per entry for any value, and the constant only decides the
+// floor below which we never bother. 1024 keeps the queue inside a few pages for the small
 // per-module solves (BenchmarkSolverPropagation regresses ~3% at 64 from
 // compacting tiny queues, and is flat from 256 up; see
 // BenchmarkQueueCompactFloor).
@@ -101,10 +101,9 @@ const (
 //     entry) a full Tarjan sweep over the condensed graph collapses the
 //     SCCs lazy detection missed.
 //
-// Propagation runs on the epoch engine (parallel.go), which does all
-// merging between epochs, never inside one, so edge and trigger iteration
-// state is never invalidated mid-delivery. The exact no-unify mode
-// (rollback windows, the reference solver) runs a plain pop loop instead.
+// Propagation runs on the epoch engine (parallel.go) in every mode. It does
+// all merging between epochs, never inside one, so edge and trigger
+// iteration state is never invalidated mid-delivery.
 type solver struct {
 	chunks [][]varState
 	nVars  int
@@ -127,9 +126,10 @@ type solver struct {
 	queue []delivery
 	head  int
 
-	// noUnify disables cycle collapsing entirely — the reference engine the
-	// differential property tests compare against (and the exact behavior
-	// of the pre-condensation solver).
+	// noUnify disables cycle collapsing: no entry sweep, no LCD or sweep
+	// rounds, and noteLCD records nothing. A rollback window sets it so its
+	// mutations stay append-only (see rollbackPoint); the FIFO reference
+	// solver of the property tests sets it too.
 	noUnify bool
 
 	// Lazy cycle detection: candidate edges whose delivery was redundant,
@@ -147,11 +147,7 @@ type solver struct {
 	// what keeps the O(V+E) periodic sweep off the solver's critical path
 	// on large projects whose propagation phase adds no edges.
 	sccDirty bool
-	// par is the sharded epoch engine (parallel.go) that solve runs while
-	// unification is on. The exact no-unify mode (rollback windows, the
-	// reference solver) takes the pop loop in solve instead: rollback
-	// depends on append-only mutation, and the epoch engine's value is
-	// moot without collapsing anyway.
+	// par is the sharded epoch engine (parallel.go) that solve runs.
 	par *parallelEngine
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
 	// sweeps to avoid re-allocating O(nVars) arrays every interval.
@@ -159,8 +155,8 @@ type solver struct {
 	// Reusable pathBetween scratch (see lcdPathScratch).
 	lcdPath lcdPathScratch
 
-	// perf counters: fixpoint iterations (queue pops) and tokens delivered
-	// (insertion attempts on the hot path, i.e. addToken calls).
+	// perf counters: fixpoint iterations (queued deliveries processed) and
+	// tokens delivered (insertion attempts on the hot path).
 	iterations      int64
 	tokensDelivered int64
 	// Structure counters: cycle-collapse activity.
@@ -274,15 +270,6 @@ func newSolver() *solver {
 	}
 }
 
-// newReferenceSolver builds a solver with cycle collapsing disabled: plain
-// FIFO propagation in the pop loop, used as the differential oracle by the
-// unification and epoch-engine property tests.
-func newReferenceSolver() *solver {
-	s := newSolver()
-	s.noUnify = true
-	return s
-}
-
 // state returns the stable address of v's state.
 func (s *solver) state(v Var) *varState {
 	return &s.chunks[v>>varChunkShift][v&varChunkMask]
@@ -362,7 +349,7 @@ func (s *solver) addEdge(from, to Var) {
 	// edge when it pops — pushing it here too would deliver it twice.
 	noted := false
 	for i := 0; i < st.delivered; i++ {
-		if !s.addTokenRep(to, st.tokens[i]) && !s.noUnify && !noted {
+		if !s.addTokenRep(to, st.tokens[i]) && !noted {
 			// A redundant bulk push is the strongest cycle signal this
 			// analysis produces: closing edges are mostly added by call
 			// triggers after both sides' sets have settled, so the orbit
@@ -393,58 +380,12 @@ func (s *solver) onToken(v Var, fn func(Token)) {
 	// prefix below delivered is immutable (appends go after it, merge
 	// swaps stay at or beyond it) and st is chunk-stable, so st.tokens[i]
 	// for i < n keeps its value even if fn appends (and reallocates) the
-	// slice. delivered itself only advances in solve's pop loop or the epoch
-	// engine's apply pass, never from within a trigger, so n is stable
-	// across the replay.
+	// slice. delivered itself only advances in the epoch engine's apply
+	// pass, never from within a trigger, so n is stable across the replay.
 	n := st.delivered
 	for i := 0; i < n; i++ {
 		fn(st.tokens[i])
 	}
-}
-
-// solve runs propagation to a fixpoint on the epoch engine, or — in the
-// exact no-unify mode — in a plain FIFO pop loop. Without unification every
-// queue entry is a token appended to its variable's pending suffix in queue
-// order, so each pop processes exactly that variable's next pending token.
-func (s *solver) solve() {
-	if !s.noUnify {
-		s.solveParallel()
-		return
-	}
-	for s.head < len(s.queue) {
-		d := s.queue[s.head]
-		s.head++
-		s.iterations++
-		if s.head >= queueCompactMin && s.head*2 >= len(s.queue) {
-			// Slide live entries down so the backing array is reused
-			// instead of growing by the total number of deliveries.
-			n := copy(s.queue, s.queue[s.head:])
-			s.queue = s.queue[:n]
-			s.head = 0
-		}
-		v := s.find(d.v)
-		// The state pointer is stable (chunked storage), but triggers may
-		// extend this variable's own edge and trigger lists while we
-		// iterate, so re-check the lengths each step.
-		st := s.state(v)
-		for i := 0; i < len(st.edges); i++ {
-			s.addTokenRep(s.find(st.edges[i]), d.t)
-		}
-		// Mark delivered before running triggers so a trigger registering
-		// further triggers on this variable does not re-fire for d.t.
-		st.delivered++
-		// Snapshot the trigger count: triggers registered during this loop
-		// (by a trigger on the same variable) already see d.t through the
-		// registration-time replay — running them here too would fire the
-		// (trigger, token) pair twice.
-		n := len(st.triggers)
-		for i := 0; i < n; i++ {
-			st.triggers[i](d.t)
-		}
-	}
-	// Fully drained: release the queue for the next solve round.
-	s.queue = s.queue[:0]
-	s.head = 0
 }
 
 // swapTokens exchanges the tokens at positions i and j, keeping the spill
@@ -461,7 +402,11 @@ func (st *varState) swapTokens(i, j int) {
 
 // noteLCD records a lazy-cycle-detection candidate: the edge from→to just
 // carried a redundant delivery. Each pair is checked at most once, ever.
+// Inside a rollback window nothing is recorded: the window never collapses.
 func (s *solver) noteLCD(from, to Var) {
+	if s.noUnify {
+		return
+	}
 	key := edgePair{from, to}
 	if s.lcdChecked == nil {
 		s.lcdChecked = map[edgePair]struct{}{}
@@ -473,7 +418,7 @@ func (s *solver) noteLCD(from, to Var) {
 	s.lcdPending = append(s.lcdPending, key)
 }
 
-// lcdSweepBatch is the pending-candidate count past which solveParallel
+// lcdSweepBatch is the pending-candidate count past which solve
 // abandons per-pair searches for one full Tarjan sweep: each search may
 // visit up to lcdSearchBudget nodes, so a large batch costs more than the
 // linear sweep that collapses every cycle (including ones the bounded
@@ -758,7 +703,8 @@ func (s *solver) collapseAllSCCs() {
 // merges rewrite parents, free merged members' contents, and swap pending
 // tokens out of append order, none of which a length snapshot can undo.
 // rollbackPoint therefore flips the solver into its no-unify mode; the
-// caller keeps it there for every phase it intends to roll back. Solving
+// caller keeps it there for every phase it intends to roll back. The epoch
+// engine still runs every solve of the window, with collapsing off. Solving
 // without unification is exact (collapsing is only an effort optimization),
 // so results are unaffected.
 type rollbackPoint struct {

@@ -76,8 +76,8 @@ func BenchmarkSolverWideSets(b *testing.B) {
 // BenchmarkSolverCycles measures the cycle-collapsing engine on dense
 // cyclic constraint graphs: rings of varying size, each seeded with tokens
 // and cross-linked to the next ring, so every token orbits until the cycle
-// is detected and unified. Compare with the noUnify reference configuration
-// (run the same shape through newReferenceSolver) to see the collapse win.
+// is detected and unified. The noUnify arms run the same shapes through the
+// FIFO reference solver, which never collapses, to show the collapse win.
 func BenchmarkSolverCycles(b *testing.B) {
 	shapes := []struct {
 		name   string
@@ -91,7 +91,7 @@ func BenchmarkSolverCycles(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		sh := sh
-		run := func(b *testing.B, mk func() *solver) {
+		run := func(b *testing.B, mk func() *solver, solve func(*solver)) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := mk()
@@ -115,11 +115,11 @@ func BenchmarkSolverCycles(b *testing.B) {
 						s.addToken(rings[r][k%sh.size], Token(r*sh.tokens+k))
 					}
 				}
-				s.solve()
+				solve(s)
 			}
 		}
-		b.Run(sh.name, func(b *testing.B) { run(b, newSolver) })
-		b.Run(sh.name+"/noUnify", func(b *testing.B) { run(b, newReferenceSolver) })
+		b.Run(sh.name, func(b *testing.B) { run(b, newSolver, (*solver).solve) })
+		b.Run(sh.name+"/noUnify", func(b *testing.B) { run(b, newReferenceSolver, (*solver).solveFIFO) })
 	}
 }
 

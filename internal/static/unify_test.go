@@ -61,13 +61,15 @@ type fireKey struct {
 }
 
 // randomOps drives one engine through r rounds of randomized constraint
-// additions with a solve and checkpoint after each round, mirroring how
-// the analysis interleaves injection and solving. Triggers are attached to
+// additions with a solve step and checkpoint after each round, mirroring
+// how the analysis interleaves injection and solving. solve is the engine's
+// propagation loop: (*solver).solve, or (*solver).solveFIFO for the
+// reference. Triggers are attached to
 // every third variable and themselves add constraints when they fire (as
 // call-resolution triggers do), with the added constraint a deterministic
 // function of (variable, token) so both engines grow identically. Returns
 // the per-round checkpoints and the trigger fire counts.
-func randomOps(seed int64, s *solver, nVars, rounds int) ([]*checkpoint, map[fireKey]int) {
+func randomOps(seed int64, s *solver, solve func(*solver), nVars, rounds int) ([]*checkpoint, map[fireKey]int) {
 	rng := rand.New(rand.NewSource(seed))
 	vars := make([]Var, nVars)
 	for i := range vars {
@@ -98,7 +100,7 @@ func randomOps(seed int64, s *solver, nVars, rounds int) ([]*checkpoint, map[fir
 				s.addEdge(vars[rng.Intn(nVars)], vars[rng.Intn(nVars)])
 			}
 		}
-		s.solve()
+		solve(s)
 		cps = append(cps, s.checkpoint())
 	}
 	return cps, fired
@@ -123,8 +125,8 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 
 		su := newSolver()
 		sr := newReferenceSolver()
-		cpsU, firedU := randomOps(seed, su, nVars, rounds)
-		cpsR, firedR := randomOps(seed, sr, nVars, rounds)
+		cpsU, firedU := randomOps(seed, su, (*solver).solve, nVars, rounds)
+		cpsR, firedR := randomOps(seed, sr, (*solver).solveFIFO, nVars, rounds)
 
 		for v := 0; v < nVars; v++ {
 			gu := sortedTokens(su.tokens(Var(v)))
@@ -166,7 +168,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		s := newSolver()
 		nVars := 30 + int(seed)
-		cps, fired := randomOps(seed, s, nVars, 2)
+		cps, fired := randomOps(seed, s, (*solver).solve, nVars, 2)
 		base := make([][]Token, nVars)
 		for v := 0; v < nVars; v++ {
 			base[v] = sortedTokens(s.tokens(Var(v)))
@@ -207,7 +209,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 
 		// Second delta on the rolled-back engine vs. a fresh engine solving
 		// base + second delta. The fresh engine runs with unification (the
-		// rolled-back one is pinned in no-unify mode) — results must agree
+		// rolled-back one keeps collapsing off) — results must agree
 		// regardless.
 		applyDelta2 := func(s2 *solver, n int) {
 			rng2 := rand.New(rand.NewSource(seed + 2000))
@@ -223,7 +225,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 		applyDelta2(s, nVars)
 
 		sf := newSolver()
-		_, firedF := randomOps(seed, sf, nVars, 2)
+		_, firedF := randomOps(seed, sf, (*solver).solve, nVars, 2)
 		applyDelta2(sf, nVars)
 
 		for v := 0; v < nVars; v++ {
