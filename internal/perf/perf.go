@@ -76,11 +76,12 @@ type Counters struct {
 	edgesDeduped     atomic.Int64
 	redundantSkipped atomic.Int64
 
-	// Epoch-engine activity: epochs crossed, deliveries whose target landed in a different shard than the source,
-	// concurrent Tarjan sweeps launched, and the wall time split between the
-	// pipeline phases — the read-only scan+winnow, the shard-owned parallel
-	// apply pass, and the serial reconciliation tail — plus the sweep compute
-	// time hidden behind the parallel phases.
+	// Epoch-engine activity: epochs crossed, deliveries whose target landed
+	// in a different shard than the source, concurrent Tarjan sweeps
+	// launched, and the wall time split between the pipeline phases — the
+	// read-only scan+winnow, the shard-owned parallel apply pass, and the
+	// serial reconciliation tail — plus the sweep compute time hidden behind
+	// the parallel phases.
 	solverEpochs         atomic.Int64
 	solverCrossShard     atomic.Int64
 	solverAsyncSweeps    atomic.Int64

@@ -31,10 +31,10 @@ const smallSetMax = 12
 // Compaction is O(live entries), so it must be rare relative to the entries
 // consumed: with the additional s.head*2 >= len(s.queue) guard the amortized
 // cost is O(1) per entry for any value, and the constant only decides the
-// floor below which we never bother. 1024 keeps the queue inside a few pages for the small
-// per-module solves (BenchmarkSolverPropagation regresses ~3% at 64 from
-// compacting tiny queues, and is flat from 256 up; see
-// BenchmarkQueueCompactFloor).
+// floor below which we never bother. 1024 keeps the queue inside a few
+// pages for the small per-module solves (BenchmarkSolverPropagation
+// regresses ~3% at 64 from compacting tiny queues, and is flat from 256 up;
+// see BenchmarkQueueCompactFloor).
 const queueCompactMin = 1024
 
 // lcdSearchBudget caps the nodes one lazy-cycle-detection DFS may visit.
