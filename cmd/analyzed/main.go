@@ -163,9 +163,25 @@ type session struct {
 	// Pre-analysis memo: valid while the project content fingerprint
 	// equals approxFP. Hints depend on the whole file set (one shared
 	// interpreter), so any edit invalidates them as a unit.
-	approxFP     string
-	hints        *approx.Result
-	hintsElapsed time.Duration
+	approxFP string
+	hints    *approx.Result
+}
+
+// preAnalysis returns the pre-analysis of the session's current project,
+// memoized per content fingerprint: hints are a function of the whole
+// file set, so they are reused exactly when nothing changed and recomputed
+// as a unit otherwise. Callers hold sess.mu.
+func (sess *session) preAnalysis(deadline time.Duration) (*approx.Result, error) {
+	project := sess.ds.Project()
+	fp := cache.ProjectFingerprint(project)
+	if sess.hints == nil || fp != sess.approxFP {
+		ar, err := approx.Run(project, approx.Options{Deadline: deadline})
+		if err != nil {
+			return nil, fmt.Errorf("approx: %w", err)
+		}
+		sess.hints, sess.approxFP = ar, fp
+	}
+	return sess.hints, nil
 }
 
 type server struct {
@@ -344,8 +360,9 @@ func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
 
 // handleProvenance answers "why is this edge missing?" for a resident
 // session: GET /provenance?session=s-1. It executes the project concretely
-// for ground truth, re-solves with the provenance journal enabled, and
-// attributes every dynamic call edge the extended static graph lacks.
+// for ground truth (each entry module under the -approx-deadline budget),
+// re-solves with the provenance journal enabled, and attributes every
+// dynamic call edge the extended static graph lacks.
 func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
@@ -380,9 +397,12 @@ func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 
 // provenance runs the attribution pipeline on the session's resident
 // project, under the same per-session lock and panic guard as analyze.
-// The provenance-enabled solve is a fresh two-pass run, not the resident
-// delta session: a journal describes exactly the run that produced it, so
-// it cannot be patched across deltas the way fixpoints can.
+// The provenance-enabled solve is a fresh AnalyzeBoth run with EvalHints
+// and Provenance, not the resident delta session: a journal describes
+// exactly the run that produced it, so it cannot be patched across deltas
+// the way fixpoints can. The concrete run shares the pre-analysis
+// deadline, so a project that never terminates cannot hold a
+// -max-concurrency slot forever: its entry becomes a deadline fault.
 func (s *server) provenance(sess *session) (resp *provenanceResponse, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -397,20 +417,14 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 	start := time.Now()
 	project := sess.ds.Project()
 
-	dr, err := dyncg.Build(project, dyncg.Options{})
+	dr, err := dyncg.Build(project, dyncg.Options{Deadline: s.approxDeadline})
 	if err != nil {
 		return nil, fmt.Errorf("dyncg: %w", err)
 	}
-	fp := cache.ProjectFingerprint(project)
-	if sess.hints == nil || fp != sess.approxFP {
-		hintStart := time.Now()
-		ar, aerr := approx.Run(project, approx.Options{Deadline: s.approxDeadline})
-		if aerr != nil {
-			return nil, fmt.Errorf("approx: %w", aerr)
-		}
-		sess.hints, sess.approxFP, sess.hintsElapsed = ar, fp, time.Since(hintStart)
+	ar, err := sess.preAnalysis(s.approxDeadline)
+	if err != nil {
+		return nil, err
 	}
-	ar := sess.hints
 
 	_, ext, err := static.AnalyzeBoth(project, static.Options{
 		Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
@@ -474,22 +488,10 @@ func (s *server) analyze(sess *session, delta *deltaPayload) (resp *analyzeRespo
 	if delta != nil {
 		sess.ds.Update(delta.Changed, delta.Removed)
 	}
-	project := sess.ds.Project()
-
-	// Pre-analysis, memoized per content fingerprint: hints are a function
-	// of the whole file set, so they are reused exactly when nothing
-	// changed and recomputed as a unit otherwise.
-	fp := cache.ProjectFingerprint(project)
-	if sess.hints == nil || fp != sess.approxFP {
-		hintStart := time.Now()
-		ar, aerr := approx.Run(project, approx.Options{Deadline: s.approxDeadline})
-		if aerr != nil {
-			return nil, fmt.Errorf("approx: %w", aerr)
-		}
-		sess.hints, sess.approxFP, sess.hintsElapsed = ar, fp, time.Since(hintStart)
+	ar, err := sess.preAnalysis(s.approxDeadline)
+	if err != nil {
+		return nil, err
 	}
-	ar := sess.hints
-
 	base, ext, reused, err := sess.ds.Analyze(static.Options{
 		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
 		SolverWorkers: s.solverWorkers,
@@ -535,7 +537,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func main() {
 	var (
 		addr           = flag.String("addr", ":8791", "listen address")
-		approxDeadline = flag.Duration("approx-deadline", 2*time.Second, "per-worklist-item deadline of the pre-analysis; tripped items become contained faults and degrade their module's hints (0 = unlimited)")
+		approxDeadline = flag.Duration("approx-deadline", 2*time.Second, "per-worklist-item deadline of the pre-analysis, and per-entry-module deadline of the concrete run behind /provenance; tripped items become contained faults and degrade their module's hints (0 = unlimited)")
 		maxSessions    = flag.Int("max-sessions", 64, "maximum resident sessions; opening one more evicts the least recently used")
 		solverWorkers  = flag.Int("solver-workers", 0, "epoch-engine scan workers per analysis (0 and 1 both mean one worker — reports are identical at every value)")
 		maxConcurrency = flag.Int("max-concurrency", 0, "maximum analyses running at once across all sessions (0 = NumCPU); excess requests queue")

@@ -514,3 +514,40 @@ func TestProvenanceEndpoint(t *testing.T) {
 		t.Errorf("POST /provenance: status = %d, want 405", res.StatusCode)
 	}
 }
+
+// TestProvenanceConcreteRunDeadline opens a session on a project whose
+// concrete execution never finishes in practice (2^62 calls): /provenance
+// must bound its concrete run by the server's deadline and answer instead
+// of holding its concurrency slot forever.
+func TestProvenanceConcreteRunDeadline(t *testing.T) {
+	ts := httptest.NewServer(newServer(100*time.Millisecond, 64, 0, 1).handler())
+	status, open := post(t, ts, analyzeRequest{Project: &projectPayload{
+		Name:        "exp",
+		Files:       map[string]string{"/app/index.js": "function f(n){if(n>60)return;f(n+1);f(n+1)} f(0);\n"},
+		MainEntries: []string{"/app/index.js"},
+		MainPrefix:  "/app",
+	}})
+	if status != http.StatusOK {
+		t.Fatalf("/analyze status = %d", status)
+	}
+	done := make(chan int, 1)
+	go func() {
+		res, err := http.Get(ts.URL + "/provenance?session=" + open.Session)
+		if err != nil {
+			done <- -1
+			return
+		}
+		res.Body.Close()
+		done <- res.StatusCode
+	}()
+	select {
+	case status := <-done:
+		if status != http.StatusOK {
+			t.Errorf("/provenance status = %d, want 200", status)
+		}
+		ts.Close()
+	case <-time.After(30 * time.Second):
+		// The server is left running: Close would wait for the handler.
+		t.Fatal("/provenance did not answer within 30s")
+	}
+}

@@ -88,7 +88,7 @@ func ablationRun(t *testing.T, bs []*corpus.Benchmark) ([]*Outcome, []*AblationO
 
 // TestAblationRowsMatchFromScratch asserts that the rows the main run
 // carries — the relational column from its extended analysis, the
-// name-only column from the rolled-back third arm — equal the oracle's two
+// name-only column from the forked third arm — equal the oracle's two
 // from-scratch analyses on every dynamic-CG benchmark.
 func TestAblationRowsMatchFromScratch(t *testing.T) {
 	_, rows := ablationRun(t, corpus.WithDynCG())

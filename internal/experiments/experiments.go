@@ -57,7 +57,7 @@ type Outcome struct {
 	baseReach []callgraph.FuncID
 	extReach  []callgraph.FuncID
 
-	// Name-only ablation arm (§4), produced by the main run as a rolled-back
+	// Name-only ablation arm (§4), produced by the main run as a forked
 	// third phase of the incremental solve (Options.WithAblation). hasAbl
 	// whenever the run requested the arm and built the dynamic call graph
 	// its precision column needs; AblationRows reads the arm from here.
@@ -152,15 +152,13 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		SolverWorkers: opts.SolverWorkers,
 	}
 	// The §4 name-only arm rides on the incremental solve of every dynamic-CG
-	// benchmark when requested. Only [DPW] write hints distinguish it from
-	// the relational arm; without them the two systems are identical and the
-	// arm takes the extended result, so no third phase runs.
+	// benchmark when requested; AnalyzeBothAndAblation runs its third phase
+	// only when the degraded hints carry [DPW] write hints.
 	wantAbl := opts.WithAblation && opts.WithDynCG && b.HasDynCG
-	if wantAbl && static.WriteHintsApply(hintSet) {
+	if wantAbl {
 		base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
 	} else {
 		base, ext, err = static.AnalyzeBoth(b.Project, sopts)
-		abl = ext
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
@@ -238,7 +236,7 @@ type Options struct {
 	// call-graph construction (0 = unlimited).
 	DynCGDeadline time.Duration
 	// WithAblation adds the §4 name-only ablation arm to the evaluation of
-	// every dynamic-CG benchmark when WithDynCG is set: a rolled-back third
+	// every dynamic-CG benchmark when WithDynCG is set: a forked third
 	// phase of the incremental solve (baseline solved once, two deltas),
 	// read back by AblationRows.
 	WithAblation bool

@@ -49,8 +49,8 @@ func TestRunMegaBench(t *testing.T) {
 // (0) and at several epoch-engine worker counts, and requires the rendered
 // report bytes, the outcomes and the solver-effort counters to be
 // identical — the 0-byte report-diff guarantee, end to end — with the epoch
-// engine running at every setting. The rolled-back ablation arm runs its
-// window on the epoch engine too, so its epochs count at every setting.
+// engine running at every setting. The forked ablation arm runs on the
+// epoch engine too, so its epochs count at every setting.
 func TestCorpusSolverWorkersDeterministic(t *testing.T) {
 	type effort struct{ iterations, tokens, epochs int64 }
 	render := func(solverWorkers int) ([]byte, []*Outcome, effort) {

@@ -13,7 +13,7 @@ import (
 // Accessor reads are wired on demand (features.go): a read of a sleeping
 // pseudo-property name waits until propVar creates the name's first
 // variable. These tests pin that every producer wakes the reads queued
-// before it, that a rollback window puts a woken name back to sleep, and
+// before it, that restoring a snapshot puts a woken name back to sleep, and
 // that a project without producers never materializes one.
 
 // accessorPhases are the points at which accessorWakeRow checks wake state.
@@ -169,15 +169,15 @@ func runAccessorWakeRow(t *testing.T, row accessorWakeRow, workers int) {
 	}
 }
 
-// TestAccessorWakeRollback wakes $get$x by a [DPW] hint inside an open
-// rollback window, in which a Reflect.get that only the window's [DPR]
-// hint resolves also queues a read of $get$y. rollbackTo must put $get$x
-// back to sleep and restore both waiting lists; a second delta over the
-// rolled-back state finds the getter edge again, as the public
-// AnalyzeBothAndAblation arms do.
-func TestAccessorWakeRollback(t *testing.T) {
+// TestAccessorWakeRestore wakes $get$x by a [DPW] hint in a delta forked
+// from a snapshot, in which a Reflect.get that only the delta's [DPR] hint
+// resolves also queues a read of $get$y. restore must put $get$x back to
+// sleep and restore both waiting lists; a second delta over the restored
+// state finds the getter edge again, as the public AnalyzeBothAndAblation
+// arms do.
+func TestAccessorWakeRestore(t *testing.T) {
 	idx := func(line, col int) loc.Loc { return appLoc("index.js", line, col) }
-	project := &modules.Project{Name: "rollback", MainEntries: []string{"/app/index.js"}, MainPrefix: "/app",
+	project := &modules.Project{Name: "restore", MainEntries: []string{"/app/index.js"}, MainPrefix: "/app",
 		Files: map[string]string{"/app/index.js": "var o = {};\nvar v = o.x;\n" +
 			"var g = function getter() { return 1; };\nvar k = 'p';\no[k] = g;\n" +
 			"var box = { f: Reflect.get };\nvar tbl = {};\nvar x = tbl[k];\nvar y = x.f(o, 'y');\n"}}
@@ -220,18 +220,18 @@ func TestAccessorWakeRollback(t *testing.T) {
 			t.Fatalf("%s: $get$y has %d waiting reads, want %d", arm, len(waiting(getY)), len(yBefore)+1)
 		}
 	}
-	rb := a.beginRollbackWindow(a.cg.Clone())
+	snap := a.snapshot()
 	delta("extended arm")
-	a.rollbackTo(rb)
+	a.restore(snap)
 	if awake(getX) || awake(getY) {
-		t.Fatalf("after rollback: $get$x awake %v, $get$y awake %v", awake(getX), awake(getY))
+		t.Fatalf("after restore: $get$x awake %v, $get$y awake %v", awake(getX), awake(getY))
 	}
 	if !slices.Equal(waiting(getX), xBefore) || !slices.Equal(waiting(getY), yBefore) {
-		t.Fatalf("after rollback: waiting lists %v, %v; want %v, %v",
+		t.Fatalf("after restore: waiting lists %v, %v; want %v, %v",
 			waiting(getX), waiting(getY), xBefore, yBefore)
 	}
 	if a.cg.HasEdge(readSite, getter) {
-		t.Fatal("after rollback: getter edge survived")
+		t.Fatal("after restore: getter edge survived")
 	}
 	delta("second arm")
 

@@ -54,7 +54,7 @@ type Options struct {
 	UnknownArgHints bool
 	// SolverWorkers is the number of workers of the sharded epoch engine
 	// (parallel.go) that propagates constraints in every solve, the
-	// rolled-back ablation arm's included; 0 and 1 both mean one worker,
+	// forked ablation arm's included; 0 and 1 both mean one worker,
 	// with every epoch run inline. Results, solver-effort and structure
 	// counters are identical for every value: the epoch schedule does not
 	// depend on the worker count.
@@ -64,9 +64,9 @@ type Options struct {
 	// site, hint origin), queryable through Result.Provenance. Recording is
 	// observational — call graphs, metrics, and effort counters are
 	// byte-identical with it on or off — and costs one nil pointer check
-	// per constraint when disabled. Incompatible with the rolled-back
-	// ablation arm (AnalyzeBothAndAblation), whose rewind would strand
-	// journal entries.
+	// per constraint when disabled. Incompatible with the forked ablation
+	// arm (AnalyzeBothAndAblation), whose snapshot does not cover the
+	// journal.
 	Provenance bool
 	// DegradeFiles names modules whose pre-analysis faulted (panic,
 	// deadline, corrupt source): every hint anchored in one of them is
@@ -268,11 +268,6 @@ type analyzer struct {
 	// time (generation-created ones), not tokens the baseline solve
 	// materialized afterwards (native members, Object.create sites, …).
 	hintTokenEligible func(Token) bool
-
-	// journal, when non-nil, records map insertions made inside an open
-	// rollback window that rollbackTo's watermark sweeps cannot detect
-	// (see beginRollbackWindow).
-	journal *deltaJournal
 
 	// provSites records per-call-site attribution data (callee/receiver/
 	// argument variables, callee kind) when provenance is enabled.
@@ -717,9 +712,6 @@ func (a *analyzer) loadFromToken(t Token, prop string, dst Var) {
 		return
 	}
 	a.loadSeen[key] = true
-	if a.journal != nil {
-		a.journal.loadSeen = append(a.journal.loadSeen, key)
-	}
 	info := a.tokens[t]
 	if info.kind == tokNative && nativeHasMember(info.name, prop) {
 		// Property reads on natives yield native member tokens (Math.floor,

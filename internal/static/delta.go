@@ -20,8 +20,8 @@
 // and tokens are only ever added — so "remove the dirty file's
 // constraints and resume" would require deleting state the fixpoint
 // already propagated through shared variables, which the engine cannot do
-// exactly (its rollback windows, PR 5, truncate suffixes of an unchanged
-// constraint prefix; an edit invalidates the prefix itself). Re-solving
+// exactly (a snapshot fork only extends an unchanged fixpoint with more
+// constraints; an edit invalidates the fixpoint itself). Re-solving
 // from regenerated constraints is therefore the exactness-preserving
 // delta: AnalyzeBoth is a pure function of (project, options), so the
 // delta path and a from-scratch restart produce byte-identical graphs —

@@ -41,9 +41,9 @@ import (
 // read would create is empty and has no in-edges, and registering the read
 // later adds nothing the monotone fixpoint would not already hold. The
 // collector that receives the accessor functions, and its invocation
-// trigger, stay eager: a collector created at wake time inside a rollback
-// window would be a variable rollbackTo releases while a pre-window
-// waiting entry still names it.
+// trigger, stay eager. Creating them at wake time would also be exact —
+// the ablation fork restores a deep copy of the baseline fixpoint, waiting
+// lists and all — but is a performance change still to be measured.
 
 // accKind is the family of an accessor pseudo-property name.
 type accKind uint8
@@ -129,9 +129,6 @@ func (a *analyzer) readAccessor(base Var, n accName, fns Var) {
 	if j := a.s.prov; j != nil {
 		w.ctxs = append(w.ctxs, j.cur)
 	}
-	if a.journal != nil {
-		a.journal.accessorWaits = append(a.journal.accessorWaits, n)
-	}
 }
 
 // wakeAccessor is called by propVar for every property variable it creates.
@@ -148,9 +145,6 @@ func (a *analyzer) wakeAccessor(prop string) {
 		return
 	}
 	w.awake = true
-	if a.journal != nil {
-		a.journal.accessorWakes = append(a.journal.accessorWakes, n)
-	}
 	j := a.s.prov
 	var ambient provRecord
 	if j != nil {

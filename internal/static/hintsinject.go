@@ -125,14 +125,13 @@ func (a *analyzer) injectNameOnly(h *hints.Hints) {
 	namesAt := map[loc.Loc]map[string]bool{}
 	var looseHints []hints.WriteHint // hints without a usable operation site
 	for _, w := range h.WriteHints() {
-		if dw, ok := a.dynWrites[w.Site]; ok {
+		if _, ok := a.dynWrites[w.Site]; ok {
 			set := namesAt[w.Site]
 			if set == nil {
 				set = map[string]bool{}
 				namesAt[w.Site] = set
 			}
 			set[w.Prop] = true
-			_ = dw
 			continue
 		}
 		looseHints = append(looseHints, w)

@@ -2,9 +2,10 @@ package static
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
-	"repro/internal/callgraph"
 	"repro/internal/loc"
 	"repro/internal/modules"
 	"repro/internal/perf"
@@ -49,27 +50,29 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 	return baseline, extended, err
 }
 
-// AnalyzeBothAndAblation is AnalyzeBoth plus a third arm: after the extended
-// fixpoint it rolls the solver and analyzer back to the baseline fixpoint and
-// resumes once more with the §4 name-only ablation injection, so the three
-// results (baseline, relational-extended, name-only) cost one baseline solve
-// plus two deltas instead of the three full solves of running them
+// AnalyzeBothAndAblation is AnalyzeBoth plus a third arm: the §4 name-only
+// ablation, forked from a snapshot of the baseline fixpoint, so the three
+// results (baseline, relational-extended, name-only) cost one baseline
+// solve plus two deltas instead of the three full solves of running them
 // separately. The ablation result's call graph and metrics are identical to
 // a from-scratch Analyze(Options{Mode: AblationNameOnly, Hints: opts.Hints}):
-// both solve the least fixpoint of the same monotone constraint system, and
-// name-only injection reads no solved state (only generation-time site
-// tokens, filtered by the same eligibility watermarks both paths share).
+// both arms are monotone extensions of the same baseline fixpoint, so each
+// resumes to the least fixpoint of its own constraint system, and name-only
+// injection reads no solved state (only generation-time site tokens,
+// filtered by the same eligibility watermarks both paths share). The
+// baseline and extended results are those of AnalyzeBoth, effort counters
+// included. When the degraded hints carry no [DPW] write hints the two hint
+// systems are identical, and the extended result is returned as the
+// ablation result without a third phase.
 //
-// The rollback forces the delta phases to run with cycle unification
-// disabled (see rollbackPoint), which changes effort counters but not
-// results; opts must not request EvalHints, whose generation phase mutates
-// analyzer state the rollback journal does not cover.
+// opts must not request EvalHints or Provenance: the snapshot does not
+// cover eval-generated frames or the provenance journal.
 func AnalyzeBothAndAblation(project *modules.Project, opts Options) (baseline, extended, ablation *Result, err error) {
 	if opts.EvalHints {
-		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot roll back an EvalHints delta")
+		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot fork an EvalHints delta")
 	}
 	if opts.Provenance {
-		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot roll back a provenance journal")
+		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot fork a provenance journal")
 	}
 	return analyzeBothArms(project, opts, true)
 }
@@ -123,24 +126,26 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		Faults:          a.faults,
 	}
 
-	// Phase 2 — switch to the extended options and inject the deltas. With
-	// an ablation arm requested, open the rollback window first: it pins the
-	// solver in no-unify mode (exact; only effort differs) so every phase-2
-	// mutation is append-only and can be unwound to re-run phase 2 under the
-	// name-only injection.
-	var rb *analyzerRollback
-	if withAblation {
-		rb = a.beginRollbackWindow(baseline.Graph)
+	// Only [DPW] write hints distinguish the name-only arm from the
+	// relational one; when it differs, snapshot the baseline fixpoint so the
+	// arm can fork from it after the extended phase.
+	var fork *analyzerSnapshot
+	if withAblation && WriteHintsApply(opts.Hints) {
+		fork = a.snapshot()
 	}
+	eligible := func(t Token) bool {
+		return int(t) < preSolveTokens || int(t) >= postSolveTokens
+	}
+
+	// Phase 2 — switch to the extended options, inject the deltas and
+	// resume.
 	deltaStart := time.Now()
 	deltaAlloc0 := perf.TotalAllocBytes()
 	a.opts = opts
 	if opts.EvalHints {
 		a.genEvalHints()
 	}
-	a.hintTokenEligible = func(t Token) bool {
-		return int(t) < preSolveTokens || int(t) >= postSolveTokens
-	}
+	a.hintTokenEligible = eligible
 	a.injectHints()
 	a.injectModuleHintDeltas()
 	deltaSolveStart := time.Now()
@@ -171,20 +176,17 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		extended.Provenance = newProvenance(a)
 	}
 
-	// Phase 3 (optional) — rewind to the baseline fixpoint and resume under
-	// the name-only ablation injection. The extended result's graph was
-	// handed out above; rollbackTo gives the analyzer a fresh clone of the
-	// baseline graph to grow, so the extended graph is not disturbed.
-	if withAblation {
+	// Phase 3 (optional) — restore the baseline fixpoint and resume under
+	// the name-only ablation injection. The extended result keeps the graph
+	// it was handed; the restored analyzer grows the snapshot's copy.
+	switch {
+	case fork != nil:
 		ablStart := time.Now()
 		ablAlloc0 := perf.TotalAllocBytes()
-		a.rollbackTo(rb)
-		ablOpts := opts
-		ablOpts.Mode = AblationNameOnly
-		a.opts = ablOpts
-		a.hintTokenEligible = func(t Token) bool {
-			return int(t) < preSolveTokens || int(t) >= postSolveTokens
-		}
+		a.restore(fork)
+		a.opts = opts
+		a.opts.Mode = AblationNameOnly
+		a.hintTokenEligible = eligible
 		a.injectHints()
 		a.injectModuleHintDeltas()
 		ablSolveStart := time.Now()
@@ -208,6 +210,8 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 			Faults:          a.faults,
 			DegradedModules: degradedList(opts.DegradeFiles),
 		}
+	case withAblation:
+		ablation = extended
 	}
 
 	finalIters, finalDelivered := a.s.stats()
@@ -219,134 +223,50 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 	return baseline, extended, ablation, nil
 }
 
-// deltaJournal records insertions a rollback (see beginRollbackWindow) could
-// not otherwise find: entries whose key and value both predate the window,
-// so the watermark sweeps of rollbackTo cannot identify them as new.
-type deltaJournal struct {
-	loadSeen    []loadKey
-	dynRequires []loc.Loc
-	// accessorWakes lists the accessor names woken in the window, and
-	// accessorWaits the name of every read appended to a waiting list.
-	accessorWakes []accName
-	accessorWaits []accName
+// analyzerSnapshot is a copy of the analyzer, and of its solver, at a
+// drained fixpoint (see snapshot).
+type analyzerSnapshot struct {
+	a analyzer
+	s *solverSnapshot
 }
 
-// analyzerRollback snapshots the analyzer (and its solver) at the baseline
-// fixpoint so a later rollbackTo can restore it and resume with a different
-// hint-delta variant.
-type analyzerRollback struct {
-	rp     *rollbackPoint
-	nTok   int
-	baseCG *callgraph.Graph
-	opts   Options
-	elig   func(Token) bool
+// snapshot copies the analyzer at the current drained fixpoint: the struct
+// itself, the token table, every map the solve grows, the accessor wake
+// states and the call graph, plus the solver's own snapshot. Maps that only
+// constraint generation writes are shared.
+func (a *analyzer) snapshot() *analyzerSnapshot {
+	c := *a
+	c.tokens = slices.Clone(a.tokens)
+	c.siteToken = maps.Clone(a.siteToken)
+	c.fnToken = maps.Clone(a.fnToken)
+	c.natives = maps.Clone(a.natives)
+	c.tokenBehaviors = maps.Clone(a.tokenBehaviors)
+	c.propVars = maps.Clone(a.propVars)
+	c.protoVars = maps.Clone(a.protoVars)
+	c.fnInfos = maps.Clone(a.fnInfos)
+	c.loadSeen = maps.Clone(a.loadSeen)
+	c.globals = maps.Clone(a.globals)
+	c.dynReads = maps.Clone(a.dynReads)
+	c.dynReadBases = maps.Clone(a.dynReadBases)
+	c.dynWrites = maps.Clone(a.dynWrites)
+	c.dynRequires = maps.Clone(a.dynRequires)
+	c.evalResults = maps.Clone(a.evalResults)
+	c.accessors = make(map[accName]*accessorReads, len(a.accessors))
+	for n, w := range a.accessors {
+		c.accessors[n] = &accessorReads{awake: w.awake,
+			waiting: slices.Clone(w.waiting), ctxs: slices.Clone(w.ctxs)}
+	}
+	c.cg = a.cg.Clone()
+	return &analyzerSnapshot{a: c, s: a.s.snapshot()}
 }
 
-// beginRollbackWindow opens a rollback window at the current (baseline)
-// fixpoint. baseGraph must be a snapshot of the call graph at this point;
-// rollbackTo clones it rather than adopting it, so the caller's copy stays
-// pristine. From here until rollbackTo, the solver runs in no-unify mode and
-// the analyzer journals insertions into the maps whose delta-phase growth a
-// watermark cannot detect (loadSeen and dynRequires, which can gain entries
-// built entirely from pre-window variables and tokens when an old token
-// reaches an old variable's trigger only during the delta), and the
-// accessor names woken and the accessor reads queued in the window.
-func (a *analyzer) beginRollbackWindow(baseGraph *callgraph.Graph) *analyzerRollback {
-	a.journal = &deltaJournal{}
-	return &analyzerRollback{
-		rp:     a.s.rollbackPoint(),
-		nTok:   len(a.tokens),
-		baseCG: baseGraph,
-		opts:   a.opts,
-		elig:   a.hintTokenEligible,
-	}
-}
-
-// rollbackTo restores the analyzer to the fixpoint captured by
-// beginRollbackWindow. Post-window tokens and variables are dropped, every
-// site-keyed map loses the entries that reference them, journaled
-// insertions are deleted, and the call graph is replaced by a clone of the
-// baseline snapshot. Effort counters stay cumulative.
-func (a *analyzer) rollbackTo(rb *analyzerRollback) {
-	a.s.rollbackTo(rb.rp)
-	nVars := rb.rp.nVars
-	nTok := rb.nTok
-	a.tokens = a.tokens[:nTok]
-	// Maps keyed or valued by tokens: drop entries minted during the delta.
-	for site, t := range a.siteToken {
-		if int(t) >= nTok {
-			delete(a.siteToken, site)
-		}
-	}
-	for f, t := range a.fnToken {
-		if int(t) >= nTok {
-			delete(a.fnToken, f)
-		}
-	}
-	for name, t := range a.natives {
-		if int(t) >= nTok {
-			delete(a.natives, name)
-		}
-	}
-	for t := range a.tokenBehaviors {
-		if int(t) >= nTok {
-			delete(a.tokenBehaviors, t)
-		}
-	}
-	// Maps valued by variables: solve-time misses always allocate a fresh
-	// variable, so any entry holding a post-window variable was created
-	// during the delta (and no pre-window entry can be overwritten with a
-	// new variable — map hits return the existing one).
-	for k, v := range a.propVars {
-		if int(v) >= nVars {
-			delete(a.propVars, k)
-		}
-	}
-	for t, v := range a.protoVars {
-		if int(v) >= nVars {
-			delete(a.protoVars, t)
-		}
-	}
-	for t, fi := range a.fnInfos {
-		// An fnInfo's variables are allocated together; ret is among them.
-		if int(fi.ret) >= nVars {
-			delete(a.fnInfos, t)
-		}
-	}
-	for m, v := range a.evalResults {
-		if int(v) >= nVars {
-			delete(a.evalResults, m)
-		}
-	}
-	for n, v := range a.globals {
-		if int(v) >= nVars {
-			delete(a.globals, n)
-		}
-	}
-	for s, v := range a.dynReads {
-		if int(v) >= nVars {
-			delete(a.dynReads, s)
-		}
-	}
-	for _, k := range a.journal.loadSeen {
-		delete(a.loadSeen, k)
-	}
-	for _, s := range a.journal.dynRequires {
-		delete(a.dynRequires, s)
-	}
-	// A name woken in the window sleeps again, and its waiting list loses
-	// the reads appended in the window, which sit at the list's tail.
-	for _, n := range a.journal.accessorWakes {
-		a.accessors[n].awake = false
-	}
-	for _, n := range a.journal.accessorWaits {
-		w := a.accessors[n]
-		w.waiting = w.waiting[:len(w.waiting)-1]
-	}
-	a.journal = &deltaJournal{}
-	a.cg = rb.baseCG.Clone()
-	a.opts = rb.opts
-	a.hintTokenEligible = rb.elig
+// restore returns the analyzer to snap. The struct is copied back in
+// place, keeping the same *solver, because trigger closures capture a.
+// Like solver.restore it adopts the snapshot's copies, so a snapshot
+// restores once. Effort counters stay cumulative.
+func (a *analyzer) restore(snap *analyzerSnapshot) {
+	*a = snap.a
+	a.s.restore(snap.s)
 }
 
 // injectModuleHintDeltas applies module-load hints to dynamic-specifier

@@ -230,10 +230,6 @@ func (a *analyzer) nativeCall(name string, site loc.Loc, recvVar Var, recvValid 
 				a.s.addToken(result, mt)
 			}
 		})
-		if name == "Array.prototype.forEach" && recvValid {
-			// forEach returns undefined; nothing flows.
-			_ = recvVar
-		}
 
 	case "Array.prototype.reduce", "Array.prototype.reduceRight":
 		cb, ok := argOr(0)
@@ -867,9 +863,6 @@ func (a *analyzer) requireCall(site loc.Loc, result Var) {
 	// Dynamically computed specifier. Recorded in every mode: this behavior
 	// fires once per callee token, so an incremental resume needs the site
 	// on record to retro-link module hints after the baseline fixpoint.
-	if _, seen := a.dynRequires[site]; !seen && a.journal != nil {
-		a.journal.dynRequires = append(a.journal.dynRequires, site)
-	}
 	a.dynRequires[site] = result
 	if a.opts.Mode != Baseline && a.opts.Hints != nil {
 		for _, mh := range a.opts.Hints.ModuleHints() {

@@ -66,10 +66,6 @@ package static
 // representative, so every member of a unified group lands wherever its
 // representative lands. All unification (LCD, sweep reconciliation) runs
 // between epochs on the solver goroutine.
-//
-// A rollback window (noUnify) runs the same loop with collapsing off: no
-// entry sweep, no LCD or sweep rounds, and noteLCD records nothing, so every
-// mutation of the window stays append-only and rollbackTo can unwind it.
 
 import (
 	"sync"
@@ -367,17 +363,14 @@ func (s *solver) configureParallel(workers int) {
 // solve runs propagation to a fixpoint on the epoch engine. Between epochs
 // it runs the LCD/sweep cadence (with batched Tarjan sweeps handed to a
 // concurrent worker); within an epoch the frontier is scanned, winnowed,
-// and applied in parallel, then reconciled by the serial tail. Inside a
-// rollback window (noUnify) every collapse step is skipped.
+// and applied in parallel, then reconciled by the serial tail.
 func (s *solver) solve() {
 	p := s.par
-	if !s.noUnify {
-		// Entry sweep: collapse every cycle the constraint generator (or a
-		// previous solve round plus injected deltas) built statically,
-		// before any token crosses its edges. Synchronous, since there is no
-		// parallel work to overlap it with yet.
-		s.collapseAllSCCs()
-	}
+	// Entry sweep: collapse every cycle the constraint generator (or a
+	// previous solve round plus injected deltas) built statically, before
+	// any token crosses its edges. Synchronous, since there is no parallel
+	// work to overlap it with yet.
+	s.collapseAllSCCs()
 	for s.head < len(s.queue) || len(p.pushTasks) > 0 || p.sweepLive || p.sweepDone {
 		if p.sweepDone {
 			// Reconcile the sweep joined by the previous tail: collapse its
@@ -403,7 +396,7 @@ func (s *solver) solve() {
 			// possibly-uncollapsed state stays bounded.
 			budget = cycleEpochCap
 		}
-		if !s.noUnify && !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
+		if !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
 			// Collapse round: every epoch that produced cycle evidence gets
 			// one before the next epoch consumes more of the frontier.
 			// Deferred pushes never wait for it and never run inline for it —

@@ -2,8 +2,10 @@ package static
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -30,7 +32,7 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 		nVars := 20 + rng.Intn(60)
 		rounds := 1 + rng.Intn(3)
 
-		sq := newReferenceSolver()
+		sq := newSolver()
 		cpsSeq, firedSeq := randomOps(seed, sq, (*solver).solveFIFO, nVars, rounds)
 
 		var refIters, refDelivered int64
@@ -213,7 +215,7 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 	defer func() { inlineFrontierMax = saved }()
 
 	for seed := int64(0); seed < 6; seed++ {
-		sq := newReferenceSolver()
+		sq := newSolver()
 		_, firedSeq := randomOps(seed, sq, (*solver).solveFIFO, 60, 2)
 		for _, workers := range []int{2, 4, 8} {
 			sp := newSolver()
@@ -231,28 +233,28 @@ func TestParallelConcurrentScanPath(t *testing.T) {
 	}
 }
 
-// TestParallelRollbackWindowRunsEpochs drives a rollback window on the
-// forced-concurrent path: every epoch of the window runs through the epoch
-// engine with collapsing off. It checks that the window ran epochs,
-// collapsed nothing and recorded no cycle evidence, that rollbackTo restores every variable's token set,
-// edge list and trigger count to the pre-window checkpoint exactly, and
-// that a second delta on the rolled-back solver matches the FIFO reference
-// solving base + second delta.
-func TestParallelRollbackWindowRunsEpochs(t *testing.T) {
+// TestParallelSnapshotForkRunsEpochs forks a solver from a snapshot on the
+// forced-concurrent path: the first delta runs through the epoch engine
+// with collapsing on, restore returns every variable's token order, edge
+// list, trigger count, delivered prefix and the union-find forest to the
+// snapshot exactly, and a second delta on the restored solver matches the
+// FIFO reference solving base + second delta.
+func TestParallelSnapshotForkRunsEpochs(t *testing.T) {
 	saved := inlineFrontierMax
 	inlineFrontierMax = 0
 	defer func() { inlineFrontierMax = saved }()
 
-	type varSnap struct {
-		tokens []Token
-		edges  []Var
-		trig   int
+	type varView struct {
+		tokens    []Token
+		edges     []Var
+		trig      int
+		delivered int
 	}
-	snapshot := func(s *solver) []varSnap {
-		out := make([]varSnap, s.nVars)
+	view := func(s *solver) []varView {
+		out := make([]varView, s.nVars)
 		for v := range out {
 			st := s.state(Var(v))
-			out[v] = varSnap{append([]Token(nil), st.tokens...), append([]Var(nil), st.edges...), len(st.triggers)}
+			out[v] = varView{slices.Clone(st.tokens), slices.Clone(st.edges), len(st.triggers), st.delivered}
 		}
 		return out
 	}
@@ -274,16 +276,13 @@ func TestParallelRollbackWindowRunsEpochs(t *testing.T) {
 			s := newSolver()
 			s.configureParallel(workers)
 			_, fired := randomOps(seed, s, (*solver).solve, nVars, 2)
-			base := snapshot(s)
-			baseFired := map[fireKey]int{}
-			for k, n := range fired {
-				baseFired[k] = n
-			}
-			epochs0, collapsed0, checked0 := s.parallelStats().Epochs, s.structure().CyclesCollapsed, len(s.lcdChecked)
+			base, baseParent := view(s), slices.Clone(s.parent)
+			baseFired := maps.Clone(fired)
+			epochs0 := s.parallelStats().Epochs
 
-			rp := s.rollbackPoint()
-			// The first delta also grows the system the rollback must undo:
-			// fresh variables, and a trigger on a pre-window variable.
+			snap := s.snapshot()
+			// The first delta also grows the system the restore must drop:
+			// fresh variables, and a trigger on a pre-snapshot variable.
 			for i := 0; i < 4; i++ {
 				nv := s.newVar()
 				s.addEdge(Var(i), nv)
@@ -292,40 +291,32 @@ func TestParallelRollbackWindowRunsEpochs(t *testing.T) {
 			s.onToken(Var(1), func(Token) {})
 			delta(s, seed+1000, 100, nVars, (*solver).solve)
 			if s.parallelStats().Epochs == epochs0 {
-				t.Fatalf("workers %d seed %d: the rollback window ran no epochs", workers, seed)
+				t.Fatalf("workers %d seed %d: the forked delta ran no epochs", workers, seed)
 			}
-			if got := s.structure().CyclesCollapsed; got != collapsed0 {
-				t.Fatalf("workers %d seed %d: the rollback window collapsed %d cycles", workers, seed, got-collapsed0)
-			}
-			if len(s.lcdPending) != 0 || len(s.lcdChecked) != checked0 {
-				t.Fatalf("workers %d seed %d: the rollback window recorded cycle evidence", workers, seed)
-			}
-			s.rollbackTo(rp)
-			got := snapshot(s)
+			s.restore(snap)
+			got := view(s)
 			if len(got) != len(base) {
-				t.Fatalf("workers %d seed %d: %d variables after rollback, want %d", workers, seed, len(got), len(base))
+				t.Fatalf("workers %d seed %d: %d variables after restore, want %d", workers, seed, len(got), len(base))
 			}
 			for v := range base {
-				if !tokensEqual(got[v].tokens, base[v].tokens) || !reflect.DeepEqual(got[v].edges, base[v].edges) ||
-					got[v].trig != base[v].trig {
-					t.Fatalf("workers %d seed %d: var %d after rollback %+v, want checkpoint %+v",
+				if !reflect.DeepEqual(got[v], base[v]) {
+					t.Fatalf("workers %d seed %d: var %d after restore %+v, want snapshot %+v",
 						workers, seed, v, got[v], base[v])
 				}
 			}
-			for k := range fired {
-				delete(fired, k)
+			if !slices.Equal(s.parent, baseParent) {
+				t.Fatalf("workers %d seed %d: union-find forest not restored", workers, seed)
 			}
-			for k, n := range baseFired {
-				fired[k] = n
-			}
+			clear(fired)
+			maps.Copy(fired, baseFired)
 
 			delta(s, seed+2000, 200, nVars, (*solver).solve)
-			ref := newReferenceSolver()
+			ref := newSolver()
 			_, firedRef := randomOps(seed, ref, (*solver).solveFIFO, nVars, 2)
 			delta(ref, seed+2000, 200, nVars, (*solver).solveFIFO)
 			for v := 0; v < nVars; v++ {
 				if g, w := sortedTokens(s.tokens(Var(v))), sortedTokens(ref.tokens(Var(v))); !tokensEqual(g, w) {
-					t.Fatalf("workers %d seed %d: var %d rolled-back+delta2 %v, reference %v", workers, seed, v, g, w)
+					t.Fatalf("workers %d seed %d: var %d restored+delta2 %v, reference %v", workers, seed, v, g, w)
 				}
 			}
 			if len(fired) != len(firedRef) {

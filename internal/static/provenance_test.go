@@ -163,9 +163,9 @@ func TestProvenanceExplainChain(t *testing.T) {
 	}
 }
 
-// TestProvenanceAblationRejected: the ablation arm replays the solve with
-// rollback windows, which cannot unwind a journal; the combination is a
-// configuration error, not a silent wrong answer.
+// TestProvenanceAblationRejected: the ablation arm forks from a snapshot
+// that does not cover the journal; the combination is a configuration
+// error, not a silent wrong answer.
 func TestProvenanceAblationRejected(t *testing.T) {
 	project := motivating()
 	ar, err := approx.Run(project, approx.Options{})

@@ -1,19 +1,12 @@
 package static
 
-// newReferenceSolver builds the differential oracle of the property tests:
-// a solver with cycle collapsing disabled, driven by solveFIFO instead of
-// the epoch engine.
-func newReferenceSolver() *solver {
-	s := newSolver()
-	s.noUnify = true
-	return s
-}
-
-// solveFIFO is the reference propagation loop: a plain FIFO pop loop that
-// shares nothing with the epoch engine but the constraint operations.
-// Without unification every queue entry is a token appended to its
-// variable's pending suffix in queue order, so each pop processes exactly
-// that variable's next pending token. Valid only on a noUnify solver.
+// solveFIFO is the differential oracle of the property tests: a plain FIFO
+// pop loop that shares nothing with the epoch engine but the constraint
+// operations, and never collapses a cycle. Without unification every queue
+// entry is a token appended to its variable's pending suffix in queue
+// order, so each pop processes exactly that variable's next pending token.
+// Valid only while no cycle has been collapsed, that is, on a solver the
+// epoch engine has never run on.
 func (s *solver) solveFIFO() {
 	for s.head < len(s.queue) {
 		d := s.queue[s.head]

@@ -3,6 +3,11 @@
 // including the two hint-consuming constraint rules [DPR] and [DPW].
 package static
 
+import (
+	"maps"
+	"slices"
+)
+
 // Var is a constraint variable: an abstract set of tokens associated with
 // an expression, a variable binding, a function parameter/return/this, or
 // an object property.
@@ -125,12 +130,6 @@ type solver struct {
 	// representative.
 	queue []delivery
 	head  int
-
-	// noUnify disables cycle collapsing: no entry sweep, no LCD or sweep
-	// rounds, and noteLCD records nothing. A rollback window sets it so its
-	// mutations stay append-only (see rollbackPoint); the FIFO reference
-	// solver of the property tests sets it too.
-	noUnify bool
 
 	// Lazy cycle detection: candidate edges whose delivery was redundant,
 	// checked (once per pair, ever) between epochs.
@@ -402,11 +401,7 @@ func (st *varState) swapTokens(i, j int) {
 
 // noteLCD records a lazy-cycle-detection candidate: the edge from→to just
 // carried a redundant delivery. Each pair is checked at most once, ever.
-// Inside a rollback window nothing is recorded: the window never collapses.
 func (s *solver) noteLCD(from, to Var) {
-	if s.noUnify {
-		return
-	}
 	key := edgePair{from, to}
 	if s.lcdChecked == nil {
 		s.lcdChecked = map[edgePair]struct{}{}
@@ -694,107 +689,72 @@ func (s *solver) collapseAllSCCs() {
 	s.sccDirty = false
 }
 
-// ----------------------------------------------------------------- rollback
+// ----------------------------------------------------------------- snapshot
 
-// rollbackPoint snapshots the solver at a drained fixpoint so a later
-// rollbackTo can restore it exactly. The snapshot is O(nVars) lengths, not
-// a copy of any set: it relies on every post-snapshot mutation being
-// append-only, which holds only while unification is disabled (noUnify) —
-// merges rewrite parents, free merged members' contents, and swap pending
-// tokens out of append order, none of which a length snapshot can undo.
-// rollbackPoint therefore flips the solver into its no-unify mode; the
-// caller keeps it there for every phase it intends to roll back. The epoch
-// engine still runs every solve of the window, with collapsing off. Solving
-// without unification is exact (collapsing is only an effort optimization),
-// so results are unaffected.
-type rollbackPoint struct {
-	nVars      int
-	tokensLen  []int32
-	edgesLen   []int32
-	trigLen    []int32
-	hasNil     []bool
-	edgeHasNil []bool
+// solverSnapshot is a deep copy of a drained solver: every variable's
+// state plus the union-find forest and the cycle-detection state, so a
+// later restore can fork a second monotone extension from the same
+// fixpoint. Collapsing never changes a least fixpoint, and a copy is
+// indifferent to the parent rewrites, merges and pending-token swaps it
+// makes, so both forks solve with collapsing on.
+type solverSnapshot struct {
+	states     []varState
+	parent     []Var
+	lcdPending []edgePair
+	lcdChecked map[edgePair]struct{}
 	nextSweep  int64
+	sccDirty   bool
 }
 
-// rollbackPoint captures the current drained fixpoint and opens the
-// append-only (no-unify) window that makes rollbackTo possible.
-func (s *solver) rollbackPoint() *rollbackPoint {
-	s.noUnify = true
-	rp := &rollbackPoint{
-		nVars:      s.nVars,
-		tokensLen:  make([]int32, s.nVars),
-		edgesLen:   make([]int32, s.nVars),
-		trigLen:    make([]int32, s.nVars),
-		hasNil:     make([]bool, s.nVars),
-		edgeHasNil: make([]bool, s.nVars),
+// snapshot copies the solver at a drained fixpoint. Trigger lists are
+// copied but the closures in them are shared: the analyzer's closures keep
+// their mutable state in the analyzer, which its own snapshot restores.
+func (s *solver) snapshot() *solverSnapshot {
+	if len(s.queue) != 0 {
+		panic("static: snapshot of an undrained solver")
+	}
+	snap := &solverSnapshot{
+		states:     make([]varState, s.nVars),
+		parent:     slices.Clone(s.parent),
+		lcdPending: slices.Clone(s.lcdPending),
+		lcdChecked: maps.Clone(s.lcdChecked),
 		nextSweep:  s.nextSweep,
+		sccDirty:   s.sccDirty,
 	}
-	for v := 0; v < s.nVars; v++ {
+	for v := range snap.states {
 		st := s.state(Var(v))
-		rp.tokensLen[v] = int32(len(st.tokens))
-		rp.edgesLen[v] = int32(len(st.edges))
-		rp.trigLen[v] = int32(len(st.triggers))
-		rp.hasNil[v] = st.has == nil
-		rp.edgeHasNil[v] = st.edgeHas == nil
+		snap.states[v] = varState{
+			tokens:    slices.Clone(st.tokens),
+			has:       maps.Clone(st.has),
+			delivered: st.delivered,
+			edges:     slices.Clone(st.edges),
+			edgeHas:   maps.Clone(st.edgeHas),
+			triggers:  slices.Clone(st.triggers),
+		}
 	}
-	return rp
+	return snap
 }
 
-// rollbackTo restores the solver to rp: post-snapshot variables are
-// released, and every surviving state's token, edge, and trigger lists are
-// truncated to their snapshot lengths (with spill maps shrunk or dropped to
-// match). Valid only if the solver stayed in no-unify mode since rp was
-// taken and the queue is drained (both phases ended at a fixpoint). Effort
-// counters are deliberately left cumulative — rolled-back work was still
-// performed.
-func (s *solver) rollbackTo(rp *rollbackPoint) {
-	if !s.noUnify {
-		panic("static: rollbackTo outside the no-unify window")
+// restore returns the solver to snap, dropping the variables created
+// since. The solver adopts the snapshot's copies, so a snapshot restores
+// once. The queue must be drained. Effort counters are deliberately left
+// cumulative — the discarded fork's work was still performed.
+func (s *solver) restore(snap *solverSnapshot) {
+	if len(s.queue) != 0 {
+		panic("static: restore into an undrained solver")
 	}
-	if s.head != len(s.queue) && len(s.queue) != 0 {
-		panic("static: rollbackTo with undrained queue")
-	}
-	for v := rp.nVars; v < s.nVars; v++ {
+	for v := len(snap.states); v < s.nVars; v++ {
 		*s.state(Var(v)) = varState{}
 	}
-	s.nVars = rp.nVars
-	s.parent = s.parent[:rp.nVars]
-	for v := 0; v < rp.nVars; v++ {
-		st := s.state(Var(v))
-		tl := int(rp.tokensLen[v])
-		if len(st.tokens) > tl {
-			if st.has != nil {
-				for _, t := range st.tokens[tl:] {
-					delete(st.has, t)
-				}
-			}
-			st.tokens = st.tokens[:tl]
-		}
-		if st.has != nil && rp.hasNil[v] {
-			st.has = nil
-		}
-		// At a drained fixpoint every token's queue entry was processed.
-		st.delivered = tl
-		el := int(rp.edgesLen[v])
-		if len(st.edges) > el {
-			if st.edgeHas != nil {
-				for _, e := range st.edges[el:] {
-					delete(st.edgeHas, e)
-				}
-			}
-			st.edges = st.edges[:el]
-		}
-		if st.edgeHas != nil && rp.edgeHasNil[v] {
-			st.edgeHas = nil
-		}
-		if len(st.triggers) > int(rp.trigLen[v]) {
-			st.triggers = st.triggers[:rp.trigLen[v]]
-		}
+	for v, st := range snap.states {
+		*s.state(Var(v)) = st
 	}
-	s.queue = s.queue[:0]
-	s.head = 0
-	s.nextSweep = rp.nextSweep
+	s.nVars = len(snap.states)
+	s.parent = snap.parent
+	s.lcdPending = snap.lcdPending
+	s.lcdChecked = snap.lcdChecked
+	s.nextSweep = snap.nextSweep
+	s.sccDirty = snap.sccDirty
 }
 
 // --------------------------------------------------------------- inspection

@@ -76,8 +76,8 @@ func BenchmarkSolverWideSets(b *testing.B) {
 // BenchmarkSolverCycles measures the cycle-collapsing engine on dense
 // cyclic constraint graphs: rings of varying size, each seeded with tokens
 // and cross-linked to the next ring, so every token orbits until the cycle
-// is detected and unified. The noUnify arms run the same shapes through the
-// FIFO reference solver, which never collapses, to show the collapse win.
+// is detected and unified. The fifo arms run the same shapes through the
+// FIFO reference loop, which never collapses, to show the collapse win.
 func BenchmarkSolverCycles(b *testing.B) {
 	shapes := []struct {
 		name   string
@@ -119,7 +119,7 @@ func BenchmarkSolverCycles(b *testing.B) {
 			}
 		}
 		b.Run(sh.name, func(b *testing.B) { run(b, newSolver, (*solver).solve) })
-		b.Run(sh.name+"/noUnify", func(b *testing.B) { run(b, newReferenceSolver, (*solver).solveFIFO) })
+		b.Run(sh.name+"/fifo", func(b *testing.B) { run(b, newSolver, (*solver).solveFIFO) })
 	}
 }
 

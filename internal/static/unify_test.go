@@ -124,7 +124,7 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 		rounds := 1 + rng.Intn(3)
 
 		su := newSolver()
-		sr := newReferenceSolver()
+		sr := newSolver()
 		cpsU, firedU := randomOps(seed, su, (*solver).solve, nVars, rounds)
 		cpsR, firedR := randomOps(seed, sr, (*solver).solveFIFO, nVars, rounds)
 
@@ -157,14 +157,13 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSolverRollbackRestoresFixpoint drives the rollback window the
-// multi-variant analysis uses: solve a random base system, open a rollback
-// point, solve a first delta, roll back, and check (a) every set returned
-// to its base fixpoint and (b) solving a second, different delta on the
-// rolled-back state matches a fresh engine that solved base + second delta
-// from scratch — including the re-firing of base-registered triggers for
-// the second delta's tokens.
-func TestSolverRollbackRestoresFixpoint(t *testing.T) {
+// TestSolverSnapshotRestoresFixpoint drives the fork the multi-variant
+// analysis uses: solve a random base system, snapshot it, solve a first
+// delta, restore, and check (a) every set returned to its base fixpoint and
+// (b) solving a second, different delta on the restored state matches a
+// fresh engine that solved base + second delta from scratch — including the
+// re-firing of base-registered triggers for the second delta's tokens.
+func TestSolverSnapshotRestoresFixpoint(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		s := newSolver()
 		nVars := 30 + int(seed)
@@ -178,7 +177,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			baseFired[k] = n
 		}
 
-		rp := s.rollbackPoint()
+		snap := s.snapshot()
 		// First delta: more random constraints on top.
 		rng := rand.New(rand.NewSource(seed + 1000))
 		for i := 0; i < 80; i++ {
@@ -189,16 +188,16 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			}
 		}
 		s.solve()
-		s.rollbackTo(rp)
+		s.restore(snap)
 		for v := 0; v < nVars; v++ {
 			if got := sortedTokens(s.tokens(Var(v))); !tokensEqual(got, base[v]) {
-				t.Fatalf("seed %d: var %d after rollback %v, want base %v", seed, v, got, base[v])
+				t.Fatalf("seed %d: var %d after restore %v, want base %v", seed, v, got, base[v])
 			}
 			if cp := cps[len(cps)-1]; !tokensEqual(cp.tokensAt(Var(v)), base[v]) {
-				t.Fatalf("seed %d: var %d checkpoint view disturbed by rollback", seed, v)
+				t.Fatalf("seed %d: var %d checkpoint view disturbed by restore", seed, v)
 			}
 		}
-		// The first delta's trigger firings are rolled back too: restore the
+		// The first delta's trigger firings are discarded too: reset the
 		// observer map to its base contents before the second delta.
 		for k := range fired {
 			delete(fired, k)
@@ -207,10 +206,8 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			fired[k] = n
 		}
 
-		// Second delta on the rolled-back engine vs. a fresh engine solving
-		// base + second delta. The fresh engine runs with unification (the
-		// rolled-back one keeps collapsing off) — results must agree
-		// regardless.
+		// Second delta on the restored engine vs. a fresh engine solving
+		// base + second delta.
 		applyDelta2 := func(s2 *solver, n int) {
 			rng2 := rand.New(rand.NewSource(seed + 2000))
 			for i := 0; i < 80; i++ {
@@ -232,11 +229,11 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 			got := sortedTokens(s.tokens(Var(v)))
 			want := sortedTokens(sf.tokens(Var(v)))
 			if !tokensEqual(got, want) {
-				t.Fatalf("seed %d: var %d rolled-back+delta2 %v, fresh %v", seed, v, got, want)
+				t.Fatalf("seed %d: var %d restored+delta2 %v, fresh %v", seed, v, got, want)
 			}
 		}
 		if len(fired) != len(firedF) {
-			t.Fatalf("seed %d: trigger deliveries differ after rollback: %d vs fresh %d", seed, len(fired), len(firedF))
+			t.Fatalf("seed %d: trigger deliveries differ after restore: %d vs fresh %d", seed, len(fired), len(firedF))
 		}
 		for k, n := range fired {
 			if n != 1 || firedF[k] != 1 {
@@ -246,7 +243,7 @@ func TestSolverRollbackRestoresFixpoint(t *testing.T) {
 	}
 }
 
-// TestAblationArmMatchesFromScratch checks the rolled-back third phase of
+// TestAblationArmMatchesFromScratch checks the forked third phase of
 // AnalyzeBothAndAblation against a from-scratch name-only analysis on every
 // write-hint benchmark of the dynamic-CG subset (the projects whose
 // ablation arm actually differs from the relational one), and that the
@@ -271,14 +268,14 @@ func TestAblationArmMatchesFromScratch(t *testing.T) {
 			t.Fatalf("%s: from-scratch ablation: %v", b.Project.Name, err)
 		}
 		if !abl1.Graph.Equal(abl2.Graph) {
-			t.Errorf("%s: ablation call graphs differ (from-scratch %d edges, rolled-back %d)",
+			t.Errorf("%s: ablation call graphs differ (from-scratch %d edges, forked %d)",
 				b.Project.Name, abl1.Graph.NumEdges(), abl2.Graph.NumEdges())
 		}
 		if m1, m2 := abl1.Metrics(), abl2.Metrics(); m1 != m2 {
-			t.Errorf("%s: ablation metrics differ: from-scratch %v, rolled-back %v", b.Project.Name, m1, m2)
+			t.Errorf("%s: ablation metrics differ: from-scratch %v, forked %v", b.Project.Name, m1, m2)
 		}
 		if abl1.NumVars != abl2.NumVars || abl1.NumTokens != abl2.NumTokens {
-			t.Errorf("%s: ablation system size differs: from-scratch %d vars/%d tokens, rolled-back %d/%d",
+			t.Errorf("%s: ablation system size differs: from-scratch %d vars/%d tokens, forked %d/%d",
 				b.Project.Name, abl1.NumVars, abl1.NumTokens, abl2.NumVars, abl2.NumTokens)
 		}
 		base1, err := Analyze(b.Project, Options{Mode: Baseline})
@@ -296,6 +293,58 @@ func TestAblationArmMatchesFromScratch(t *testing.T) {
 		if testing.Short() && checked >= 3 {
 			return
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no write-hint benchmark in the dynamic-CG subset; the test checked nothing")
+	}
+}
+
+// TestAblationForkLeavesArmsUnchanged checks that asking for the ablation
+// arm does not change the other two: on every write-hint benchmark of the
+// dynamic-CG subset, the baseline and extended results of
+// AnalyzeBothAndAblation equal those of AnalyzeBoth — graphs, system size,
+// effort, structure and the deterministic epoch-engine counters.
+func TestAblationForkLeavesArmsUnchanged(t *testing.T) {
+	same := func(name, arm string, want, got *Result) {
+		t.Helper()
+		if !want.Graph.Equal(got.Graph) {
+			t.Errorf("%s: %s call graphs differ", name, arm)
+		}
+		type counters struct {
+			vars, tokens          int
+			iters, delivered      int64
+			structure             StructureStats
+			epochs, cross, sweeps int64
+		}
+		of := func(r *Result) counters {
+			return counters{r.NumVars, r.NumTokens, r.SolveIterations, r.TokensDelivered, r.Structure,
+				r.Parallel.Epochs, r.Parallel.CrossShard, r.Parallel.AsyncSweeps}
+		}
+		if w, g := of(want), of(got); w != g {
+			t.Errorf("%s: %s counters differ:\n AnalyzeBoth            %+v\n AnalyzeBothAndAblation %+v", name, arm, w, g)
+		}
+	}
+	checked := 0
+	for _, b := range corpus.WithDynCG() {
+		ar, err := approx.Run(b.Project, approx.Options{})
+		if err != nil {
+			t.Fatalf("%s: approx: %v", b.Project.Name, err)
+		}
+		if !WriteHintsApply(ar.Hints) {
+			continue
+		}
+		opts := Options{Mode: WithHints, Hints: ar.Hints}
+		base1, ext1, err := AnalyzeBoth(b.Project, opts)
+		if err != nil {
+			t.Fatalf("%s: AnalyzeBoth: %v", b.Project.Name, err)
+		}
+		base2, ext2, _, err := AnalyzeBothAndAblation(b.Project, opts)
+		if err != nil {
+			t.Fatalf("%s: AnalyzeBothAndAblation: %v", b.Project.Name, err)
+		}
+		same(b.Project.Name, "baseline", base1, base2)
+		same(b.Project.Name, "extended", ext1, ext2)
+		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no write-hint benchmark in the dynamic-CG subset; the test checked nothing")
