@@ -53,6 +53,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/cache"
 	"repro/internal/dyncg"
+	"repro/internal/fault"
 	"repro/internal/fuzz"
 	"repro/internal/modules"
 	"repro/internal/static"
@@ -124,13 +125,18 @@ type provenanceCause struct {
 
 // provenanceResponse is the GET /provenance response: every dynamic call
 // edge the session's extended graph misses, attributed to a root cause via
-// the provenance journal, plus the ranked fix list.
+// the provenance journal, plus the ranked fix list. Faults lists the
+// contained failures of the concrete run, the pre-analysis and the
+// extended solve, in that order: a concrete run cut short (a deadline
+// fault) is an incomplete ground truth, so its missed edges are a lower
+// bound.
 type provenanceResponse struct {
 	Session      string            `json:"session"`
 	MissedEdges  int               `json:"missed_edges"`
 	Unattributed int               `json:"unattributed"`
 	Causes       []provenanceCause `json:"causes,omitempty"`
 	Fixes        []string          `json:"fixes,omitempty"`
+	Faults       []string          `json:"faults,omitempty"`
 	// Journal sizes of the provenance-enabled solve that produced the
 	// attribution (constraint-edge records / token-insertion records).
 	JournalEdges   int     `json:"journal_edges"`
@@ -457,6 +463,11 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 	}
 	for _, f := range fuzz.RankFixes(causes) {
 		resp.Fixes = append(resp.Fixes, f.String())
+	}
+	for _, fs := range [][]fault.Record{dr.Faults, ar.Faults, ext.Faults} {
+		for _, f := range fs {
+			resp.Faults = append(resp.Faults, f.String())
+		}
 	}
 	if ext.Provenance != nil {
 		resp.JournalEdges, resp.JournalInserts = ext.Provenance.Records()

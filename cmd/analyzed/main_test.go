@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/fuzz"
 )
 
@@ -550,4 +551,40 @@ func TestProvenanceConcreteRunDeadline(t *testing.T) {
 		// The server is left running: Close would wait for the handler.
 		t.Fatal("/provenance did not answer within 30s")
 	}
+}
+
+// TestProvenanceReportsConcreteRunFaults checks that a concrete run cut
+// short by the deadline is reported: its missed edges are measured against
+// an incomplete ground truth, so the response must carry the deadline
+// fault rather than look like a complete answer.
+func TestProvenanceReportsConcreteRunFaults(t *testing.T) {
+	ts := httptest.NewServer(newServer(100*time.Millisecond, 64, 0, 1).handler())
+	defer ts.Close()
+	status, open := post(t, ts, analyzeRequest{Project: &projectPayload{
+		Name:        "exp",
+		Files:       map[string]string{"/app/index.js": "function f(n){if(n>60)return;f(n+1);f(n+1)} f(0);\n"},
+		MainEntries: []string{"/app/index.js"},
+		MainPrefix:  "/app",
+	}})
+	if status != http.StatusOK {
+		t.Fatalf("/analyze status = %d", status)
+	}
+	res, err := http.Get(ts.URL + "/provenance?session=" + open.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("/provenance status = %d, want 200", res.StatusCode)
+	}
+	var resp provenanceResponse
+	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	for _, f := range resp.Faults {
+		if strings.HasPrefix(f, "dyncg: "+string(fault.KindDeadline)+" ") {
+			return
+		}
+	}
+	t.Errorf("no concrete-run deadline fault in /provenance faults %q", resp.Faults)
 }

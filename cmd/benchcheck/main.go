@@ -14,8 +14,10 @@
 //     every REF row of those workloads must be present in GOT;
 //
 //   - effort counters (tokens_delivered, solve_iterations, parses,
-//     cache_misses) are one-sided: GOT may not exceed REF by more than the
-//     tolerance, and doing less work is fine;
+//     cache_misses, solver_sweep_visited) are one-sided: GOT may not
+//     exceed REF by more than the tolerance, and doing less work is fine.
+//     solver_sweep_visited is how a fall back to whole-graph cycle sweeps
+//     shows;
 //
 //   - structure counters (cycles_collapsed, vars_unified, ...) are
 //     two-sided: the solver's cycle collapsing drifting in either
@@ -86,6 +88,7 @@ var (
 		{"solve_iterations", func(r *perf.Row) int64 { return r.SolveIterations }},
 		{"parses", func(r *perf.Row) int64 { return r.Parses }},
 		{"cache_misses", func(r *perf.Row) int64 { return r.CacheMisses }},
+		{"solver_sweep_visited", func(r *perf.Row) int64 { return r.SolverSweepVisited }},
 	}
 	structureCounters = []counter{
 		{"cycles_collapsed", func(r *perf.Row) int64 { return r.CyclesCollapsed }},

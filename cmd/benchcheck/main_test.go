@@ -25,6 +25,7 @@ func refBench(procs int) perf.Bench {
 		r := perf.Row{Workload: perf.WorkloadMega, Arm: fmt.Sprintf("w%d", w), SolverWorkers: w, Host: host}
 		r.WallMS, r.SolverScanMS, r.SolverApplyMS, r.SolverTailMS = wall, scan, apply, tail
 		r.TokensDelivered, r.SolveIterations, r.CyclesCollapsed, r.SolverEpochs = 31624385, 1694600, 500, 534
+		r.SolverSweepVisited = 491160
 		return r
 	}
 	return perf.Bench{Rows: []perf.Row{
@@ -73,6 +74,15 @@ func TestCompare(t *testing.T) {
 			name: "vars_unified +11%", procs: 4,
 			edit: func(b *perf.Bench) { b.Row("corpus").VarsUnified = 65004 },
 			fail: []string{"[corpus] vars_unified"},
+		},
+		{
+			name: "whole-graph cycle sweeps", procs: 4,
+			edit: func(b *perf.Bench) { b.Row("mega/w1").SolverSweepVisited = 17028955 },
+			fail: []string{"[mega/w1] solver_sweep_visited"},
+		},
+		{
+			name: "fewer representatives swept", procs: 4,
+			edit: func(b *perf.Bench) { b.Row("mega/w1").SolverSweepVisited = 400000 },
 		},
 		{
 			name: "missing mega/w4", procs: 4,

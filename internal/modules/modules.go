@@ -343,21 +343,6 @@ func NewRegistry(project *Project, it *interp.Interp) *Registry {
 	return r
 }
 
-// ParseAll parses every file in the project, returning programs keyed by
-// path. Parse results come from the project's shared cache, so files
-// already parsed by another phase are not parsed again.
-func (r *Registry) ParseAll() (map[string]*ast.Program, error) {
-	out := map[string]*ast.Program{}
-	for _, path := range r.Project.SortedPaths() {
-		prog, err := r.parse(path)
-		if err != nil {
-			return nil, err
-		}
-		out[path] = prog
-	}
-	return out, nil
-}
-
 func (r *Registry) parse(path string) (*ast.Program, error) {
 	return r.Project.Parse(path)
 }

@@ -538,9 +538,6 @@ func NodeLibPaths() []string {
 	return out
 }
 
-// NodeLibSource returns the source of a built-in module ("" if absent).
-func NodeLibSource(path string) string { return nodeLibSources[path] }
-
 // IsExternalModule reports whether name is an external-world Node module
 // (sandbox-mocked during approximate interpretation).
 func IsExternalModule(name string) bool { return externalModules[name] }

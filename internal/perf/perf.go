@@ -78,16 +78,19 @@ type Counters struct {
 
 	// Epoch-engine activity: epochs crossed, deliveries whose target landed
 	// in a different shard than the source, concurrent Tarjan sweeps
-	// launched, and the wall time split between the pipeline phases — the
-	// read-only scan+winnow, the shard-owned parallel apply pass, and the
-	// serial reconciliation tail — plus the sweep compute time hidden behind
-	// the parallel phases.
+	// launched, representatives visited by all cycle sweeps, and the wall
+	// time split between the pipeline phases — the read-only scan+winnow,
+	// the shard-owned parallel apply pass, and the serial reconciliation
+	// tail, of which the wait to join a concurrent sweep — plus the sweep
+	// compute time hidden behind the parallel phases.
 	solverEpochs         atomic.Int64
 	solverCrossShard     atomic.Int64
 	solverAsyncSweeps    atomic.Int64
+	solverSweepVisited   atomic.Int64
 	solverScanNS         atomic.Int64
 	solverApplyNS        atomic.Int64
 	solverTailNS         atomic.Int64
+	solverSweepJoinNS    atomic.Int64
 	solverSweepOverlapNS atomic.Int64
 
 	// Persistent-cache activity (zero when no cache store is attached):
@@ -153,15 +156,18 @@ func (c *Counters) AddSolveStructure(cycles, unified, deduped, skipped int64) {
 }
 
 // AddSolverParallel accrues one parallel-solver run: epochs crossed,
-// cross-shard deliveries, concurrent sweeps launched, and the
-// scan/apply/tail/sweep-overlap wall-time split.
-func (c *Counters) AddSolverParallel(epochs, crossShard, asyncSweeps, scanNS, applyNS, tailNS, sweepOverlapNS int64) {
+// cross-shard deliveries, concurrent sweeps launched, representatives the
+// cycle sweeps visited, and the scan/apply/tail/sweep-join/sweep-overlap
+// wall-time split.
+func (c *Counters) AddSolverParallel(epochs, crossShard, asyncSweeps, sweepVisited, scanNS, applyNS, tailNS, sweepJoinNS, sweepOverlapNS int64) {
 	c.solverEpochs.Add(epochs)
 	c.solverCrossShard.Add(crossShard)
 	c.solverAsyncSweeps.Add(asyncSweeps)
+	c.solverSweepVisited.Add(sweepVisited)
 	c.solverScanNS.Add(scanNS)
 	c.solverApplyNS.Add(applyNS)
 	c.solverTailNS.Add(tailNS)
+	c.solverSweepJoinNS.Add(sweepJoinNS)
 	c.solverSweepOverlapNS.Add(sweepOverlapNS)
 }
 
@@ -227,9 +233,11 @@ func (c *Counters) Reset() {
 	c.solverEpochs.Store(0)
 	c.solverCrossShard.Store(0)
 	c.solverAsyncSweeps.Store(0)
+	c.solverSweepVisited.Store(0)
 	c.solverScanNS.Store(0)
 	c.solverApplyNS.Store(0)
 	c.solverTailNS.Store(0)
+	c.solverSweepJoinNS.Store(0)
 	c.solverSweepOverlapNS.Store(0)
 	c.cacheHits.Store(0)
 	c.cacheMisses.Store(0)
@@ -267,16 +275,19 @@ type Snapshot struct {
 	EdgesDeduped     int64 `json:"edges_deduped,omitempty"`
 	RedundantSkipped int64 `json:"redundant_deliveries_skipped,omitempty"`
 
-	// Epoch-engine activity. SolverEpochs, SolverCrossShard, and
-	// SolverAsyncSweeps are deterministic at every worker count; the phase
-	// times (scan+winnow / parallel apply / serial tail / sweep overlap) are
-	// scheduling-dependent diagnostics.
+	// Epoch-engine activity. SolverEpochs, SolverCrossShard,
+	// SolverAsyncSweeps and SolverSweepVisited are deterministic at every
+	// worker count; the phase times (scan+winnow / parallel apply / serial
+	// tail, of which sweep join / sweep overlap) are scheduling-dependent
+	// diagnostics.
 	SolverEpochs         int64   `json:"solver_epochs,omitempty"`
 	SolverCrossShard     int64   `json:"solver_cross_shard_deliveries,omitempty"`
 	SolverAsyncSweeps    int64   `json:"solver_async_sweeps,omitempty"`
+	SolverSweepVisited   int64   `json:"solver_sweep_visited,omitempty"`
 	SolverScanMS         float64 `json:"solver_scan_ms,omitempty"`
 	SolverApplyMS        float64 `json:"solver_apply_ms,omitempty"`
 	SolverTailMS         float64 `json:"solver_serial_tail_ms,omitempty"`
+	SolverSweepJoinMS    float64 `json:"solver_sweep_join_ms,omitempty"`
 	SolverSweepOverlapMS float64 `json:"solver_sweep_overlap_ms,omitempty"`
 
 	// Persistent-cache activity (zero when no cache store is attached).
@@ -312,9 +323,11 @@ func (c *Counters) Snapshot() Snapshot {
 		SolverEpochs:         c.solverEpochs.Load(),
 		SolverCrossShard:     c.solverCrossShard.Load(),
 		SolverAsyncSweeps:    c.solverAsyncSweeps.Load(),
+		SolverSweepVisited:   c.solverSweepVisited.Load(),
 		SolverScanMS:         float64(c.solverScanNS.Load()) / 1e6,
 		SolverApplyMS:        float64(c.solverApplyNS.Load()) / 1e6,
 		SolverTailMS:         float64(c.solverTailNS.Load()) / 1e6,
+		SolverSweepJoinMS:    float64(c.solverSweepJoinNS.Load()) / 1e6,
 		SolverSweepOverlapMS: float64(c.solverSweepOverlapNS.Load()) / 1e6,
 		CacheHits:            c.cacheHits.Load(),
 		CacheMisses:          c.cacheMisses.Load(),
@@ -365,9 +378,9 @@ func (s Snapshot) Render(w io.Writer) {
 			s.CyclesCollapsed, s.VarsUnified, s.EdgesDeduped, s.RedundantSkipped)
 	}
 	if s.SolverEpochs > 0 {
-		fmt.Fprintf(w, "parallel solver:    %d epochs, %d cross-shard deliveries, %d async sweeps, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep overlap %.1f ms)\n",
-			s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps,
-			s.SolverScanMS, s.SolverApplyMS, s.SolverTailMS, s.SolverSweepOverlapMS)
+		fmt.Fprintf(w, "parallel solver:    %d epochs, %d cross-shard deliveries, %d async sweeps, %d reps swept, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep join %.1f ms, sweep overlap %.1f ms)\n",
+			s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps, s.SolverSweepVisited,
+			s.SolverScanMS, s.SolverApplyMS, s.SolverTailMS, s.SolverSweepJoinMS, s.SolverSweepOverlapMS)
 	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		rate := 100 * float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)

@@ -41,13 +41,17 @@ package static
 //     prefix bound already covers the whole epoch, which is what lets the
 //     old per-delivery delta scan disappear from the serial path entirely.
 //
-// Batched Tarjan cycle sweeps run concurrently with the parallel phases: a
-// sweep is launched between epochs (at deterministic points of the
-// sweepInterval cadence or a large LCD batch) as a read-only traversal of
-// the epoch-frozen edge/parent state on its own goroutine, joined at the
-// start of the serial tail (before triggers mutate edge lists), and its
-// components are collapsed at the next between-epoch point — edges only get
-// added in the interim, so a snapshot SCC is still an SCC when it lands.
+// Batched Tarjan cycle sweeps run between epochs, at deterministic points of
+// the sweepInterval cadence or after a large LCD batch. Each sweep after the
+// solver's first starts only from the targets of edges added since the
+// previous one and visits what they reach (see solver.sweepRoots), so it
+// costs in proportion to the graph's growth, not its size. With a large
+// frontier queued, the sweep is a read-only traversal of the epoch-frozen
+// edge/parent state on its own goroutine, joined at the start of the serial
+// tail (before triggers mutate edge lists); its components are collapsed at
+// the next between-epoch point — edges only get added in the interim, so a
+// snapshot SCC is still an SCC when it lands. With a small frontier it runs
+// synchronously.
 //
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
@@ -117,10 +121,16 @@ var inlineFrontierMax = 512
 // can force the concurrent path under the race detector.
 var asyncSweepMinFrontier = 1024
 
+// sweepCheck, when non-nil, is called with every cycle sweep's components
+// as soon as they are computed, before any is collapsed, while the graph
+// they were computed on is still unchanged. Tests set it to compare each
+// rooted sweep with a whole-graph pass.
+var sweepCheck func(s *solver, comps [][]Var)
+
 // ParallelSolveStats describes one solver's epoch-engine activity.
-// Epochs, CrossShard and AsyncSweeps are deterministic (identical for every
-// worker count); the phase times depend on scheduling and are diagnostics
-// only.
+// Epochs, CrossShard, AsyncSweeps and SweepVisited are deterministic
+// (identical for every worker count); the phase times depend on scheduling
+// and are diagnostics only.
 type ParallelSolveStats struct {
 	// Epochs is the number of pipeline rounds run.
 	Epochs int64
@@ -131,14 +141,19 @@ type ParallelSolveStats struct {
 	// the parallel phases. The launch policy reads only deterministic solver
 	// state, so the count is identical at every worker count.
 	AsyncSweeps int64
+	// SweepVisited counts the representatives visited by all cycle sweeps,
+	// synchronous and concurrent.
+	SweepVisited int64
 	// ScanNS covers the parallelizable read-only phases (scan + winnow);
 	// ApplyNS the parallel shard-owned apply pass; TailNS the serial tail
-	// (sweep join wait, log replay, trigger firing). SweepOverlapNS is the
-	// portion of concurrent-sweep compute time hidden behind the parallel
-	// phases rather than paid as tail join wait.
+	// (sweep join wait, log replay, trigger firing). SweepJoinNS is the
+	// part of TailNS spent blocked joining a concurrent sweep.
+	// SweepOverlapNS is the portion of concurrent-sweep compute time hidden
+	// behind the parallel phases rather than paid as tail join wait.
 	ScanNS         int64
 	ApplyNS        int64
 	TailNS         int64
+	SweepJoinNS    int64
 	SweepOverlapNS int64
 }
 
@@ -327,6 +342,7 @@ type parallelEngine struct {
 	sweepLive      bool
 	sweepDone      bool
 	sweepComps     [][]Var
+	sweepVisited   int64
 	sweepJoin      chan struct{}
 	sweepComputeNS int64
 	sweepScratch   sweepScratch
@@ -404,8 +420,8 @@ func (s *solver) solve() {
 			// invalidate them, and they stay parallel scan work.
 			periodic := s.iterations >= s.nextSweep
 			if periodic || len(s.lcdPending) >= lcdSweepBatch {
-				// Batched resolution: a whole-graph Tarjan sweep subsumes the
-				// per-pair searches (see lcdSweepBatch). With a large frontier
+				// Batched resolution: a Tarjan sweep subsumes the per-pair
+				// searches (see lcdSweepBatch). With a large frontier
 				// queued it runs concurrently with the next epoch's parallel phases
 				// instead of on the critical path — the evidence is consumed
 				// now (the pairs are already in lcdChecked) and the components
@@ -415,7 +431,7 @@ func (s *solver) solve() {
 				if periodic {
 					s.nextSweep = s.iterations + s.sweepInterval()
 				}
-				if s.sccDirty {
+				if s.sweepDue() {
 					if len(s.queue)-s.head >= asyncSweepMinFrontier {
 						p.launchSweep(s)
 					} else {
@@ -445,18 +461,16 @@ func (s *solver) solve() {
 // (epoch-frozen) edge and parent state. The traversal is strictly read-only
 // (findRO, dedicated scratch) and overlaps the next epoch's partition,
 // scan, winnow, and apply phases, none of which mutate edges or the parent
-// forest; the tail joins it before triggers run. sccDirty is consumed here:
-// edges added while the sweep runs re-dirty the flag, so the next periodic
-// round sees exactly the post-snapshot additions.
+// forest; the tail joins it before triggers run. The recorded sweep roots
+// are taken here, so edges added while the sweep runs root the next one.
 func (p *parallelEngine) launchSweep(s *solver) {
 	p.stats.AsyncSweeps++
-	s.sccDirty = false
+	roots := s.takeSweepRoots(&p.sweepScratch)
 	p.sweepLive = true
 	p.sweepJoin = make(chan struct{})
-	n := s.nVars
 	go func() {
 		t0 := time.Now()
-		p.sweepComps = sccComponents(s, n, &p.sweepScratch)
+		p.sweepComps, p.sweepVisited = sweepComponents(s, roots, &p.sweepScratch)
 		p.sweepComputeNS = time.Since(t0).Nanoseconds()
 		close(p.sweepJoin)
 	}()
@@ -471,6 +485,8 @@ func (p *parallelEngine) joinSweep(s *solver) {
 	w0 := time.Now()
 	<-p.sweepJoin
 	waitNS := time.Since(w0).Nanoseconds()
+	p.stats.SweepJoinNS += waitNS
+	p.stats.SweepVisited += p.sweepVisited
 	if overlap := p.sweepComputeNS - waitNS; overlap > 0 {
 		p.stats.SweepOverlapNS += overlap
 	}
@@ -478,35 +494,22 @@ func (p *parallelEngine) joinSweep(s *solver) {
 	p.sweepDone = true
 }
 
-// sccComponents is the read-only core of collapseAllSCCs: an iterative
-// Tarjan pass over the condensed graph restricted to the first n variables,
-// returning the multi-member components in discovery order without
-// collapsing anything. It resolves edges through findRO (no path
-// compression) so it can run concurrently with phases that read the parent
-// forest.
-func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
-	if n == 0 {
-		return nil
-	}
-	if cap(sw.index) < n {
-		sw.index = make([]int32, n)
-		sw.lowlink = make([]int32, n)
-		sw.onStack = make([]bool, n)
-	}
-	sw.index = sw.index[:n]
-	sw.lowlink = sw.lowlink[:n]
-	sw.onStack = sw.onStack[:n]
-	for i := range sw.index {
-		sw.index[i] = 0
-		sw.onStack[i] = false
-	}
+// sweepComponents is the read-only core of a cycle sweep: an iterative
+// Tarjan pass that starts at roots, in order, visits only the
+// representatives they reach, and returns the multi-member components in
+// discovery order together with the number of representatives visited,
+// without collapsing anything. A representative without edges is a
+// component of its own that affects no other's lowlink, so the pass
+// neither starts at nor descends into one; most variables are such sinks.
+// sw must have been prepared by takeSweepRoots. Edges resolve through
+// findRO (no path compression), so the pass can run concurrently with
+// phases that read the parent forest.
+func sweepComponents(s *solver, roots []Var, sw *sweepScratch) ([][]Var, int64) {
+	base := sw.next + 1 // indices below base belong to earlier sweeps
 	sw.stack = sw.stack[:0]
 	var comps [][]Var
-	var next int32 = 1
-
-	for root := 0; root < n; root++ {
-		rv := Var(root)
-		if s.parent[rv] != rv || sw.index[root] != 0 {
+	for _, rv := range roots {
+		if sw.index[rv] >= base || len(s.state(rv).edges) == 0 {
 			continue
 		}
 		sw.frames = append(sw.frames[:0], sweepFrame{v: rv})
@@ -514,9 +517,9 @@ func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
 			f := &sw.frames[len(sw.frames)-1]
 			v := f.v
 			if f.edge == 0 {
-				sw.index[v] = next
-				sw.lowlink[v] = next
-				next++
+				sw.next++
+				sw.index[v] = sw.next
+				sw.lowlink[v] = sw.next
 				sw.stack = append(sw.stack, v)
 				sw.onStack[v] = true
 			}
@@ -528,7 +531,10 @@ func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
 				if w == v {
 					continue
 				}
-				if sw.index[w] == 0 {
+				if sw.index[w] < base {
+					if len(s.state(w).edges) == 0 {
+						continue // a sink
+					}
 					sw.frames = append(sw.frames, sweepFrame{v: w})
 					advanced = true
 					break
@@ -568,7 +574,10 @@ func sccComponents(s *solver, n int, sw *sweepScratch) [][]Var {
 			}
 		}
 	}
-	return comps
+	if sweepCheck != nil {
+		sweepCheck(s, comps)
+	}
+	return comps, int64(sw.next - base + 1)
 }
 
 // partition drains the delivery queue — all of it, or at most budget

@@ -93,10 +93,10 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 // TestParallelDeterministicAcrossWorkers pins the stronger property the
 // epoch pipeline is designed for: not just that every worker count reaches
 // the same fixpoint, but that the scheduling-independent parallel
-// diagnostics (epochs, cross-shard deliveries, async sweep launches) are
-// themselves identical at every worker count — with every epoch forced
-// through the goroutine path so chunks really are claimed concurrently at
-// workers 2..8, not served by the inline path.
+// diagnostics (epochs, cross-shard deliveries, async sweep launches,
+// representatives swept) are themselves identical at every worker count —
+// with every epoch forced through the goroutine path so chunks really are
+// claimed concurrently at workers 2..8, not served by the inline path.
 func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	savedInline := inlineFrontierMax
 	inlineFrontierMax = 0
@@ -114,7 +114,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 				continue
 			}
 			if st.Epochs != refStats.Epochs || st.CrossShard != refStats.CrossShard ||
-				st.AsyncSweeps != refStats.AsyncSweeps {
+				st.AsyncSweeps != refStats.AsyncSweeps || st.SweepVisited != refStats.SweepVisited {
 				t.Fatalf("seed %d workers %d: scheduling-independent stats differ: %+v vs %+v at workers=%d",
 					seed, workers, st, *refStats, workerCounts[0])
 			}
@@ -192,7 +192,7 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 			}
 			concStats := sc.parallelStats()
 			if concStats.Epochs != inlineStats.Epochs || concStats.CrossShard != inlineStats.CrossShard ||
-				concStats.AsyncSweeps != inlineStats.AsyncSweeps {
+				concStats.AsyncSweeps != inlineStats.AsyncSweeps || concStats.SweepVisited != inlineStats.SweepVisited {
 				t.Fatalf("seed %d workers %d: deterministic parallel stats differ from inline pipeline: %+v vs %+v",
 					seed, workers, concStats, inlineStats)
 			}

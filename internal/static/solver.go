@@ -5,6 +5,7 @@ package static
 
 import (
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -47,28 +48,28 @@ const queueCompactMin = 1024
 // search, and on pathological graphs (long chains feeding a shared sink)
 // the search can touch everything without finding one. The budget bounds
 // that cost; cycles a capped search misses are picked up by the periodic
-// SCC sweep.
+// cycle sweep.
 const lcdSearchBudget = 2048
 
-// sccSweepInterval is the number of fixpoint iterations between full
-// Pearce/Nuutila-style SCC sweeps over the condensed constraint graph.
-// Sweeps are O(V+E) and catch the cycles lazy detection misses (cycles
-// whose redundant deliveries happened before the closing edge existed, and
-// ones beyond lcdSearchBudget). The interval is small because cycles in
-// this analysis form late — call-processing triggers add the closing edges
-// mid-solve — and a cycle only pays off while propagation through it is
-// still happening: per-module solves run a few thousand iterations total,
-// so an interval in the tens of thousands would never fire. Graphs large
-// enough that a full pass every 1024 iterations would itself dominate the
-// solve use the size-scaled interval from sweepInterval instead.
+// sccSweepInterval is the number of fixpoint iterations between periodic
+// cycle sweeps (Tarjan SCC passes over the condensed constraint graph).
+// Sweeps catch the cycles lazy detection misses (cycles whose redundant
+// deliveries happened before the closing edge existed, and ones beyond
+// lcdSearchBudget). The interval is small because cycles in this analysis
+// form late — call-processing triggers add the closing edges mid-solve —
+// and a cycle only pays off while propagation through it is still
+// happening: per-module solves run a few thousand iterations total, so an
+// interval in the tens of thousands would never fire.
 const sccSweepInterval = 1024
 
-// sweepInterval is the iteration gap between periodic SCC sweeps: the
+// sweepInterval is the iteration gap between periodic cycle sweeps: the
 // fixed sccSweepInterval for corpus-sized graphs (nVars/4 does not exceed
 // 1024 until ~4k variables, so every corpus project keeps the exact
-// historical cadence), scaled linearly with graph size beyond that so the
-// O(V+E) pass stays a bounded fraction of solve time on mega-scale
-// projects.
+// historical cadence), scaled linearly with graph size beyond that. The
+// scaling dates from whole-graph sweeps; a sweep now visits only what the
+// edges added since the previous one reach (see sweepRoots), and the
+// cadence is kept because it also decides when sweeps run concurrently,
+// which the deterministic AsyncSweeps and Epochs counters record.
 func (s *solver) sweepInterval() int64 {
 	if v := int64(s.nVars) / 4; v > sccSweepInterval {
 		return v
@@ -103,8 +104,9 @@ const (
 //     v; the first redundant delivery per (v,w) pair triggers a bounded
 //     reachability search and collapses the cycle it finds;
 //   - periodically: every sweepInterval iterations (and at every solve
-//     entry) a full Tarjan sweep over the condensed graph collapses the
-//     SCCs lazy detection missed.
+//     entry) a Tarjan sweep collapses the SCCs lazy detection missed. The
+//     first sweep covers the whole condensed graph; later ones start only
+//     from the targets of edges added since the previous sweep.
 //
 // Propagation runs on the epoch engine (parallel.go) in every mode. It does
 // all merging between epochs, never inside one, so edge and trigger
@@ -138,14 +140,17 @@ type solver struct {
 	// nextSweep is the iteration count at which the next periodic SCC
 	// sweep runs.
 	nextSweep int64
-	// sccDirty records whether any constraint edge was added since the
-	// last full SCC sweep. A sweep leaves the representative graph
-	// acyclic, and only new edges can close new cycles, so a sweep over a
-	// clean graph is a guaranteed no-op — collapseAllSCCs skips it. This
-	// is exact (identical collapse counters), not a heuristic, and it is
-	// what keeps the O(V+E) periodic sweep off the solver's critical path
-	// on large projects whose propagation phase adds no edges.
-	sccDirty bool
+	// Cycle-sweep roots. A sweep leaves the representative graph acyclic,
+	// so a cycle present later uses an edge u→w added since, and lies
+	// entirely within what w reaches. addEdge records each such target
+	// once: sweepMark (indexed by variable) guards sweepRoots, the list the
+	// next sweep takes as its Tarjan roots. An empty list means no edge was
+	// added and the sweep is skipped. Nothing is recorded until swept is
+	// set by the solver's first sweep, which covers the whole graph, so
+	// constraint generation pays no marking.
+	swept      bool
+	sweepRoots []Var
+	sweepMark  []bool
 	// par is the sharded epoch engine (parallel.go) that solve runs.
 	par *parallelEngine
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
@@ -332,7 +337,7 @@ func (s *solver) addEdge(from, to Var) {
 		return
 	}
 	st.appendEdge(to)
-	s.sccDirty = true
+	s.noteSweepRoot(to)
 	if s.par.deferPush && st.delivered > 0 {
 		// Inside a parallel barrier the prefix push is deferred into a scan
 		// task of the next epoch, so its membership checks run on the
@@ -414,10 +419,10 @@ func (s *solver) noteLCD(from, to Var) {
 }
 
 // lcdSweepBatch is the pending-candidate count past which solve
-// abandons per-pair searches for one full Tarjan sweep: each search may
-// visit up to lcdSearchBudget nodes, so a large batch costs more than the
-// linear sweep that collapses every cycle (including ones the bounded
-// searches would miss) in a single pass.
+// abandons per-pair searches for one Tarjan sweep: each search may visit
+// up to lcdSearchBudget nodes, so a large batch costs more than the sweep
+// that collapses every cycle (including ones the bounded searches would
+// miss) in a single pass.
 const lcdSweepBatch = 32
 
 // runLCD processes a small batch of pending cycle candidates (fewer than
@@ -511,7 +516,7 @@ func (s *solver) collapse(members []Var) {
 	}
 	s.cyclesCollapsed++
 	// Contracting a strongly connected set closes no cycle the graph did
-	// not already contain, so the sccDirty flag is left as it is.
+	// not already contain, so the edges merged below are not sweep roots.
 	// Point every member at the winner first, so intra-group edges resolve
 	// to self (and are dropped) while the contents merge.
 	for _, m := range members {
@@ -652,13 +657,21 @@ func (s *solver) compactEdges(r Var) {
 	}
 }
 
-// sweepScratch holds the reusable state of the periodic SCC sweep.
+// sweepScratch holds the reusable state of a cycle sweep. Tarjan indices
+// increase across sweeps instead of being reset: a variable is unvisited
+// in the current sweep while index[v] <= the previous sweep's last index,
+// so a sweep costs what it visits, not O(nVars). onStack needs no reset,
+// since a finished pass leaves every entry false.
 type sweepScratch struct {
 	index   []int32
 	lowlink []int32
 	onStack []bool
 	stack   []Var
 	frames  []sweepFrame
+	// next is the last Tarjan index handed out; roots holds the current
+	// sweep's start points.
+	next  int32
+	roots []Var
 }
 
 type sweepFrame struct {
@@ -666,27 +679,82 @@ type sweepFrame struct {
 	edge int
 }
 
-// collapseAllSCCs runs a Tarjan SCC pass over the condensed graph and
-// unifies every multi-member component. This is the backstop for cycles
-// lazy detection misses: ones closed by edges added after their redundant
-// deliveries happened, and ones beyond the LCD search budget.
+// noteSweepRoot records v, the target of a new edge, as a root of the next
+// cycle sweep (see sweepRoots).
+func (s *solver) noteSweepRoot(v Var) {
+	if !s.swept {
+		return
+	}
+	if int(v) >= len(s.sweepMark) {
+		s.sweepMark = append(s.sweepMark, make([]bool, s.nVars-len(s.sweepMark))...)
+	}
+	if !s.sweepMark[v] {
+		s.sweepMark[v] = true
+		s.sweepRoots = append(s.sweepRoots, v)
+	}
+}
+
+// sweepDue reports whether a cycle sweep could find anything: before the
+// first sweep, or once an edge was added since the last one.
+func (s *solver) sweepDue() bool { return !s.swept || len(s.sweepRoots) > 0 }
+
+// takeSweepRoots prepares sw for a sweep of the current graph and returns
+// its roots in ascending order: every representative with edges for the
+// solver's first sweep (see sweepComponents on sinks), then the
+// representatives of the edge targets recorded since. The recorded list
+// is consumed, so edges added from here on root the following sweep. Runs
+// on the solver goroutine (it compresses paths); the sweep itself may then
+// run concurrently.
+func (s *solver) takeSweepRoots(sw *sweepScratch) []Var {
+	roots := sw.roots[:0]
+	if !s.swept {
+		s.swept = true
+		for v := 0; v < s.nVars; v++ {
+			if s.parent[v] == Var(v) && len(s.state(Var(v)).edges) > 0 {
+				roots = append(roots, Var(v))
+			}
+		}
+	} else {
+		for _, v := range s.sweepRoots {
+			s.sweepMark[v] = false
+			roots = append(roots, s.find(v))
+		}
+		s.sweepRoots = s.sweepRoots[:0]
+		slices.Sort(roots)
+		roots = slices.Compact(roots)
+	}
+	sw.roots = roots
+	if grow := s.nVars - len(sw.index); grow > 0 {
+		sw.index = append(sw.index, make([]int32, grow)...)
+		sw.lowlink = append(sw.lowlink, make([]int32, grow)...)
+		sw.onStack = append(sw.onStack, make([]bool, grow)...)
+	}
+	if sw.next > math.MaxInt32-int32(s.nVars) {
+		// The indices would overflow this sweep: start them over.
+		clear(sw.index)
+		sw.next = 0
+	}
+	return roots
+}
+
+// collapseAllSCCs runs a cycle sweep on the solver goroutine and unifies
+// every multi-member component. This is the backstop for cycles lazy
+// detection misses: ones closed by edges added after their redundant
+// deliveries happened, and ones beyond the LCD search budget. A sweep
+// rooted at the new edges' targets finds every SCC of the graph, because
+// the previous sweep left it acyclic.
 func (s *solver) collapseAllSCCs() {
-	if !s.sccDirty {
-		// Clean graph: the previous sweep left the representative graph
-		// acyclic and no edge has been added since, so there is nothing a
-		// Tarjan pass could collapse.
+	if !s.sweepDue() {
 		return
 	}
 	// Collapse after the sweep so the traversal never sees a half-merged
-	// graph. Components are disjoint, so order does not matter for
-	// correctness; iteration order is deterministic (discovery order).
-	for _, comp := range sccComponents(s, s.nVars, &s.sweep) {
+	// graph. Components are disjoint and come in deterministic discovery
+	// order; edges the collapses' triggers add root the next sweep.
+	comps, visited := sweepComponents(s, s.takeSweepRoots(&s.sweep), &s.sweep)
+	s.par.stats.SweepVisited += visited
+	for _, comp := range comps {
 		s.collapse(comp)
 	}
-	// The representative graph is acyclic now; the next sweep can be
-	// skipped until an edge addition dirties it again. Cleared after the
-	// collapses, whose merge-time edge moves stay within this pass.
-	s.sccDirty = false
 }
 
 // ----------------------------------------------------------------- snapshot
@@ -703,7 +771,9 @@ type solverSnapshot struct {
 	lcdPending []edgePair
 	lcdChecked map[edgePair]struct{}
 	nextSweep  int64
-	sccDirty   bool
+	swept      bool
+	sweepRoots []Var
+	sweepMark  []bool
 }
 
 // snapshot copies the solver at a drained fixpoint. Trigger lists are
@@ -719,7 +789,9 @@ func (s *solver) snapshot() *solverSnapshot {
 		lcdPending: slices.Clone(s.lcdPending),
 		lcdChecked: maps.Clone(s.lcdChecked),
 		nextSweep:  s.nextSweep,
-		sccDirty:   s.sccDirty,
+		swept:      s.swept,
+		sweepRoots: slices.Clone(s.sweepRoots),
+		sweepMark:  slices.Clone(s.sweepMark),
 	}
 	for v := range snap.states {
 		st := s.state(Var(v))
@@ -754,7 +826,9 @@ func (s *solver) restore(snap *solverSnapshot) {
 	s.lcdPending = snap.lcdPending
 	s.lcdChecked = snap.lcdChecked
 	s.nextSweep = snap.nextSweep
-	s.sccDirty = snap.sccDirty
+	s.swept = snap.swept
+	s.sweepRoots = snap.sweepRoots
+	s.sweepMark = snap.sweepMark
 }
 
 // --------------------------------------------------------------- inspection

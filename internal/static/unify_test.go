@@ -2,6 +2,7 @@ package static
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -177,6 +178,13 @@ func TestSolverSnapshotRestoresFixpoint(t *testing.T) {
 			baseFired[k] = n
 		}
 
+		// An edge between fresh variables without tokens leaves every set
+		// as it is but records a sweep root the snapshot must carry.
+		s.addEdge(s.newVar(), s.newVar())
+		swept, roots := s.swept, slices.Clone(s.sweepRoots)
+		if !swept || len(roots) == 0 {
+			t.Fatalf("seed %d: no recorded sweep roots before the snapshot", seed)
+		}
 		snap := s.snapshot()
 		// First delta: more random constraints on top.
 		rng := rand.New(rand.NewSource(seed + 1000))
@@ -189,6 +197,15 @@ func TestSolverSnapshotRestoresFixpoint(t *testing.T) {
 		}
 		s.solve()
 		s.restore(snap)
+		if s.swept != swept || !slices.Equal(s.sweepRoots, roots) {
+			t.Fatalf("seed %d: sweep roots after restore %v (swept %v), want %v (swept %v)",
+				seed, s.sweepRoots, s.swept, roots, swept)
+		}
+		for v := 0; v < s.nVars; v++ {
+			if marked := v < len(s.sweepMark) && s.sweepMark[v]; marked != slices.Contains(roots, Var(v)) {
+				t.Fatalf("seed %d: var %d sweep mark %v after restore, want %v", seed, v, marked, !marked)
+			}
+		}
 		for v := 0; v < nVars; v++ {
 			if got := sortedTokens(s.tokens(Var(v))); !tokensEqual(got, base[v]) {
 				t.Fatalf("seed %d: var %d after restore %v, want base %v", seed, v, got, base[v])
