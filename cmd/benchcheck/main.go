@@ -27,13 +27,17 @@
 //   - a REF value of 0 allows only 0. This is how the delta warm row stays
 //     fully cached: zero misses, zero parses, zero solver effort;
 //
+//   - cache_bytes_written is deliberately ungated: outcome records encode
+//     wall-clock durations as varints, so the byte count changes between
+//     runs of the same code;
+//
 //   - wall-time ratios are taken within GOT, whose rows come from one run
 //     on one host: the delta cold/warm and cold/edit-warm speedups, and
 //     the mega-tier scaling gates (w1/w4 speedup, parallel and serial
 //     share of the w1 solve, w4/w1 apply+tail barrier scale). The mega
 //     gates need wall-clock overlap, so they skip, loudly, on rows measured
-//     with GOMAXPROCS < 4: with fewer cores the concurrent cycle sweep
-//     serializes into the serial tail and no speedup can show.
+//     with GOMAXPROCS < 4: with fewer cores the four scan and apply
+//     workers cannot all run at once and no speedup can show.
 //
 // The per-workload determinism checks (mega rows identical across worker
 // counts, delta reports byte-identical to a from-scratch run) are hard
@@ -96,7 +100,6 @@ var (
 		{"edges_deduped", func(r *perf.Row) int64 { return r.EdgesDeduped }},
 		{"redundant_deliveries_skipped", func(r *perf.Row) int64 { return r.RedundantSkipped }},
 		{"solver_epochs", func(r *perf.Row) int64 { return r.SolverEpochs }},
-		{"solver_async_sweeps", func(r *perf.Row) int64 { return r.SolverAsyncSweeps }},
 	}
 )
 

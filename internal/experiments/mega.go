@@ -28,9 +28,9 @@ func RunMegaBench(nModules int, workers []int) (*perf.Bench, error) {
 		workers = DefaultMegaWorkers
 	}
 	bench := &perf.Bench{}
-	deterministic := func(s *perf.Snapshot) [8]int64 {
-		return [8]int64{s.SolveIterations, s.TokensDelivered, s.CyclesCollapsed, s.RedundantSkipped,
-			s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps, s.SolverSweepVisited}
+	deterministic := func(s *perf.Snapshot) [7]int64 {
+		return [7]int64{s.SolveIterations, s.TokensDelivered, s.CyclesCollapsed, s.RedundantSkipped,
+			s.SolverEpochs, s.SolverCrossShard, s.SolverSweepVisited}
 	}
 	for _, w := range workers {
 		b := corpus.Mega(nModules)
@@ -44,20 +44,18 @@ func RunMegaBench(nModules int, workers []int) (*perf.Bench, error) {
 			SolverWorkers: w,
 			Host:          perf.ThisHost(),
 			Snapshot: perf.Snapshot{
-				WallMS:               float64(res.SolveWall.Microseconds()) / 1000,
-				SolverScanMS:         float64(res.Parallel.ScanNS) / 1e6,
-				SolverApplyMS:        float64(res.Parallel.ApplyNS) / 1e6,
-				SolverTailMS:         float64(res.Parallel.TailNS) / 1e6,
-				SolverSweepJoinMS:    float64(res.Parallel.SweepJoinNS) / 1e6,
-				SolverSweepOverlapMS: float64(res.Parallel.SweepOverlapNS) / 1e6,
-				SolverEpochs:         res.Parallel.Epochs,
-				SolverCrossShard:     res.Parallel.CrossShard,
-				SolverAsyncSweeps:    res.Parallel.AsyncSweeps,
-				SolverSweepVisited:   res.Parallel.SweepVisited,
-				SolveIterations:      res.SolveIterations,
-				TokensDelivered:      res.TokensDelivered,
-				CyclesCollapsed:      res.Structure.CyclesCollapsed,
-				RedundantSkipped:     res.Structure.RedundantSkipped,
+				WallMS:             float64(res.SolveWall.Microseconds()) / 1000,
+				SolverScanMS:       float64(res.Parallel.ScanNS) / 1e6,
+				SolverApplyMS:      float64(res.Parallel.ApplyNS) / 1e6,
+				SolverTailMS:       float64(res.Parallel.TailNS) / 1e6,
+				SolverSweepMS:      float64(res.Parallel.SweepNS) / 1e6,
+				SolverEpochs:       res.Parallel.Epochs,
+				SolverCrossShard:   res.Parallel.CrossShard,
+				SolverSweepVisited: res.Parallel.SweepVisited,
+				SolveIterations:    res.SolveIterations,
+				TokensDelivered:    res.TokensDelivered,
+				CyclesCollapsed:    res.Structure.CyclesCollapsed,
+				RedundantSkipped:   res.Structure.RedundantSkipped,
 			},
 		}
 		if len(bench.Rows) > 0 {

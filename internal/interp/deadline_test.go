@@ -55,7 +55,7 @@ func TestDeadlineContainsSpin(t *testing.T) {
 				if !errors.As(err, &budget) {
 					t.Fatalf("got error %v (%T), want *BudgetError", err, err)
 				}
-				if !budget.IsDeadline() {
+				if budget.Reason != ReasonDeadline {
 					t.Fatalf("budget reason = %q, want %q", budget.Reason, ReasonDeadline)
 				}
 				if elapsed > 2*limit {
@@ -72,7 +72,7 @@ func TestDeadlineContainsSpin(t *testing.T) {
 func TestDeadlineNotCatchable(t *testing.T) {
 	err := runWithOptions(t, "try { for (;;) { } } catch (e) { }", Options{Deadline: 50 * time.Millisecond})
 	var budget *BudgetError
-	if !errors.As(err, &budget) || !budget.IsDeadline() {
+	if !errors.As(err, &budget) || budget.Reason != ReasonDeadline {
 		t.Fatalf("got %v, want uncatchable deadline BudgetError", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestResetBudgetRestartsDeadline(t *testing.T) {
 	it.ResetBudget()
 	_, err = it.RunProgram(spin, value.NewScope(it.GlobalScope()), value.Undefined{})
 	var budget *BudgetError
-	if !errors.As(err, &budget) || !budget.IsDeadline() {
+	if !errors.As(err, &budget) || budget.Reason != ReasonDeadline {
 		t.Fatalf("got %v, want deadline BudgetError after reset", err)
 	}
 }

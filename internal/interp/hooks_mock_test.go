@@ -29,7 +29,7 @@ func TestAccessors(t *testing.T) {
 	if it.Global() == nil {
 		t.Error("Global nil")
 	}
-	if it.ObjectProto() == nil || it.FunctionProto() == nil {
+	if it.protos.object == nil || it.protos.function == nil {
 		t.Error("prototypes nil")
 	}
 	if it.CurrentModule() != "" {

@@ -57,10 +57,6 @@ type BudgetError struct{ Reason string }
 
 func (b *BudgetError) Error() string { return "execution budget exceeded: " + b.Reason }
 
-// IsDeadline reports whether the budget that tripped was the wall-clock
-// deadline (as opposed to a structural loop/stack/step budget).
-func (b *BudgetError) IsDeadline() bool { return b.Reason == ReasonDeadline }
-
 // ModuleHost resolves require() calls. The modules package implements it.
 type ModuleHost interface {
 	// Require resolves and loads module name from the module at path from,
@@ -203,13 +199,6 @@ func (it *Interp) GlobalScope() *value.Scope { return it.globalScope }
 
 // Global implements value.Host.
 func (it *Interp) Global() *value.Object { return it.global }
-
-// ObjectProto returns Object.prototype (used by the modules package to
-// create module/exports objects).
-func (it *Interp) ObjectProto() *value.Object { return it.protos.object }
-
-// FunctionProto returns Function.prototype.
-func (it *Interp) FunctionProto() *value.Object { return it.protos.function }
 
 // ResetBudget clears the accumulated loop-iteration, stack-depth, and step
 // counters and restarts the wall-clock deadline; the approximate interpreter

@@ -142,9 +142,6 @@ func NewAt(file, src string, line, col int) *Lexer {
 	return &Lexer{file: file, src: src, line: line, lineOff: -(col - 1), nl: line > 1}
 }
 
-// IsKeyword reports whether name is a reserved word.
-func IsKeyword(name string) bool { return keywords[name] }
-
 // IsContextualKeyword reports whether name is a keyword usable as an
 // identifier in non-keyword positions.
 func IsContextualKeyword(name string) bool { return contextual[name] }

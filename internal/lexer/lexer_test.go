@@ -274,8 +274,8 @@ func TestSpreadVsDots(t *testing.T) {
 }
 
 func TestKeywordClassification(t *testing.T) {
-	if !IsKeyword("function") || IsKeyword("foo") {
-		t.Error("IsKeyword misclassifies")
+	if !keywords["function"] || keywords["foo"] {
+		t.Error("keywords misclassifies")
 	}
 	if !IsContextualKeyword("of") || IsContextualKeyword("function") {
 		t.Error("IsContextualKeyword misclassifies")

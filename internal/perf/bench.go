@@ -132,14 +132,14 @@ func (b Bench) WriteJSON(w io.Writer) error {
 
 // Render writes one line per row.
 func (b Bench) Render(w io.Writer) {
-	fmt.Fprintf(w, "%-18s %5s %3s %10s %7s %6s %6s %10s %10s %7s %6s %9s %9s %9s\n",
+	fmt.Fprintf(w, "%-18s %5s %3s %10s %7s %6s %6s %10s %10s %7s %6s %9s %9s %9s %9s\n",
 		"row", "procs", "sw", "wall ms", "parses", "hits", "misses", "iterations", "tokens",
-		"cycles", "epochs", "scan ms", "apply ms", "tail ms")
+		"cycles", "epochs", "scan ms", "apply ms", "tail ms", "sweep ms")
 	for i := range b.Rows {
 		r := &b.Rows[i]
-		fmt.Fprintf(w, "%-18s %5d %3d %10.1f %7d %6d %6d %10d %10d %7d %6d %9.1f %9.1f %9.1f\n",
+		fmt.Fprintf(w, "%-18s %5d %3d %10.1f %7d %6d %6d %10d %10d %7d %6d %9.1f %9.1f %9.1f %9.1f\n",
 			r.Name(), r.Host.GOMAXPROCS, r.SolverWorkers, r.WallMS, r.Parses, r.CacheHits, r.CacheMisses,
 			r.SolveIterations, r.TokensDelivered, r.CyclesCollapsed, r.SolverEpochs,
-			r.SolverScanMS, r.SolverApplyMS, r.SolverTailMS)
+			r.SolverScanMS, r.SolverApplyMS, r.SolverTailMS, r.SolverSweepMS)
 	}
 }

@@ -77,21 +77,17 @@ type Counters struct {
 	redundantSkipped atomic.Int64
 
 	// Epoch-engine activity: epochs crossed, deliveries whose target landed
-	// in a different shard than the source, concurrent Tarjan sweeps
-	// launched, representatives visited by all cycle sweeps, and the wall
-	// time split between the pipeline phases — the read-only scan+winnow,
-	// the shard-owned parallel apply pass, and the serial reconciliation
-	// tail, of which the wait to join a concurrent sweep — plus the sweep
-	// compute time hidden behind the parallel phases.
-	solverEpochs         atomic.Int64
-	solverCrossShard     atomic.Int64
-	solverAsyncSweeps    atomic.Int64
-	solverSweepVisited   atomic.Int64
-	solverScanNS         atomic.Int64
-	solverApplyNS        atomic.Int64
-	solverTailNS         atomic.Int64
-	solverSweepJoinNS    atomic.Int64
-	solverSweepOverlapNS atomic.Int64
+	// in a different shard than the source, representatives visited by all
+	// cycle sweeps, and the wall time split between the pipeline phases —
+	// the read-only scan+winnow, the shard-owned parallel apply pass, and
+	// the serial reconciliation tail — and the cycle sweeps between them.
+	solverEpochs       atomic.Int64
+	solverCrossShard   atomic.Int64
+	solverSweepVisited atomic.Int64
+	solverScanNS       atomic.Int64
+	solverApplyNS      atomic.Int64
+	solverTailNS       atomic.Int64
+	solverSweepNS      atomic.Int64
 
 	// Persistent-cache activity (zero when no cache store is attached):
 	// artifact loads served from disk, loads that missed (including
@@ -156,19 +152,16 @@ func (c *Counters) AddSolveStructure(cycles, unified, deduped, skipped int64) {
 }
 
 // AddSolverParallel accrues one parallel-solver run: epochs crossed,
-// cross-shard deliveries, concurrent sweeps launched, representatives the
-// cycle sweeps visited, and the scan/apply/tail/sweep-join/sweep-overlap
-// wall-time split.
-func (c *Counters) AddSolverParallel(epochs, crossShard, asyncSweeps, sweepVisited, scanNS, applyNS, tailNS, sweepJoinNS, sweepOverlapNS int64) {
+// cross-shard deliveries, representatives the cycle sweeps visited, and the
+// scan/apply/tail/sweep wall-time split.
+func (c *Counters) AddSolverParallel(epochs, crossShard, sweepVisited, scanNS, applyNS, tailNS, sweepNS int64) {
 	c.solverEpochs.Add(epochs)
 	c.solverCrossShard.Add(crossShard)
-	c.solverAsyncSweeps.Add(asyncSweeps)
 	c.solverSweepVisited.Add(sweepVisited)
 	c.solverScanNS.Add(scanNS)
 	c.solverApplyNS.Add(applyNS)
 	c.solverTailNS.Add(tailNS)
-	c.solverSweepJoinNS.Add(sweepJoinNS)
-	c.solverSweepOverlapNS.Add(sweepOverlapNS)
+	c.solverSweepNS.Add(sweepNS)
 }
 
 // AddCacheHit counts one artifact load served by the persistent store.
@@ -232,13 +225,11 @@ func (c *Counters) Reset() {
 	c.redundantSkipped.Store(0)
 	c.solverEpochs.Store(0)
 	c.solverCrossShard.Store(0)
-	c.solverAsyncSweeps.Store(0)
 	c.solverSweepVisited.Store(0)
 	c.solverScanNS.Store(0)
 	c.solverApplyNS.Store(0)
 	c.solverTailNS.Store(0)
-	c.solverSweepJoinNS.Store(0)
-	c.solverSweepOverlapNS.Store(0)
+	c.solverSweepNS.Store(0)
 	c.cacheHits.Store(0)
 	c.cacheMisses.Store(0)
 	c.cacheBytesWritten.Store(0)
@@ -275,22 +266,26 @@ type Snapshot struct {
 	EdgesDeduped     int64 `json:"edges_deduped,omitempty"`
 	RedundantSkipped int64 `json:"redundant_deliveries_skipped,omitempty"`
 
-	// Epoch-engine activity. SolverEpochs, SolverCrossShard,
-	// SolverAsyncSweeps and SolverSweepVisited are deterministic at every
-	// worker count; the phase times (scan+winnow / parallel apply / serial
-	// tail, of which sweep join / sweep overlap) are scheduling-dependent
-	// diagnostics.
-	SolverEpochs         int64   `json:"solver_epochs,omitempty"`
-	SolverCrossShard     int64   `json:"solver_cross_shard_deliveries,omitempty"`
-	SolverAsyncSweeps    int64   `json:"solver_async_sweeps,omitempty"`
-	SolverSweepVisited   int64   `json:"solver_sweep_visited,omitempty"`
-	SolverScanMS         float64 `json:"solver_scan_ms,omitempty"`
-	SolverApplyMS        float64 `json:"solver_apply_ms,omitempty"`
-	SolverTailMS         float64 `json:"solver_serial_tail_ms,omitempty"`
-	SolverSweepJoinMS    float64 `json:"solver_sweep_join_ms,omitempty"`
+	// Epoch-engine activity. SolverEpochs, SolverCrossShard and
+	// SolverSweepVisited are deterministic at every worker count; the phase
+	// times (scan+winnow / parallel apply / serial tail / cycle sweeps) are
+	// scheduling-dependent diagnostics.
+	SolverEpochs       int64   `json:"solver_epochs,omitempty"`
+	SolverCrossShard   int64   `json:"solver_cross_shard_deliveries,omitempty"`
+	SolverSweepVisited int64   `json:"solver_sweep_visited,omitempty"`
+	SolverScanMS       float64 `json:"solver_scan_ms,omitempty"`
+	SolverApplyMS      float64 `json:"solver_apply_ms,omitempty"`
+	SolverTailMS       float64 `json:"solver_serial_tail_ms,omitempty"`
+	SolverSweepMS      float64 `json:"solver_sweep_ms,omitempty"`
+	// Always 0, since every cycle sweep runs synchronously; perfbench reads it.
+	SolverAsyncSweeps int64 `json:"solver_async_sweeps,omitempty"`
+	// Always 0, since every cycle sweep runs synchronously; perfbench reads it.
 	SolverSweepOverlapMS float64 `json:"solver_sweep_overlap_ms,omitempty"`
 
 	// Persistent-cache activity (zero when no cache store is attached).
+	// CacheBytesWritten is deliberately ungated by benchcheck: outcome
+	// records encode wall-clock durations as varints, so it changes between
+	// runs of the same code.
 	CacheHits         int64 `json:"cache_hits,omitempty"`
 	CacheMisses       int64 `json:"cache_misses,omitempty"`
 	CacheBytesWritten int64 `json:"cache_bytes_written,omitempty"`
@@ -322,13 +317,11 @@ func (c *Counters) Snapshot() Snapshot {
 		RedundantSkipped:     c.redundantSkipped.Load(),
 		SolverEpochs:         c.solverEpochs.Load(),
 		SolverCrossShard:     c.solverCrossShard.Load(),
-		SolverAsyncSweeps:    c.solverAsyncSweeps.Load(),
 		SolverSweepVisited:   c.solverSweepVisited.Load(),
 		SolverScanMS:         float64(c.solverScanNS.Load()) / 1e6,
 		SolverApplyMS:        float64(c.solverApplyNS.Load()) / 1e6,
 		SolverTailMS:         float64(c.solverTailNS.Load()) / 1e6,
-		SolverSweepJoinMS:    float64(c.solverSweepJoinNS.Load()) / 1e6,
-		SolverSweepOverlapMS: float64(c.solverSweepOverlapNS.Load()) / 1e6,
+		SolverSweepMS:        float64(c.solverSweepNS.Load()) / 1e6,
 		CacheHits:            c.cacheHits.Load(),
 		CacheMisses:          c.cacheMisses.Load(),
 		CacheBytesWritten:    c.cacheBytesWritten.Load(),
@@ -378,9 +371,9 @@ func (s Snapshot) Render(w io.Writer) {
 			s.CyclesCollapsed, s.VarsUnified, s.EdgesDeduped, s.RedundantSkipped)
 	}
 	if s.SolverEpochs > 0 {
-		fmt.Fprintf(w, "parallel solver:    %d epochs, %d cross-shard deliveries, %d async sweeps, %d reps swept, scan %.1f ms / apply %.1f ms / tail %.1f ms (sweep join %.1f ms, sweep overlap %.1f ms)\n",
-			s.SolverEpochs, s.SolverCrossShard, s.SolverAsyncSweeps, s.SolverSweepVisited,
-			s.SolverScanMS, s.SolverApplyMS, s.SolverTailMS, s.SolverSweepJoinMS, s.SolverSweepOverlapMS)
+		fmt.Fprintf(w, "parallel solver:    %d epochs, %d cross-shard deliveries, %d reps swept, scan %.1f ms / apply %.1f ms / tail %.1f ms / sweep %.1f ms\n",
+			s.SolverEpochs, s.SolverCrossShard, s.SolverSweepVisited,
+			s.SolverScanMS, s.SolverApplyMS, s.SolverTailMS, s.SolverSweepMS)
 	}
 	if s.CacheHits+s.CacheMisses > 0 {
 		rate := 100 * float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)

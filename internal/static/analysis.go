@@ -322,8 +322,8 @@ func newAnalyzer(project *modules.Project, opts Options) *analyzer {
 // perf counters and returns them for the Result.
 func (a *analyzer) recordParallelStats() ParallelSolveStats {
 	ps := a.s.parallelStats()
-	perf.Global().AddSolverParallel(ps.Epochs, ps.CrossShard, ps.AsyncSweeps, ps.SweepVisited,
-		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepJoinNS, ps.SweepOverlapNS)
+	perf.Global().AddSolverParallel(ps.Epochs, ps.CrossShard, ps.SweepVisited,
+		ps.ScanNS, ps.ApplyNS, ps.TailNS, ps.SweepNS)
 	return ps
 }
 

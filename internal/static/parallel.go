@@ -41,17 +41,12 @@ package static
 //     prefix bound already covers the whole epoch, which is what lets the
 //     old per-delivery delta scan disappear from the serial path entirely.
 //
-// Batched Tarjan cycle sweeps run between epochs, at deterministic points of
-// the sweepInterval cadence or after a large LCD batch. Each sweep after the
-// solver's first starts only from the targets of edges added since the
-// previous one and visits what they reach (see solver.sweepRoots), so it
-// costs in proportion to the graph's growth, not its size. With a large
-// frontier queued, the sweep is a read-only traversal of the epoch-frozen
-// edge/parent state on its own goroutine, joined at the start of the serial
-// tail (before triggers mutate edge lists); its components are collapsed at
-// the next between-epoch point — edges only get added in the interim, so a
-// snapshot SCC is still an SCC when it lands. With a small frontier it runs
-// synchronously.
+// Batched Tarjan cycle sweeps run synchronously between epochs, at
+// deterministic points of the sweepInterval cadence or after a large LCD
+// batch. Each sweep after the solver's first starts only from the targets of
+// edges added since the previous one and visits what they reach (see
+// solver.sweepRoots), so it costs in proportion to the graph's growth, not
+// its size.
 //
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
@@ -68,8 +63,8 @@ package static
 //
 // A collapsed SCC never spans shards: sharding hashes the union-find
 // representative, so every member of a unified group lands wherever its
-// representative lands. All unification (LCD, sweep reconciliation) runs
-// between epochs on the solver goroutine.
+// representative lands. All unification (LCD, cycle sweeps) runs between
+// epochs on the solver goroutine.
 
 import (
 	"sync"
@@ -109,18 +104,6 @@ const (
 // tests can force the concurrent path under the race detector.
 var inlineFrontierMax = 512
 
-// asyncSweepMinFrontier is the pending-frontier size below which a batched
-// Tarjan sweep runs synchronously instead of concurrently. A concurrent
-// sweep's components land one epoch after its launch, so the launch epoch
-// pays redundant deliveries a synchronous collapse would have avoided;
-// with a large frontier that cost is dwarfed by the sweep compute hidden
-// behind the parallel phases, but on a small frontier there is nothing to
-// overlap with and the deferral is pure loss. The gate reads only
-// deterministic solver state (queue depth at a between-epoch point), so
-// AsyncSweeps stays identical at every worker count. A variable so tests
-// can force the concurrent path under the race detector.
-var asyncSweepMinFrontier = 1024
-
 // sweepCheck, when non-nil, is called with every cycle sweep's components
 // as soon as they are computed, before any is collapsed, while the graph
 // they were computed on is still unchanged. Tests set it to compare each
@@ -128,33 +111,28 @@ var asyncSweepMinFrontier = 1024
 var sweepCheck func(s *solver, comps [][]Var)
 
 // ParallelSolveStats describes one solver's epoch-engine activity.
-// Epochs, CrossShard, AsyncSweeps and SweepVisited are deterministic
-// (identical for every worker count); the phase times depend on scheduling
-// and are diagnostics only.
+// Epochs, CrossShard and SweepVisited are deterministic (identical for
+// every worker count); the phase times depend on scheduling and are
+// diagnostics only.
 type ParallelSolveStats struct {
 	// Epochs is the number of pipeline rounds run.
 	Epochs int64
 	// CrossShard counts applied proposals whose destination variable lives
 	// in a different shard than the delivery that produced them.
 	CrossShard int64
-	// AsyncSweeps counts batched Tarjan sweeps launched concurrently with
-	// the parallel phases. The launch policy reads only deterministic solver
-	// state, so the count is identical at every worker count.
+	// Always 0, since every cycle sweep runs synchronously; perfbench reads it.
 	AsyncSweeps int64
-	// SweepVisited counts the representatives visited by all cycle sweeps,
-	// synchronous and concurrent.
+	// SweepVisited counts the representatives visited by all cycle sweeps.
 	SweepVisited int64
 	// ScanNS covers the parallelizable read-only phases (scan + winnow);
 	// ApplyNS the parallel shard-owned apply pass; TailNS the serial tail
-	// (sweep join wait, log replay, trigger firing). SweepJoinNS is the
-	// part of TailNS spent blocked joining a concurrent sweep.
-	// SweepOverlapNS is the portion of concurrent-sweep compute time hidden
-	// behind the parallel phases rather than paid as tail join wait.
-	ScanNS         int64
-	ApplyNS        int64
-	TailNS         int64
-	SweepJoinNS    int64
-	SweepOverlapNS int64
+	// (log replay, trigger firing). SweepNS is the time spent in cycle
+	// sweeps, the solve-entry ones included, which run between epochs and
+	// so outside all three.
+	ScanNS  int64
+	ApplyNS int64
+	TailNS  int64
+	SweepNS int64
 }
 
 // shardOfRep maps a representative variable to its shard. Fibonacci
@@ -164,11 +142,10 @@ func shardOfRep(v Var) int32 {
 	return int32((uint32(v) * 0x9E3779B9) >> (32 - shardBits))
 }
 
-// findRO resolves v's representative without path compression. The scan and
-// apply phases run it concurrently from many workers, and partition uses it
-// while a concurrent sweep holds a read-only view of the parent forest; the
-// forest is never written during any of those windows (all unification
-// happens between epochs, after sweep join), so the walk is race-free.
+// findRO resolves v's representative without path compression. The scan
+// phase runs it concurrently from many workers; the forest is never written
+// during a scan (all unification happens between epochs), so the walk is
+// race-free.
 func (s *solver) findRO(v Var) Var {
 	for s.parent[v] != v {
 		v = s.parent[v]
@@ -332,21 +309,6 @@ type parallelEngine struct {
 	pushTasks  []pushTask
 	pushActive []pushTask
 
-	// Concurrent-sweep state. A sweep runs on its own goroutine from a
-	// between-epoch launch point to the next tail's join; sweepLive is true
-	// for exactly that window (set and cleared on the solver goroutine, so
-	// reads from partition are unsynchronized but safe). sweepComps holds
-	// the joined components until the next between-epoch point collapses
-	// them; sweepDone distinguishes "joined, reconciliation pending" from
-	// "no sweep activity".
-	sweepLive      bool
-	sweepDone      bool
-	sweepComps     [][]Var
-	sweepVisited   int64
-	sweepJoin      chan struct{}
-	sweepComputeNS int64
-	sweepScratch   sweepScratch
-
 	// Winnow scratch: per-destination-shard stamp maps. An entry is live
 	// only when its value equals winStamp, so epochs never clear them; the
 	// maps are reallocated when they grow past winScratchMax (a memory
@@ -377,42 +339,25 @@ func (s *solver) configureParallel(workers int) {
 }
 
 // solve runs propagation to a fixpoint on the epoch engine. Between epochs
-// it runs the LCD/sweep cadence (with batched Tarjan sweeps handed to a
-// concurrent worker); within an epoch the frontier is scanned, winnowed,
-// and applied in parallel, then reconciled by the serial tail.
+// it runs the LCD/sweep cadence on the solver goroutine; within an epoch the
+// frontier is scanned, winnowed, and applied in parallel, then reconciled by
+// the serial tail.
 func (s *solver) solve() {
 	p := s.par
 	// Entry sweep: collapse every cycle the constraint generator (or a
 	// previous solve round plus injected deltas) built statically, before
-	// any token crosses its edges. Synchronous, since there is no parallel
-	// work to overlap it with yet.
+	// any token crosses its edges.
 	s.collapseAllSCCs()
-	for s.head < len(s.queue) || len(p.pushTasks) > 0 || p.sweepLive || p.sweepDone {
-		if p.sweepDone {
-			// Reconcile the sweep joined by the previous tail: collapse its
-			// components. Edges were only added since the sweep's snapshot
-			// (no unification ran — it is gated off while a sweep is live or
-			// unreconciled), so each snapshot SCC is still an SCC and its
-			// members are still representatives.
-			p.sweepDone = false
-			if len(p.sweepComps) > 0 {
-				p.materializePushes(s)
-				for _, comp := range p.sweepComps {
-					s.collapse(comp)
-				}
-				p.sweepComps = nil
-			}
-		}
+	for s.head < len(s.queue) || len(p.pushTasks) > 0 {
 		budget := 0 // unlimited
 		if len(s.lcdPending) > 0 {
 			// Keep the epoch short when cycle evidence was still pending at
 			// its start: collapse rounds run below, but a path search can
-			// miss its cycle (budget exhaustion) and an async sweep's
-			// components land one epoch late, so the frontier consumed on
-			// possibly-uncollapsed state stays bounded.
+			// miss its cycle (budget exhaustion), so the frontier consumed
+			// on possibly-uncollapsed state stays bounded.
 			budget = cycleEpochCap
 		}
-		if !p.sweepLive && (len(s.lcdPending) > 0 || s.iterations >= s.nextSweep) {
+		if len(s.lcdPending) > 0 || s.iterations >= s.nextSweep {
 			// Collapse round: every epoch that produced cycle evidence gets
 			// one before the next epoch consumes more of the frontier.
 			// Deferred pushes never wait for it and never run inline for it —
@@ -421,23 +366,15 @@ func (s *solver) solve() {
 			periodic := s.iterations >= s.nextSweep
 			if periodic || len(s.lcdPending) >= lcdSweepBatch {
 				// Batched resolution: a Tarjan sweep subsumes the per-pair
-				// searches (see lcdSweepBatch). With a large frontier
-				// queued it runs concurrently with the next epoch's parallel phases
-				// instead of on the critical path — the evidence is consumed
-				// now (the pairs are already in lcdChecked) and the components
-				// land after the next tail; with a small frontier it runs
-				// synchronously.
+				// searches (see lcdSweepBatch); the evidence is consumed
+				// (the pairs are already in lcdChecked).
 				s.lcdPending = s.lcdPending[:0]
 				if periodic {
 					s.nextSweep = s.iterations + s.sweepInterval()
 				}
 				if s.sweepDue() {
-					if len(s.queue)-s.head >= asyncSweepMinFrontier {
-						p.launchSweep(s)
-					} else {
-						p.materializePushes(s)
-						s.collapseAllSCCs()
-					}
+					p.materializePushes(s)
+					s.collapseAllSCCs()
 				}
 			} else {
 				// Small batch: bounded per-pair searches with inline collapse,
@@ -457,43 +394,6 @@ func (s *solver) solve() {
 	s.head = 0
 }
 
-// launchSweep starts a concurrent batched Tarjan sweep over the current
-// (epoch-frozen) edge and parent state. The traversal is strictly read-only
-// (findRO, dedicated scratch) and overlaps the next epoch's partition,
-// scan, winnow, and apply phases, none of which mutate edges or the parent
-// forest; the tail joins it before triggers run. The recorded sweep roots
-// are taken here, so edges added while the sweep runs root the next one.
-func (p *parallelEngine) launchSweep(s *solver) {
-	p.stats.AsyncSweeps++
-	roots := s.takeSweepRoots(&p.sweepScratch)
-	p.sweepLive = true
-	p.sweepJoin = make(chan struct{})
-	go func() {
-		t0 := time.Now()
-		p.sweepComps, p.sweepVisited = sweepComponents(s, roots, &p.sweepScratch)
-		p.sweepComputeNS = time.Since(t0).Nanoseconds()
-		close(p.sweepJoin)
-	}()
-}
-
-// joinSweep blocks until the in-flight sweep (if any) finishes, accounting
-// the overlap between its compute time and the parallel phases it ran under.
-func (p *parallelEngine) joinSweep(s *solver) {
-	if !p.sweepLive {
-		return
-	}
-	w0 := time.Now()
-	<-p.sweepJoin
-	waitNS := time.Since(w0).Nanoseconds()
-	p.stats.SweepJoinNS += waitNS
-	p.stats.SweepVisited += p.sweepVisited
-	if overlap := p.sweepComputeNS - waitNS; overlap > 0 {
-		p.stats.SweepOverlapNS += overlap
-	}
-	p.sweepLive = false
-	p.sweepDone = true
-}
-
 // sweepComponents is the read-only core of a cycle sweep: an iterative
 // Tarjan pass that starts at roots, in order, visits only the
 // representatives they reach, and returns the multi-member components in
@@ -501,10 +401,9 @@ func (p *parallelEngine) joinSweep(s *solver) {
 // without collapsing anything. A representative without edges is a
 // component of its own that affects no other's lowlink, so the pass
 // neither starts at nor descends into one; most variables are such sinks.
-// sw must have been prepared by takeSweepRoots. Edges resolve through
-// findRO (no path compression), so the pass can run concurrently with
-// phases that read the parent forest.
-func sweepComponents(s *solver, roots []Var, sw *sweepScratch) ([][]Var, int64) {
+// The scratch must have been prepared by takeSweepRoots.
+func (s *solver) sweepComponents(roots []Var) ([][]Var, int64) {
+	sw := &s.sweep
 	base := sw.next + 1 // indices below base belong to earlier sweeps
 	sw.stack = sw.stack[:0]
 	var comps [][]Var
@@ -584,9 +483,7 @@ func sweepComponents(s *solver, roots []Var, sw *sweepScratch) ([][]Var, int64) 
 // entries when cycle detection asked for a short epoch — into per-shard
 // frontiers and cuts them into chunks in shard-ascending order. A chunk's
 // index in that fixed order is its id, making every downstream index
-// deterministic. Addresses resolve through find (path compression) when the
-// parent forest is quiescent, or findRO while a concurrent sweep holds a
-// read-only view of it; both return the same representative.
+// deterministic.
 func (p *parallelEngine) partition(s *solver, budget int) {
 	for i := range p.shardFrontier {
 		p.shardFrontier[i] = p.shardFrontier[i][:0]
@@ -595,18 +492,10 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 	if budget > 0 && n > budget {
 		n = budget
 	}
-	if p.sweepLive {
-		for _, d := range s.queue[s.head : s.head+n] {
-			v := s.findRO(d.v)
-			sh := shardOfRep(v)
-			p.shardFrontier[sh] = append(p.shardFrontier[sh], delivery{v, d.t})
-		}
-	} else {
-		for _, d := range s.queue[s.head : s.head+n] {
-			v := s.find(d.v)
-			sh := shardOfRep(v)
-			p.shardFrontier[sh] = append(p.shardFrontier[sh], delivery{v, d.t})
-		}
+	for _, d := range s.queue[s.head : s.head+n] {
+		v := s.find(d.v)
+		sh := shardOfRep(v)
+		p.shardFrontier[sh] = append(p.shardFrontier[sh], delivery{v, d.t})
 	}
 	s.head += n
 	if s.head == len(s.queue) {
@@ -641,11 +530,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 	p.pushActive, p.pushTasks = p.pushTasks, p.pushActive[:0]
 	live := p.pushActive[:0]
 	for _, tk := range p.pushActive {
-		if p.sweepLive {
-			tk.from, tk.to = s.findRO(tk.from), s.findRO(tk.to)
-		} else {
-			tk.from, tk.to = s.find(tk.from), s.find(tk.to)
-		}
+		tk.from, tk.to = s.find(tk.from), s.find(tk.to)
 		if tk.from != tk.to {
 			live = append(live, tk)
 		}
@@ -999,7 +884,7 @@ func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp in
 // The pass mutates token sets and per-worker accumulators only; everything
 // order-sensitive across shards (queue scheduling, cycle evidence, trigger
 // firing) is staged for the serial tail via the verdict arrays. No edge or
-// parent state is written, which is what lets a concurrent sweep overlap it.
+// parent state is written.
 func (p *parallelEngine) apply(s *solver, nw int) {
 	t0 := time.Now()
 	fanOut(nw, func(wi int) { p.applyWorker(s, wi, nw) })
@@ -1140,21 +1025,18 @@ func (p *parallelEngine) applyPushChunk(s *solver, c chunkRef, out *chunkOut, ac
 	}
 }
 
-// tail is the serial reconciliation of one epoch: it joins the concurrent
-// sweep (if one is in flight — triggers below mutate the edge lists the
-// sweep reads), then replays the epoch in the fixed order (shards ascending,
-// per-shard sequence order). Per live delivery: winning inserts are
-// scheduled on the delivery queue (in slot order, so next epoch's frontier
-// order is scheduling-independent), surviving cycle evidence goes through
-// noteLCD, and the delivery's triggers fire — each against the
-// epoch-advanced state, with the scan-frozen trigger count guaranteeing
-// exactly-once firing (triggers registered during this very tail replayed
-// the advanced prefix at registration instead). All mutation of analyzer
-// state and all order-sensitive solver mutation happens here, on the solver
-// goroutine.
+// tail is the serial reconciliation of one epoch: it replays the epoch in
+// the fixed order (shards ascending, per-shard sequence order). Per live
+// delivery: winning inserts are scheduled on the delivery queue (in slot
+// order, so next epoch's frontier order is scheduling-independent),
+// surviving cycle evidence goes through noteLCD, and the delivery's
+// triggers fire — each against the epoch-advanced state, with the
+// scan-frozen trigger count guaranteeing exactly-once firing (triggers
+// registered during this very tail replayed the advanced prefix at
+// registration instead). All mutation of analyzer state and all
+// order-sensitive solver mutation happens here, on the solver goroutine.
 func (p *parallelEngine) tail(s *solver) {
 	t0 := time.Now()
-	p.joinSweep(s)
 	// Triggers fired below may add edges; their prefix pushes are deferred
 	// into next epoch's scan (see addEdge).
 	p.deferPush = true

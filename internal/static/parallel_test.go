@@ -93,10 +93,10 @@ func TestParallelSolverMatchesSequential(t *testing.T) {
 // TestParallelDeterministicAcrossWorkers pins the stronger property the
 // epoch pipeline is designed for: not just that every worker count reaches
 // the same fixpoint, but that the scheduling-independent parallel
-// diagnostics (epochs, cross-shard deliveries, async sweep launches,
-// representatives swept) are themselves identical at every worker count —
-// with every epoch forced through the goroutine path so chunks really are
-// claimed concurrently at workers 2..8, not served by the inline path.
+// diagnostics (epochs, cross-shard deliveries, representatives swept) are
+// themselves identical at every worker count — with every epoch forced
+// through the goroutine path so chunks really are claimed concurrently at
+// workers 2..8, not served by the inline path.
 func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	savedInline := inlineFrontierMax
 	inlineFrontierMax = 0
@@ -114,7 +114,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 				continue
 			}
 			if st.Epochs != refStats.Epochs || st.CrossShard != refStats.CrossShard ||
-				st.AsyncSweeps != refStats.AsyncSweeps || st.SweepVisited != refStats.SweepVisited {
+				st.SweepVisited != refStats.SweepVisited {
 				t.Fatalf("seed %d workers %d: scheduling-independent stats differ: %+v vs %+v at workers=%d",
 					seed, workers, st, *refStats, workerCounts[0])
 			}
@@ -124,32 +124,28 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 
 // TestParallelPipelinePropertyConcurrentMatchesInline is the pipeline
 // property test for the split barrier: the parallel apply pass plus staged
-// serial tail, run fully concurrently (every epoch on the goroutine path,
-// every batched sweep on the concurrent sweep worker), must be
-// indistinguishable — results, trigger firings, frozen checkpoint views,
-// effort counters, structure counters, and the deterministic parallel
+// serial tail, run fully concurrently (every epoch on the goroutine path),
+// must be indistinguishable — results, trigger firings, frozen checkpoint
+// views, effort counters, structure counters, and the deterministic parallel
 // diagnostics — from the same pipeline applied inline on the solver
 // goroutine at workers=1. Under -race this is also the test that drives
-// the shard-owned apply workers and the read-only Tarjan sweep against the
-// scan/winnow/partition phases they overlap.
+// the shard-owned apply workers, with cycle sweeps running between the
+// concurrent epochs.
 func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 	seeds := int64(25)
 	if testing.Short() {
 		seeds = 8
 	}
-	savedInline, savedSweep := inlineFrontierMax, asyncSweepMinFrontier
-	defer func() { inlineFrontierMax, asyncSweepMinFrontier = savedInline, savedSweep }()
+	savedInline := inlineFrontierMax
+	defer func() { inlineFrontierMax = savedInline }()
 
-	totalSweeps := int64(0)
+	swept := int64(0)
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x9a7a))
 		nVars := 20 + rng.Intn(60)
 		rounds := 1 + rng.Intn(3)
 
-		// Inline arm: one worker, everything on the solver goroutine, but
-		// with batched sweeps still routed through the async launch/join
-		// machinery so both arms run the same collapse policy.
-		asyncSweepMinFrontier = 0
+		// Inline arm: one worker, everything on the solver goroutine.
 		inlineFrontierMax = 1 << 30
 		si := newSolver()
 		si.configureParallel(1)
@@ -192,15 +188,15 @@ func TestParallelPipelinePropertyConcurrentMatchesInline(t *testing.T) {
 			}
 			concStats := sc.parallelStats()
 			if concStats.Epochs != inlineStats.Epochs || concStats.CrossShard != inlineStats.CrossShard ||
-				concStats.AsyncSweeps != inlineStats.AsyncSweeps || concStats.SweepVisited != inlineStats.SweepVisited {
+				concStats.SweepVisited != inlineStats.SweepVisited {
 				t.Fatalf("seed %d workers %d: deterministic parallel stats differ from inline pipeline: %+v vs %+v",
 					seed, workers, concStats, inlineStats)
 			}
-			totalSweeps += concStats.AsyncSweeps
+			swept += concStats.SweepVisited
 		}
 	}
-	if totalSweeps == 0 {
-		t.Fatalf("no concurrent cycle sweep ran across %d seeds; the overlap path is untested", seeds)
+	if swept == 0 {
+		t.Fatalf("no cycle sweep visited anything across %d seeds on the concurrent path", seeds)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"time"
 )
 
 // Var is a constraint variable: an abstract set of tokens associated with
@@ -68,8 +69,8 @@ const sccSweepInterval = 1024
 // historical cadence), scaled linearly with graph size beyond that. The
 // scaling dates from whole-graph sweeps; a sweep now visits only what the
 // edges added since the previous one reach (see sweepRoots), and the
-// cadence is kept because it also decides when sweeps run concurrently,
-// which the deterministic AsyncSweeps and Epochs counters record.
+// cadence is kept because it decides when cycles collapse, and changing it
+// would move the deterministic effort and Epochs counters.
 func (s *solver) sweepInterval() int64 {
 	if v := int64(s.nVars) / 4; v > sccSweepInterval {
 		return v
@@ -698,14 +699,13 @@ func (s *solver) noteSweepRoot(v Var) {
 // first sweep, or once an edge was added since the last one.
 func (s *solver) sweepDue() bool { return !s.swept || len(s.sweepRoots) > 0 }
 
-// takeSweepRoots prepares sw for a sweep of the current graph and returns
-// its roots in ascending order: every representative with edges for the
-// solver's first sweep (see sweepComponents on sinks), then the
-// representatives of the edge targets recorded since. The recorded list
-// is consumed, so edges added from here on root the following sweep. Runs
-// on the solver goroutine (it compresses paths); the sweep itself may then
-// run concurrently.
-func (s *solver) takeSweepRoots(sw *sweepScratch) []Var {
+// takeSweepRoots prepares the sweep scratch for a sweep of the current
+// graph and returns its roots in ascending order: every representative with
+// edges for the solver's first sweep (see sweepComponents on sinks), then
+// the representatives of the edge targets recorded since. The recorded list
+// is consumed, so edges added from here on root the following sweep.
+func (s *solver) takeSweepRoots() []Var {
+	sw := &s.sweep
 	roots := sw.roots[:0]
 	if !s.swept {
 		s.swept = true
@@ -747,14 +747,16 @@ func (s *solver) collapseAllSCCs() {
 	if !s.sweepDue() {
 		return
 	}
+	t0 := time.Now()
 	// Collapse after the sweep so the traversal never sees a half-merged
 	// graph. Components are disjoint and come in deterministic discovery
 	// order; edges the collapses' triggers add root the next sweep.
-	comps, visited := sweepComponents(s, s.takeSweepRoots(&s.sweep), &s.sweep)
+	comps, visited := s.sweepComponents(s.takeSweepRoots())
 	s.par.stats.SweepVisited += visited
 	for _, comp := range comps {
 		s.collapse(comp)
 	}
+	s.par.stats.SweepNS += time.Since(t0).Nanoseconds()
 }
 
 // ----------------------------------------------------------------- snapshot

@@ -119,15 +119,15 @@ type sweepOracleStats struct {
 // withSweepOracle runs fn with sweepCheck comparing every sweep against the
 // whole-graph oracle. The first sweep of each solver is the whole-graph one;
 // the others are rooted, and the stats count those separately. Mismatches
-// are reported through t (from the sweep goroutine too, which t allows).
+// are reported through t.
 func withSweepOracle(t *testing.T, fn func()) sweepOracleStats {
 	t.Helper()
 	var st sweepOracleStats
 	seen := map[*solver]bool{}
 	saved := sweepCheck
 	sweepCheck = func(s *solver, comps [][]Var) {
-		// Sweeps of one solver never overlap and solvers here run one at a
-		// time, so the counters need no lock.
+		// Sweeps run on their solver's goroutine and solvers here run one at
+		// a time, so the counters need no lock.
 		st.sweeps++
 		if seen[s] {
 			st.rooted++
@@ -152,8 +152,8 @@ func withSweepOracle(t *testing.T, fn func()) sweepOracleStats {
 // representative finds. It runs the static half of the corpus pipeline
 // (hints from approximate interpretation, the incremental baseline and
 // extended solves, and the forked ablation arm where the pipeline runs it),
-// the mega tier at three sizes, and random systems with every batched sweep
-// forced onto the concurrent path.
+// the mega tier at three sizes, and random systems with every epoch forced
+// onto the concurrent scan path.
 func TestSweepMatchesFullSweep(t *testing.T) {
 	check := func(name string, st sweepOracleStats) {
 		t.Helper()
@@ -190,9 +190,9 @@ func TestSweepMatchesFullSweep(t *testing.T) {
 		}))
 	}
 
-	savedSweep, savedInline := asyncSweepMinFrontier, inlineFrontierMax
-	defer func() { asyncSweepMinFrontier, inlineFrontierMax = savedSweep, savedInline }()
-	asyncSweepMinFrontier, inlineFrontierMax = 0, 0
+	savedInline := inlineFrontierMax
+	defer func() { inlineFrontierMax = savedInline }()
+	inlineFrontierMax = 0
 	check("random", withSweepOracle(t, func() {
 		for seed := int64(0); seed < 12; seed++ {
 			for _, workers := range []int{1, 4} {
@@ -238,40 +238,6 @@ func TestSweepVisitsOnlyWhatChanged(t *testing.T) {
 // collapsed reports whether a and b share a representative.
 func collapsed(s *solver, a, b Var) bool { return s.find(a) == s.find(b) }
 
-// TestSweepCollapsesCycleClosedDuringAsyncSweep closes a cycle with an edge
-// a trigger adds in the tail that joins a concurrent sweep, after the sweep
-// took its roots. The edge must root the next sweep, which collapses it.
-func TestSweepCollapsesCycleClosedDuringAsyncSweep(t *testing.T) {
-	saved := asyncSweepMinFrontier
-	asyncSweepMinFrontier = 0
-	defer func() { asyncSweepMinFrontier = saved }()
-
-	s := newSolver()
-	src, mid, x, a, b := s.newVar(), s.newVar(), s.newVar(), s.newVar(), s.newVar()
-	s.addEdge(src, mid)
-	s.addEdge(a, b)
-	// Epoch 1 delivers src's token; its tail adds src→x, so the periodic
-	// sweep due at epoch 2 has a root and launches concurrently. Epoch 2
-	// delivers mid's token; its tail joins that sweep and then closes
-	// a → b → a, before the sweep's components are reconciled.
-	s.onToken(src, func(Token) { s.addEdge(src, x) })
-	s.onToken(mid, func(Token) { s.addEdge(b, a) })
-	s.addToken(src, 1)
-	s.collapseAllSCCs() // the first, whole-graph sweep
-	s.nextSweep = 1
-	s.solve()
-	if got := s.parallelStats().AsyncSweeps; got != 1 {
-		t.Fatalf("%d concurrent sweeps, want 1", got)
-	}
-	if collapsed(s, a, b) {
-		t.Fatal("cycle collapsed before the next sweep; the test no longer isolates the sweep")
-	}
-	s.solve() // the next sweep is the solve-entry one
-	if !collapsed(s, a, b) {
-		t.Error("the cycle closed while a concurrent sweep was pending was not collapsed by the next sweep")
-	}
-}
-
 // TestSweepCollapsesCycleClosedByTailTrigger closes a cycle with an edge a
 // trigger adds in a serial tail, over variables without tokens so neither
 // the prefix push nor lazy cycle detection can see it. The next sweep must.
@@ -289,6 +255,42 @@ func TestSweepCollapsesCycleClosedByTailTrigger(t *testing.T) {
 	s.solve()
 	if !collapsed(s, a, b) || !collapsed(s, b, c) {
 		t.Error("the cycle closed by a tail trigger was not collapsed by the next sweep")
+	}
+}
+
+// TestSweepCollapsesCycleClosedBehindDeepFrontier is the deep-frontier
+// variant of TestSweepCollapsesCycleClosedByTailTrigger: a batched sweep
+// runs with more than a thousand deliveries queued, and a tail trigger
+// closes a cycle right after it. The next sweep must collapse the cycle.
+func TestSweepCollapsesCycleClosedBehindDeepFrontier(t *testing.T) {
+	const deep = 1100
+	var depths []int
+	saved := sweepCheck
+	sweepCheck = func(s *solver, _ [][]Var) { depths = append(depths, len(s.queue)-s.head) }
+	defer func() { sweepCheck = saved }()
+
+	s := newSolver()
+	src, mid, x, a, b := s.newVar(), s.newVar(), s.newVar(), s.newVar(), s.newVar()
+	s.addEdge(src, mid)
+	s.addEdge(a, b)
+	// Epoch 1 delivers src's tokens, queueing one delivery per token on
+	// mid; its tail adds src→x, so the periodic sweep due before epoch 2
+	// has a root. Epoch 2 delivers mid's tokens; its tail closes
+	// a → b → a, after that sweep.
+	s.onToken(src, func(Token) { s.addEdge(src, x) })
+	s.onToken(mid, func(Token) { s.addEdge(b, a) })
+	for i := 0; i < deep; i++ {
+		s.addToken(src, Token(i))
+	}
+	s.collapseAllSCCs() // the first, whole-graph sweep
+	s.nextSweep = 1
+	depths = depths[:0]
+	s.solve()
+	if len(depths) < 2 || depths[0] < 1024 {
+		t.Fatalf("frontier depths at the sweeps %v, want a sweep behind at least 1024 deliveries and one after it", depths)
+	}
+	if !collapsed(s, a, b) {
+		t.Error("the cycle closed behind a deep frontier was not collapsed by the next sweep")
 	}
 }
 

@@ -328,14 +328,14 @@ func TestAblationForkLeavesArmsUnchanged(t *testing.T) {
 			t.Errorf("%s: %s call graphs differ", name, arm)
 		}
 		type counters struct {
-			vars, tokens          int
-			iters, delivered      int64
-			structure             StructureStats
-			epochs, cross, sweeps int64
+			vars, tokens         int
+			iters, delivered     int64
+			structure            StructureStats
+			epochs, cross, swept int64
 		}
 		of := func(r *Result) counters {
 			return counters{r.NumVars, r.NumTokens, r.SolveIterations, r.TokensDelivered, r.Structure,
-				r.Parallel.Epochs, r.Parallel.CrossShard, r.Parallel.AsyncSweeps}
+				r.Parallel.Epochs, r.Parallel.CrossShard, r.Parallel.SweepVisited}
 		}
 		if w, g := of(want), of(got); w != g {
 			t.Errorf("%s: %s counters differ:\n AnalyzeBoth            %+v\n AnalyzeBothAndAblation %+v", name, arm, w, g)
