@@ -175,13 +175,13 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteAndLoadRepros: WriteRepro and LoadRepros agree on disk layout.
+// TestWriteAndLoadRepros: WriteReproFile and LoadRepros agree on disk layout.
 func TestWriteAndLoadRepros(t *testing.T) {
 	dir := t.TempDir()
 	f := &Failure{Seed: 9, Kind: KindCrash, Bucket: "crash/approx", Detail: "boom",
 		Files:   map[string]string{"/app/main.js": "var x = 1;\n"},
 		Entries: []string{"/app/main.js"}}
-	path, err := WriteRepro(dir, f, "note")
+	path, err := WriteReproFile(dir, ReproFromFailure(f, "note"))
 	if err != nil {
 		t.Fatal(err)
 	}

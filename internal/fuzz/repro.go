@@ -152,14 +152,8 @@ func ParseRepro(data []byte) (*Repro, error) {
 	return r, nil
 }
 
-// WriteRepro writes the failure as a reproducer file under dir, named
-// after its bucket and seed, and returns the path.
-func WriteRepro(dir string, f *Failure, note string) (string, error) {
-	return WriteReproFile(dir, ReproFromFailure(f, note))
-}
-
-// WriteReproFile writes an already-built reproducer (e.g. one carrying a
-// root-cause annotation) under dir, named after its bucket and seed.
+// WriteReproFile writes a reproducer under dir, named after its bucket and
+// seed, and returns the path.
 func WriteReproFile(dir string, r *Repro) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err

@@ -489,16 +489,6 @@ func (r *Registry) makeRequire(from string) *value.Object {
 	return req
 }
 
-// LoadEntries loads every main entry module of the project in order.
-func (r *Registry) LoadEntries() error {
-	for _, e := range r.Project.MainEntries {
-		if _, err := r.Load(e); err != nil {
-			return fmt.Errorf("loading %s: %w", e, err)
-		}
-	}
-	return nil
-}
-
 // ----------------------------------------------------------------- path ops
 
 func dirOf(path string) string {

@@ -264,8 +264,10 @@ func TestLoadDirRoundTrip(t *testing.T) {
 	// Run the loaded project.
 	it := interp.New(interp.Options{})
 	r := NewRegistry(loaded, it)
-	if err := r.LoadEntries(); err != nil {
-		t.Fatal(err)
+	for _, e := range loaded.MainEntries {
+		if _, err := r.Load(e); err != nil {
+			t.Fatalf("loading %s: %v", e, err)
+		}
 	}
 }
 

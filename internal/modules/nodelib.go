@@ -527,17 +527,6 @@ exports.createInterface = function(opts) {
 	"node:cluster": "exports.isMaster = true;\nexports.isPrimary = true;\nexports.fork = function() { var E = require('events'); return new E(); };\n",
 }
 
-// NodeLibPaths returns the virtual paths of the built-in JS modules, for
-// callers (like the static analysis) that want to include them in
-// whole-program analysis.
-func NodeLibPaths() []string {
-	out := make([]string, 0, len(nodeLibSources))
-	for p := range nodeLibSources {
-		out = append(out, p)
-	}
-	return out
-}
-
 // IsExternalModule reports whether name is an external-world Node module
 // (sandbox-mocked during approximate interpretation).
 func IsExternalModule(name string) bool { return externalModules[name] }

@@ -187,7 +187,7 @@ exports.hasStdout = typeof p.stdout === "object";
 
 func TestNodeLibSourcesAllParse(t *testing.T) {
 	// Every built-in module source must parse and load standalone.
-	for _, path := range NodeLibPaths() {
+	for path := range nodeLibSources {
 		p := &Project{Files: map[string]string{
 			"/app/index.js": "module.exports = require('" + path + "');",
 		}}

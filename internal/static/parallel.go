@@ -15,7 +15,7 @@ package static
 //
 //   - a winnow phase (parallel, partitioned by destination shard) that
 //     resolves same-epoch duplicate proposals to exactly one winner per
-//     (destination, token) pair and pre-filters lazy-cycle-detection pairs.
+//     (destination, token) pair.
 //
 //   - a shard-owned apply pass (parallel, partitioned by variable shard):
 //     each worker walks every chunk in the fixed barrier order and performs
@@ -26,27 +26,24 @@ package static
 //     whether it acts as a source or a destination, so all mutation of one
 //     varState stays on one worker, in the same relative order the serial
 //     barrier would have used. Cross-shard effects are not applied here:
-//     queue scheduling, cycle evidence, and trigger firing are deferred to
-//     the tail.
+//     queue scheduling and trigger firing are deferred to the tail.
 //
 //   - a short serial tail on the solver goroutine that replays the epoch in
 //     the fixed order (shards ascending, per-shard sequence order): winning
-//     inserts are scheduled on the delivery queue, surviving cycle-evidence
-//     pairs go through noteLCD, per-worker effort accumulators fold into the
-//     solver counters (integer sums, so the split is invisible), and each
-//     live delivery's triggers fire against the epoch-advanced state.
+//     inserts are scheduled on the delivery queue, and each live delivery's
+//     triggers fire against the epoch-advanced state.
 //     Trigger-added edges push their processed-prefix as next-epoch scan
 //     tasks (pushTask); because every delivery of this epoch advanced
 //     `delivered` in the apply pass before any trigger ran, the recorded
 //     prefix bound already covers the whole epoch, which is what lets the
 //     old per-delivery delta scan disappear from the serial path entirely.
 //
-// Batched Tarjan cycle sweeps run synchronously between epochs, at
-// deterministic points of the sweepInterval cadence or after a large LCD
-// batch. Each sweep after the solver's first starts only from the targets of
-// edges added since the previous one and visits what they reach (see
-// solver.sweepRoots), so it costs in proportion to the graph's growth, not
-// its size.
+// Each epoch drains the whole frontier. Tarjan cycle sweeps, the solver's
+// only cycle detection, run synchronously between epochs at deterministic
+// points of the sweepInterval cadence. Each sweep after the solver's first
+// starts only from the targets of edges added since the previous one and
+// visits what they reach (see solver.sweepRoots), so it costs in proportion
+// to the graph's growth, not its size.
 //
 // Exactness: the constraint system is monotone, so its least fixpoint is
 // independent of delivery order — the same argument that makes the
@@ -56,14 +53,14 @@ package static
 // only on the epoch-start state, never on which worker scanned or applied a
 // chunk or in what order; ownership splits (shard mod workers) change which
 // goroutine performs an operation but not its position in the fixed replay
-// order, and everything order-sensitive (queue scheduling, LCD notes,
-// triggers) runs in the serial tail. Hence reports *and* effort counters
-// are identical across worker counts, and identical between the concurrent
-// path and the inline path used for small frontiers.
+// order, and everything order-sensitive (queue scheduling, triggers) runs
+// in the serial tail. Hence reports *and* effort counters are identical
+// across worker counts, and identical between the concurrent path and the
+// inline path used for small frontiers.
 //
 // A collapsed SCC never spans shards: sharding hashes the union-find
 // representative, so every member of a unified group lands wherever its
-// representative lands. All unification (LCD, cycle sweeps) runs between
+// representative lands. All unification runs in cycle sweeps between
 // epochs on the solver goroutine.
 
 import (
@@ -84,16 +81,6 @@ const (
 	// Small enough that one hot shard splits into many pieces, large enough
 	// that claiming stays a fraction of scan work.
 	epochChunk = 64
-
-	// cycleEpochCap bounds the deliveries consumed per epoch while lazy
-	// cycle detection has pending evidence. Unbounded epochs would defer a
-	// detected cycle's collapse past the whole frontier and pay every
-	// redundant delivery in between. Shrinking epochs only while cycles are
-	// actively being discovered keeps that cost small without giving up
-	// scan width on the cycle-quiet frontiers that dominate real projects.
-	// The policy reads only solver state, which evolves identically at
-	// every worker count, so determinism across worker counts is preserved.
-	cycleEpochCap = 128
 )
 
 // inlineFrontierMax is the frontier size at or below which the epoch runs
@@ -165,9 +152,8 @@ func (s *solver) findRO(v Var) Var {
 //
 // A freshly recorded task references from's token prefix in place: from and
 // to are representatives and tokens[0:lim] is immutable until the next
-// unification. A collapse round pending while tasks are deferred does not
-// wait for them (that would either serialize the push work inline or defer
-// the collapse past an epoch of redundant deliveries): materializePushes
+// unification. A cycle sweep due while tasks are deferred does not wait for
+// them (that would serialize the push work inline): materializePushes
 // copies each prefix into toks first, after which merges may rebuild token
 // arrays and retire reps freely — partition re-resolves from/to against the
 // post-collapse forest.
@@ -224,45 +210,31 @@ type chunkOut struct {
 	// occurrence already advanced `delivered`. The tail skips dead
 	// deliveries entirely, as the serial barrier did.
 	live []bool
-	// lcdDests are the destinations whose sets already contained the token
-	// at scan time — the lazy-cycle-detection signal — delimited per
-	// delivery by lcdEnds. The tail replays them through noteLCD in the
-	// fixed order, so cycle detection sees the same redundant-delivery
-	// evidence at every worker count.
-	lcdDests []Var
-	lcdEnds  []int32
 
-	// code and lcdKeep are written by the winnow phase, one entry per dests /
-	// lcdDests slot. Each slot is written by exactly one winnow worker (the
-	// owner of the destination's shard), so concurrent writes never alias.
-	// The apply pass may downgrade a winner to winnowStale (same ownership:
-	// the destination shard's worker), which the tail converts to cycle
-	// evidence instead of a queue entry.
-	code    []int8 // winnowWinner / winnowDup / winnowDupNewPair / winnowStale
-	lcdKeep []bool
+	// code is written by the winnow phase, one entry per dests slot. Each
+	// slot is written by exactly one winnow worker (the owner of the
+	// destination's shard), so concurrent writes never alias. The apply pass
+	// may downgrade a winner to winnowStale (same ownership: the destination
+	// shard's worker), which the tail does not schedule.
+	code []int8 // winnowWinner / winnowDup / winnowStale
 
 	// Push-chunk output (kind chunkPush): pushToks holds the membership-
-	// negative tokens of each task, delimited by pushEnds; pushRed records
-	// whether any token was already present (the bulk-push cycle signal).
-	// pushCode (per token) and pushPairNew (per task) are winnow verdicts.
-	pushToks    []Token
-	pushEnds    []int32
-	pushRed     []bool
-	pushCode    []int8
-	pushPairNew []bool
+	// negative tokens of each task, delimited by pushEnds; pushCode holds
+	// their winnow verdicts.
+	pushToks []Token
+	pushEnds []int32
+	pushCode []int8
 }
 
 // Winnow verdicts for one proposal slot.
 const (
-	winnowWinner     = int8(iota) // first proposal of its (dest, token) this epoch: insert
-	winnowDup                     // duplicate, LCD pair already known: skip entirely
-	winnowDupNewPair              // duplicate carrying a new cycle-detection pair
+	winnowWinner = int8(iota) // first proposal of its (dest, token) this epoch: insert
+	winnowDup                 // a later proposal of the same (dest, token): skip
 	// winnowStale marks a winner whose destination already held the token
-	// when the apply pass reached it. With the delta scan gone no same-epoch
-	// insert can race a winner anymore — winnow guarantees one winner per
-	// (dest, token) across both chunk kinds and scan verified absence at
-	// epoch start — so this is a defensive downgrade path; the tail turns it
-	// into cycle evidence, mirroring the old barrier's quiet-insert failure.
+	// when the apply pass reached it. No same-epoch insert can race a winner
+	// — winnow guarantees one winner per (dest, token) across both chunk
+	// kinds and scan verified absence at epoch start — so this is a
+	// defensive downgrade path; the tail skips it like a duplicate.
 	winnowStale
 )
 
@@ -315,7 +287,6 @@ type parallelEngine struct {
 	// bound, invisible to semantics).
 	winStamp int32
 	winTok   [nShards]map[winKey]int32
-	winPair  [nShards]map[edgePair]int32
 }
 
 // winScratchMax bounds a winnow scratch map's size before reallocation.
@@ -339,59 +310,34 @@ func (s *solver) configureParallel(workers int) {
 }
 
 // solve runs propagation to a fixpoint on the epoch engine. Between epochs
-// it runs the LCD/sweep cadence on the solver goroutine; within an epoch the
-// frontier is scanned, winnowed, and applied in parallel, then reconciled by
-// the serial tail.
+// it runs the periodic cycle sweeps on the solver goroutine; within an epoch
+// the frontier is scanned, winnowed, and applied in parallel, then
+// reconciled by the serial tail.
 func (s *solver) solve() {
 	p := s.par
 	// Entry sweep: collapse every cycle the constraint generator (or a
 	// previous solve round plus injected deltas) built statically, before
 	// any token crosses its edges.
 	s.collapseAllSCCs()
-	for s.head < len(s.queue) || len(p.pushTasks) > 0 {
-		budget := 0 // unlimited
-		if len(s.lcdPending) > 0 {
-			// Keep the epoch short when cycle evidence was still pending at
-			// its start: collapse rounds run below, but a path search can
-			// miss its cycle (budget exhaustion), so the frontier consumed
-			// on possibly-uncollapsed state stays bounded.
-			budget = cycleEpochCap
-		}
-		if len(s.lcdPending) > 0 || s.iterations >= s.nextSweep {
-			// Collapse round: every epoch that produced cycle evidence gets
-			// one before the next epoch consumes more of the frontier.
-			// Deferred pushes never wait for it and never run inline for it —
-			// they are materialized (prefixes copied) so unification cannot
-			// invalidate them, and they stay parallel scan work.
-			periodic := s.iterations >= s.nextSweep
-			if periodic || len(s.lcdPending) >= lcdSweepBatch {
-				// Batched resolution: a Tarjan sweep subsumes the per-pair
-				// searches (see lcdSweepBatch); the evidence is consumed
-				// (the pairs are already in lcdChecked).
-				s.lcdPending = s.lcdPending[:0]
-				if periodic {
-					s.nextSweep = s.iterations + s.sweepInterval()
-				}
-				if s.sweepDue() {
-					p.materializePushes(s)
-					s.collapseAllSCCs()
-				}
-			} else {
-				// Small batch: bounded per-pair searches with inline collapse,
-				// cheap enough to stay synchronous.
+	for len(s.queue) > 0 || len(p.pushTasks) > 0 {
+		if s.iterations >= s.nextSweep {
+			s.nextSweep = s.iterations + s.sweepInterval()
+			if s.sweepDue() {
+				// Deferred pushes never wait for the sweep and never run
+				// inline for it: they are materialized (prefixes copied) so
+				// unification cannot invalidate them, and they stay parallel
+				// scan work.
 				p.materializePushes(s)
-				s.runLCD()
+				s.collapseAllSCCs()
 			}
 		}
-		p.partition(s, budget)
+		p.partition(s)
 		nw := p.scan(s)
 		p.winnow(s, nw)
 		p.apply(s, nw)
 		p.tail(s)
 		p.stats.Epochs++
 	}
-	s.queue = s.queue[:0]
-	s.head = 0
 }
 
 // sweepComponents is the read-only core of a cycle sweep: an iterative
@@ -479,34 +425,19 @@ func (s *solver) sweepComponents(roots []Var) ([][]Var, int64) {
 	return comps, int64(sw.next - base + 1)
 }
 
-// partition drains the delivery queue — all of it, or at most budget
-// entries when cycle detection asked for a short epoch — into per-shard
-// frontiers and cuts them into chunks in shard-ascending order. A chunk's
-// index in that fixed order is its id, making every downstream index
-// deterministic.
-func (p *parallelEngine) partition(s *solver, budget int) {
+// partition drains the whole delivery queue into per-shard frontiers and
+// cuts them into chunks in shard-ascending order. A chunk's index in that
+// fixed order is its id, making every downstream index deterministic.
+func (p *parallelEngine) partition(s *solver) {
 	for i := range p.shardFrontier {
 		p.shardFrontier[i] = p.shardFrontier[i][:0]
 	}
-	n := len(s.queue) - s.head
-	if budget > 0 && n > budget {
-		n = budget
-	}
-	for _, d := range s.queue[s.head : s.head+n] {
+	for _, d := range s.queue {
 		v := s.find(d.v)
 		sh := shardOfRep(v)
 		p.shardFrontier[sh] = append(p.shardFrontier[sh], delivery{v, d.t})
 	}
-	s.head += n
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
-	} else if s.head >= queueCompactMin && s.head*2 >= len(s.queue) {
-		// Slide the live entries down (see queueCompactMin).
-		m := copy(s.queue, s.queue[s.head:])
-		s.queue = s.queue[:m]
-		s.head = 0
-	}
+	s.queue = s.queue[:0]
 	p.chunks = p.chunks[:0]
 	for sh := 0; sh < nShards; sh++ {
 		n := len(p.shardFrontier[sh])
@@ -522,7 +453,7 @@ func (p *parallelEngine) partition(s *solver, budget int) {
 	// Deferred prefix pushes from the previous tail run as scan work this
 	// epoch, chunked by token weight so one wide push cannot unbalance the
 	// scan workers. Their chunks follow the frontier chunks in the fixed
-	// replay order. Endpoints are re-resolved first: a collapse round since
+	// replay order. Endpoints are re-resolved first: a cycle sweep since
 	// the task was recorded may have retired either rep (materialized tasks
 	// only — in-place tasks always precede the next unification). A merge
 	// that joined the two endpoints makes the push internal to one rep;
@@ -623,8 +554,6 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 	out.selfCnt = out.selfCnt[:0]
 	out.idx = out.idx[:0]
 	out.trig = out.trig[:0]
-	out.lcdDests = out.lcdDests[:0]
-	out.lcdEnds = out.lcdEnds[:0]
 	for _, d := range f {
 		st := s.state(d.v)
 		idx := st.indexOf(d.t)
@@ -638,7 +567,6 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 			out.edgeCnt = append(out.edgeCnt, -1)
 			out.selfCnt = append(out.selfCnt, 0)
 			out.ends = append(out.ends, int32(len(out.dests)))
-			out.lcdEnds = append(out.lcdEnds, int32(len(out.lcdDests)))
 			continue
 		}
 		self := int32(0)
@@ -648,24 +576,13 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 				self++
 				continue
 			}
-			if s.state(w).hasToken(d.t) {
-				// Redundant delivery: the cycle-detection signal. Pairs the
-				// solver has already checked (lcdChecked is written only
-				// between scans, so reading it here is race-free and
-				// deterministic) would be dropped by noteLCD anyway — filter
-				// them in parallel instead of serially in the tail. On
-				// dispatch-heavy graphs this is most of the traffic.
-				if _, done := s.lcdChecked[edgePair{d.v, w}]; !done {
-					out.lcdDests = append(out.lcdDests, w)
-				}
-			} else {
+			if !s.state(w).hasToken(d.t) {
 				out.dests = append(out.dests, w)
 			}
 		}
 		out.edgeCnt = append(out.edgeCnt, int32(len(st.edges)))
 		out.selfCnt = append(out.selfCnt, self)
 		out.ends = append(out.ends, int32(len(out.dests)))
-		out.lcdEnds = append(out.lcdEnds, int32(len(out.lcdDests)))
 	}
 	// Pre-size the winnow/apply verdict arrays; the winnow workers fill
 	// every code slot, the apply pass every live slot.
@@ -673,10 +590,6 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 		out.code = make([]int8, len(out.dests))
 	}
 	out.code = out.code[:len(out.dests)]
-	if cap(out.lcdKeep) < len(out.lcdDests) {
-		out.lcdKeep = make([]bool, len(out.lcdDests))
-	}
-	out.lcdKeep = out.lcdKeep[:len(out.lcdDests)]
 	if cap(out.live) < len(f) {
 		out.live = make([]bool, len(f))
 	}
@@ -685,14 +598,13 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 
 // scanPushChunk scans a run of deferred prefix pushes: for each task it
 // membership-filters the token prefix (in place for fresh tasks, the
-// materialized copy after a collapse round) against the destination's set.
+// materialized copy after a cycle sweep) against the destination's set.
 // Read-only like the frontier scan — partition resolved the endpoints and
 // both the in-place prefix and the copy are immutable for the epoch.
 func (p *parallelEngine) scanPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	tasks := p.pushActive[c.lo:c.hi]
 	out.pushToks = out.pushToks[:0]
 	out.pushEnds = out.pushEnds[:0]
-	out.pushRed = out.pushRed[:0]
 	for i := range tasks {
 		tk := tasks[i]
 		toks := tk.toks
@@ -700,36 +612,27 @@ func (p *parallelEngine) scanPushChunk(s *solver, c chunkRef, out *chunkOut) {
 			toks = s.state(tk.from).tokens[:tk.lim]
 		}
 		dst := s.state(tk.to)
-		red := false
 		for _, t := range toks {
-			if dst.hasToken(t) {
-				red = true
-			} else {
+			if !dst.hasToken(t) {
 				out.pushToks = append(out.pushToks, t)
 			}
 		}
-		out.pushRed = append(out.pushRed, red)
 		out.pushEnds = append(out.pushEnds, int32(len(out.pushToks)))
 	}
 	if cap(out.pushCode) < len(out.pushToks) {
 		out.pushCode = make([]int8, len(out.pushToks))
 	}
 	out.pushCode = out.pushCode[:len(out.pushToks)]
-	if cap(out.pushPairNew) < len(tasks) {
-		out.pushPairNew = make([]bool, len(tasks))
-	}
-	out.pushPairNew = out.pushPairNew[:len(tasks)]
 }
 
 // materializePushes detaches every pending deferred push from the solver
 // state it references: the frozen token prefix is copied into the task.
-// Called before any unification while pushes are pending — merges rebuild
+// Called before a cycle sweep while pushes are pending — merges rebuild
 // token arrays and retire representatives, which would invalidate the
 // in-place prefixes, but a materialized task survives any merge (partition
 // re-resolves its endpoints against the post-collapse forest). This is what
-// lets collapse rounds run immediately on fresh cycle evidence without
-// either serializing the pending push work inline or deferring the collapse
-// past an epoch of redundant deliveries.
+// lets a sweep run on its cadence without serializing the pending push work
+// inline.
 func (p *parallelEngine) materializePushes(s *solver) {
 	for i := range p.pushTasks {
 		tk := &p.pushTasks[i]
@@ -744,15 +647,13 @@ func (p *parallelEngine) materializePushes(s *solver) {
 // chunk's proposals in exact replay order and, per destination shard,
 // resolves same-epoch duplicates — diamond-shaped graphs propose the same
 // (destination, token) pair from many sources within one epoch, and without
-// this phase every duplicate would cost the apply pass a membership lookup
-// plus the tail a cycle-pair lookup. The first proposal in replay order wins
-// (winnowWinner); later ones are marked winnowDup, or winnowDupNewPair for
-// the first duplicate carrying a source→dest pair that lazy cycle detection
-// has not checked yet. lcdDests slots get the same per-pair dedup.
+// this phase every duplicate would cost the apply pass a membership lookup.
+// The first proposal in replay order wins (winnowWinner); later ones are
+// marked winnowDup.
 //
 // Determinism: verdicts for a destination shard depend only on that shard's
-// proposal sequence in fixed chunk order and on epoch-start lcdChecked —
-// never on which worker processed the shard — so the apply pass and tail
+// proposal sequence in fixed chunk order — never on which worker processed
+// the shard — so the apply pass and tail
 // behave (and hence all counters are) identically at every worker count, and
 // identically to running this phase inline. Workers partition by destination
 // shard (shard mod nw), so scratch maps are never shared; verdict slots are
@@ -762,25 +663,25 @@ func (p *parallelEngine) winnow(s *solver, nw int) {
 	defer func() { p.stats.ScanNS += time.Since(t0).Nanoseconds() }()
 	p.winStamp++
 	// At nw 1 the stride is 1: one walk handles every shard.
-	fanOut(nw, func(wi int) { p.winnowShards(s, int32(wi), int32(nw)) })
+	fanOut(nw, func(wi int) { p.winnowShards(int32(wi), int32(nw)) })
 }
 
 // winnowShards computes the verdicts of every destination shard congruent to
 // first modulo stride, walking all chunks in replay order.
-func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
+func (p *parallelEngine) winnowShards(first, stride int32) {
 	stamp := p.winStamp
 	for ci := range p.chunks {
 		c := p.chunks[ci]
 		out := &p.outs[ci]
 		if c.kind == chunkPush {
-			p.winnowPushChunk(s, c, out, first, stride, stamp)
+			p.winnowPushChunk(c, out, first, stride, stamp)
 			continue
 		}
 		f := p.shardFrontier[c.shard][c.lo:c.hi]
-		pstart, lstart := int32(0), int32(0)
+		pstart := int32(0)
 		for di := range f {
 			d := f[di]
-			pend, lend := out.ends[di], out.lcdEnds[di]
+			pend := out.ends[di]
 			for pi := pstart; pi < pend; pi++ {
 				w := out.dests[pi]
 				sh := shardOfRep(w)
@@ -796,19 +697,11 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 				if wt[key] != stamp {
 					wt[key] = stamp
 					out.code[pi] = winnowWinner
-					continue
+				} else {
+					out.code[pi] = winnowDup
 				}
-				out.code[pi] = p.winnowPair(s, sh, edgePair{d.v, w}, stamp)
 			}
-			for li := lstart; li < lend; li++ {
-				w := out.lcdDests[li]
-				sh := shardOfRep(w)
-				if stride > 1 && sh%stride != first {
-					continue
-				}
-				out.lcdKeep[li] = p.winnowPair(s, sh, edgePair{d.v, w}, stamp) == winnowDupNewPair
-			}
-			pstart, lstart = pend, lend
+			pstart = pend
 		}
 	}
 }
@@ -817,9 +710,8 @@ func (p *parallelEngine) winnowShards(s *solver, first, stride int32) {
 // selection against the same (dest, token) stamp maps the frontier
 // proposals use — the shared keying is what makes a cross-kind duplicate
 // (a queued delivery and a prefix push proposing the same insertion) resolve
-// to exactly one winner — plus one cycle-pair verdict per task, since every
-// redundancy in a push carries the same (from, to) pair.
-func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, first, stride, stamp int32) {
+// to exactly one winner.
+func (p *parallelEngine) winnowPushChunk(c chunkRef, out *chunkOut, first, stride, stamp int32) {
 	tasks := p.pushActive[c.lo:c.hi]
 	pstart := int32(0)
 	for ti := range tasks {
@@ -830,7 +722,6 @@ func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, f
 			pstart = pend
 			continue
 		}
-		pairWant := out.pushRed[ti]
 		wt := p.winTok[sh]
 		if wt == nil || len(wt) > winScratchMax {
 			wt = make(map[winKey]int32)
@@ -843,33 +734,10 @@ func (p *parallelEngine) winnowPushChunk(s *solver, c chunkRef, out *chunkOut, f
 				out.pushCode[pi] = winnowWinner
 			} else {
 				out.pushCode[pi] = winnowDup
-				pairWant = true
 			}
 		}
-		out.pushPairNew[ti] = pairWant &&
-			p.winnowPair(s, sh, edgePair{tk.from, tk.to}, stamp) == winnowDupNewPair
 		pstart = pend
 	}
-}
-
-// winnowPair classifies a redundant delivery's source→dest pair: the first
-// sighting this epoch of a pair lazy cycle detection has not checked yet is
-// the one the tail must hand to noteLCD. lcdChecked is written only
-// between epochs and in tails, so reading it here is race-free.
-func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp int32) int8 {
-	if _, done := s.lcdChecked[pair]; done {
-		return winnowDup
-	}
-	wp := p.winPair[sh]
-	if wp == nil || len(wp) > winScratchMax {
-		wp = make(map[edgePair]int32)
-		p.winPair[sh] = wp
-	}
-	if wp[pair] == stamp {
-		return winnowDup
-	}
-	wp[pair] = stamp
-	return winnowDupNewPair
 }
 
 // apply is the shard-owned parallel mutation pass: every worker walks all
@@ -882,8 +750,8 @@ func (p *parallelEngine) winnowPair(s *solver, sh int32, pair edgePair, stamp in
 // order the serial barrier used.
 //
 // The pass mutates token sets and per-worker accumulators only; everything
-// order-sensitive across shards (queue scheduling, cycle evidence, trigger
-// firing) is staged for the serial tail via the verdict arrays. No edge or
+// order-sensitive across shards (queue scheduling, trigger firing) is staged
+// for the serial tail via the verdict arrays. No edge or
 // parent state is written.
 func (p *parallelEngine) apply(s *solver, nw int) {
 	t0 := time.Now()
@@ -972,9 +840,8 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 				}
 				ws := s.state(w)
 				if ws.hasToken(d.t) {
-					// Defensive: with the delta scan gone nothing can insert a
-					// winnowed (dest, token) before its winner (see
-					// winnowStale). Downgrade to cycle evidence if it ever did.
+					// Defensive: nothing can insert a winnowed (dest, token)
+					// before its winner (see winnowStale).
 					out.code[pi] = winnowStale
 					continue
 				}
@@ -1028,9 +895,8 @@ func (p *parallelEngine) applyPushChunk(s *solver, c chunkRef, out *chunkOut, ac
 // tail is the serial reconciliation of one epoch: it replays the epoch in
 // the fixed order (shards ascending, per-shard sequence order). Per live
 // delivery: winning inserts are scheduled on the delivery queue (in slot
-// order, so next epoch's frontier order is scheduling-independent),
-// surviving cycle evidence goes through noteLCD, and the delivery's
-// triggers fire — each against the epoch-advanced state, with the
+// order, so next epoch's frontier order is scheduling-independent), and
+// the delivery's triggers fire — each against the epoch-advanced state, with the
 // scan-frozen trigger count guaranteeing exactly-once firing (triggers
 // registered during this very tail replayed the advanced prefix at
 // registration instead). All mutation of analyzer state and all
@@ -1052,34 +918,23 @@ func (p *parallelEngine) tail(s *solver) {
 			continue
 		}
 		f := p.shardFrontier[c.shard][c.lo:c.hi]
-		pstart, lstart := int32(0), int32(0)
+		pstart := int32(0)
 		for di := range f {
 			d := f[di]
-			pend, lend := out.ends[di], out.lcdEnds[di]
+			pend := out.ends[di]
 			if !out.live[di] {
 				// Redundant (skip already accounted by the apply pass);
 				// duplicates carry identical proposals, so nothing is lost.
-				pstart, lstart = pend, lend
+				pstart = pend
 				continue
 			}
 			for pi := pstart; pi < pend; pi++ {
-				w := out.dests[pi]
-				switch out.code[pi] {
-				case winnowWinner:
+				if out.code[pi] == winnowWinner {
 					// Inserted by the apply pass; schedule its processing.
-					s.queue = append(s.queue, delivery{w, d.t})
-				case winnowDupNewPair, winnowStale:
-					// noteLCD re-checks lcdChecked: an earlier note this tail
-					// may have claimed the pair first.
-					s.noteLCD(d.v, w)
+					s.queue = append(s.queue, delivery{out.dests[pi], d.t})
 				}
 			}
-			for li := lstart; li < lend; li++ {
-				if out.lcdKeep[li] {
-					s.noteLCD(d.v, out.lcdDests[li])
-				}
-			}
-			pstart, lstart = pend, lend
+			pstart = pend
 			// Trigger snapshot from scan time: triggers registered since (by
 			// this tail's own triggers) already saw d.t through the
 			// registration-time replay of the epoch-advanced prefix.
@@ -1092,30 +947,17 @@ func (p *parallelEngine) tail(s *solver) {
 	}
 }
 
-// tailPushChunk replays a push chunk's order-sensitive effects: winning
-// inserts are scheduled, and a redundant push notes its (from, to) pair for
-// lazy cycle detection at most once — the same one-note-per-push evidence
-// as the inline addEdge path.
+// tailPushChunk schedules a push chunk's winning inserts, in task order.
 func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	tasks := p.pushActive[c.lo:c.hi]
 	pstart := int32(0)
 	for ti := range tasks {
 		tk := tasks[ti]
 		pend := out.pushEnds[ti]
-		noted := false
 		for pi := pstart; pi < pend; pi++ {
-			switch out.pushCode[pi] {
-			case winnowWinner:
+			if out.pushCode[pi] == winnowWinner {
 				s.queue = append(s.queue, delivery{tk.to, out.pushToks[pi]})
-			case winnowStale:
-				if !noted {
-					s.noteLCD(tk.from, tk.to)
-					noted = true
-				}
 			}
-		}
-		if out.pushPairNew[ti] {
-			s.noteLCD(tk.from, tk.to)
 		}
 		pstart = pend
 	}

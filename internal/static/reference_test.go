@@ -8,9 +8,8 @@ package static
 // Valid only while no cycle has been collapsed, that is, on a solver the
 // epoch engine has never run on.
 func (s *solver) solveFIFO() {
-	for s.head < len(s.queue) {
-		d := s.queue[s.head]
-		s.head++
+	for head := 0; head < len(s.queue); head++ {
+		d := s.queue[head]
 		s.iterations++
 		st := s.state(d.v)
 		// Triggers may extend this variable's own edge list while we
@@ -29,5 +28,4 @@ func (s *solver) solveFIFO() {
 		}
 	}
 	s.queue = s.queue[:0]
-	s.head = 0
 }

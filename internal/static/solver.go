@@ -33,34 +33,14 @@ type Token int32
 // rescans on every redundant delivery).
 const smallSetMax = 12
 
-// queueCompactMin bounds how much dead prefix the delivery queue tolerates
-// before partition slides live entries down to reuse the backing array.
-// Compaction is O(live entries), so it must be rare relative to the entries
-// consumed: with the additional s.head*2 >= len(s.queue) guard the amortized
-// cost is O(1) per entry for any value, and the constant only decides the
-// floor below which we never bother. 1024 keeps the queue inside a few
-// pages for the small per-module solves (BenchmarkSolverPropagation
-// regresses ~3% at 64 from compacting tiny queues, and is flat from 256 up;
-// see BenchmarkQueueCompactFloor).
-const queueCompactMin = 1024
-
-// lcdSearchBudget caps the nodes one lazy-cycle-detection DFS may visit.
-// A redundant delivery only suggests a cycle; confirming it is a reachability
-// search, and on pathological graphs (long chains feeding a shared sink)
-// the search can touch everything without finding one. The budget bounds
-// that cost; cycles a capped search misses are picked up by the periodic
-// cycle sweep.
-const lcdSearchBudget = 2048
-
 // sccSweepInterval is the number of fixpoint iterations between periodic
-// cycle sweeps (Tarjan SCC passes over the condensed constraint graph).
-// Sweeps catch the cycles lazy detection misses (cycles whose redundant
-// deliveries happened before the closing edge existed, and ones beyond
-// lcdSearchBudget). The interval is small because cycles in this analysis
-// form late — call-processing triggers add the closing edges mid-solve —
-// and a cycle only pays off while propagation through it is still
-// happening: per-module solves run a few thousand iterations total, so an
-// interval in the tens of thousands would never fire.
+// cycle sweeps (Tarjan SCC passes over the condensed constraint graph),
+// the solver's only cycle detection after the solve-entry sweep. The
+// interval is small because cycles in this analysis form late —
+// call-processing triggers add the closing edges mid-solve — and a cycle
+// only pays off while propagation through it is still happening:
+// per-module solves run a few thousand iterations total, so an interval in
+// the tens of thousands would never fire.
 const sccSweepInterval = 1024
 
 // sweepInterval is the iteration gap between periodic cycle sweeps: the
@@ -98,16 +78,10 @@ const (
 // union-find layer, sharing a single token set and a deduplicated edge and
 // trigger list. Members of a cycle provably have equal sets at the least
 // fixpoint, so unification never changes the solution — it only stops each
-// token from orbiting the cycle once per edge. Cycles are found two ways:
-//
-//   - lazily: a redundant delivery along edge v→w (w already had the token)
-//     is the classic Hardekopf/Lin signal that w may already flow back into
-//     v; the first redundant delivery per (v,w) pair triggers a bounded
-//     reachability search and collapses the cycle it finds;
-//   - periodically: every sweepInterval iterations (and at every solve
-//     entry) a Tarjan sweep collapses the SCCs lazy detection missed. The
-//     first sweep covers the whole condensed graph; later ones start only
-//     from the targets of edges added since the previous sweep.
+// token from orbiting the cycle once per edge. Cycles are found by Tarjan
+// sweeps, at every solve entry and every sweepInterval iterations: the
+// first sweep covers the whole condensed graph; later ones start only from
+// the targets of edges added since the previous sweep.
 //
 // Propagation runs on the epoch engine (parallel.go) in every mode. It does
 // all merging between epochs, never inside one, so edge and trigger
@@ -125,19 +99,12 @@ type solver struct {
 	// parent is the union-find forest over variables; parent[v] == v marks
 	// a representative. Paths are compressed on find.
 	parent []Var
-	// queue of pending (var, token) deliveries, consumed from head (a
-	// ring-style head index instead of re-slicing, so popping is O(1) and
-	// the backing array is reused once drained). Entries hold the variable
-	// as it was addressed at append time; pops resolve through find, so
-	// deliveries addressed to since-merged members land on their
-	// representative.
+	// queue of pending (var, token) deliveries, drained whole by each
+	// epoch's partition (its backing array is reused). Entries hold the
+	// variable as it was addressed at append time; partition resolves them
+	// through find, so deliveries addressed to since-merged members land on
+	// their representative.
 	queue []delivery
-	head  int
-
-	// Lazy cycle detection: candidate edges whose delivery was redundant,
-	// checked (once per pair, ever) between epochs.
-	lcdPending []edgePair
-	lcdChecked map[edgePair]struct{}
 	// nextSweep is the iteration count at which the next periodic SCC
 	// sweep runs.
 	nextSweep int64
@@ -157,8 +124,6 @@ type solver struct {
 	// Reusable sweep scratch (Tarjan index/lowlink/stacks), kept across
 	// sweeps to avoid re-allocating O(nVars) arrays every interval.
 	sweep sweepScratch
-	// Reusable pathBetween scratch (see lcdPathScratch).
-	lcdPath lcdPathScratch
 
 	// perf counters: fixpoint iterations (queued deliveries processed) and
 	// tokens delivered (insertion attempts on the hot path).
@@ -262,9 +227,6 @@ type delivery struct {
 	t Token
 }
 
-// edgePair identifies a directed constraint edge for lazy cycle detection.
-type edgePair struct{ from, to Var }
-
 // newSolver builds a solver on the epoch engine with one worker; see
 // configureParallel for more.
 func newSolver() *solver {
@@ -311,17 +273,15 @@ func (s *solver) addToken(v Var, t Token) {
 	s.addTokenRep(s.find(v), t)
 }
 
-// addTokenRep is addToken for an already-resolved representative. It
-// reports whether the token was new.
-func (s *solver) addTokenRep(v Var, t Token) bool {
+// addTokenRep is addToken for an already-resolved representative.
+func (s *solver) addTokenRep(v Var, t Token) {
 	s.tokensDelivered++
 	st := s.state(v)
 	if st.hasToken(t) {
-		return false
+		return
 	}
 	st.appendToken(t)
 	s.queue = append(s.queue, delivery{v, t})
-	return true
 }
 
 // addEdge adds the subset constraint ⟦from⟧ ⊆ ⟦to⟧.
@@ -352,20 +312,8 @@ func (s *solver) addEdge(from, to Var) {
 	// Push only the processed prefix across the new edge: every pending
 	// token (the suffix) still has a live queue entry and will cross this
 	// edge when it pops — pushing it here too would deliver it twice.
-	noted := false
 	for i := 0; i < st.delivered; i++ {
-		if !s.addTokenRep(to, st.tokens[i]) && !noted {
-			// A redundant bulk push is the strongest cycle signal this
-			// analysis produces: closing edges are mostly added by call
-			// triggers after both sides' sets have settled, so the orbit
-			// deliveries classic lazy cycle detection watches for never
-			// happen — the redundancy shows up here instead. One note per
-			// push suffices: noteLCD is keyed by the (from, to) pair, so
-			// every further redundant token in the same push is dropped by
-			// its dedup anyway.
-			s.noteLCD(from, to)
-			noted = true
-		}
+		s.addTokenRep(to, st.tokens[i])
 	}
 }
 
@@ -404,106 +352,6 @@ func (st *varState) swapTokens(i, j int) {
 }
 
 // ------------------------------------------------------------ cycle collapse
-
-// noteLCD records a lazy-cycle-detection candidate: the edge from→to just
-// carried a redundant delivery. Each pair is checked at most once, ever.
-func (s *solver) noteLCD(from, to Var) {
-	key := edgePair{from, to}
-	if s.lcdChecked == nil {
-		s.lcdChecked = map[edgePair]struct{}{}
-	}
-	if _, done := s.lcdChecked[key]; done {
-		return
-	}
-	s.lcdChecked[key] = struct{}{}
-	s.lcdPending = append(s.lcdPending, key)
-}
-
-// lcdSweepBatch is the pending-candidate count past which solve
-// abandons per-pair searches for one Tarjan sweep: each search may visit
-// up to lcdSearchBudget nodes, so a large batch costs more than the sweep
-// that collapses every cycle (including ones the bounded searches would
-// miss) in a single pass.
-const lcdSweepBatch = 32
-
-// runLCD processes a small batch of pending cycle candidates (fewer than
-// lcdSweepBatch). For a candidate edge v→w, a cycle exists iff w reaches v;
-// the bounded search returns the discovered path w…v, which together with
-// the v→w edge forms the cycle to collapse.
-func (s *solver) runLCD() {
-	pending := s.lcdPending
-	s.lcdPending = s.lcdPending[:0]
-	for _, cand := range pending {
-		v, w := s.find(cand.from), s.find(cand.to)
-		if v == w {
-			continue // collapsed by an earlier candidate
-		}
-		if path := s.pathBetween(w, v); path != nil {
-			s.collapse(path)
-		}
-	}
-}
-
-// pathBetween returns a path of representatives from src to dst following
-// constraint edges, or nil if none is found within lcdSearchBudget nodes.
-// Search state lives in reusable stamped scratch arrays: runLCD calls this
-// once per candidate pair, and on cycle-dense runs a per-call map allocation
-// showed up as a top profile entry.
-func (s *solver) pathBetween(src, dst Var) []Var {
-	lp := &s.lcdPath
-	if len(lp.prev) < s.nVars {
-		lp.prev = make([]Var, s.nVars)
-		lp.stamp = make([]int32, s.nVars)
-		lp.gen = 0
-	}
-	lp.gen++
-	if lp.gen == 0 { // stamp wrapped: invalidate everything once
-		for i := range lp.stamp {
-			lp.stamp[i] = 0
-		}
-		lp.gen = 1
-	}
-	seen := func(v Var) bool { return lp.stamp[v] == lp.gen }
-	mark := func(v, from Var) { lp.stamp[v] = lp.gen; lp.prev[v] = from }
-
-	mark(src, src)
-	lp.stack = append(lp.stack[:0], src)
-	visited := 1
-	for len(lp.stack) > 0 {
-		n := lp.stack[len(lp.stack)-1]
-		lp.stack = lp.stack[:len(lp.stack)-1]
-		for _, e := range s.state(n).edges {
-			te := s.find(e)
-			if te == n || seen(te) {
-				continue
-			}
-			mark(te, n)
-			if te == dst {
-				var path []Var
-				for cur := dst; ; cur = lp.prev[cur] {
-					path = append(path, cur)
-					if cur == src {
-						return path
-					}
-				}
-			}
-			if visited++; visited > lcdSearchBudget {
-				return nil
-			}
-			lp.stack = append(lp.stack, te)
-		}
-	}
-	return nil
-}
-
-// lcdPathScratch is pathBetween's reusable DFS state: generation-stamped
-// visited marks and predecessor links, so a search never allocates.
-type lcdPathScratch struct {
-	prev  []Var
-	stamp []int32
-	gen   int32
-	stack []Var
-}
 
 // collapse unifies a group of mutually reachable representatives into one.
 // The member with the largest token set wins (fewest token moves), ties
@@ -738,11 +586,8 @@ func (s *solver) takeSweepRoots() []Var {
 }
 
 // collapseAllSCCs runs a cycle sweep on the solver goroutine and unifies
-// every multi-member component. This is the backstop for cycles lazy
-// detection misses: ones closed by edges added after their redundant
-// deliveries happened, and ones beyond the LCD search budget. A sweep
-// rooted at the new edges' targets finds every SCC of the graph, because
-// the previous sweep left it acyclic.
+// every multi-member component. A sweep rooted at the new edges' targets
+// finds every SCC of the graph, because the previous sweep left it acyclic.
 func (s *solver) collapseAllSCCs() {
 	if !s.sweepDue() {
 		return
@@ -762,7 +607,7 @@ func (s *solver) collapseAllSCCs() {
 // ----------------------------------------------------------------- snapshot
 
 // solverSnapshot is a deep copy of a drained solver: every variable's
-// state plus the union-find forest and the cycle-detection state, so a
+// state plus the union-find forest and the cycle-sweep state, so a
 // later restore can fork a second monotone extension from the same
 // fixpoint. Collapsing never changes a least fixpoint, and a copy is
 // indifferent to the parent rewrites, merges and pending-token swaps it
@@ -770,8 +615,6 @@ func (s *solver) collapseAllSCCs() {
 type solverSnapshot struct {
 	states     []varState
 	parent     []Var
-	lcdPending []edgePair
-	lcdChecked map[edgePair]struct{}
 	nextSweep  int64
 	swept      bool
 	sweepRoots []Var
@@ -788,8 +631,6 @@ func (s *solver) snapshot() *solverSnapshot {
 	snap := &solverSnapshot{
 		states:     make([]varState, s.nVars),
 		parent:     slices.Clone(s.parent),
-		lcdPending: slices.Clone(s.lcdPending),
-		lcdChecked: maps.Clone(s.lcdChecked),
 		nextSweep:  s.nextSweep,
 		swept:      s.swept,
 		sweepRoots: slices.Clone(s.sweepRoots),
@@ -825,8 +666,6 @@ func (s *solver) restore(snap *solverSnapshot) {
 	}
 	s.nVars = len(snap.states)
 	s.parent = snap.parent
-	s.lcdPending = snap.lcdPending
-	s.lcdChecked = snap.lcdChecked
 	s.nextSweep = snap.nextSweep
 	s.swept = snap.swept
 	s.sweepRoots = snap.sweepRoots

@@ -123,11 +123,10 @@ func BenchmarkSolverCycles(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverSetThresholds exercises the two tuned constants around
-// their workloads: membership tests right at the smallSetMax linear-scan /
-// map-spill boundary, and long delivery queues that trip queueCompactMin
-// compaction. Used to validate the documented choices (see DESIGN.md);
-// change the constants and re-run to re-tune.
+// BenchmarkSolverSetThresholds exercises membership tests right at the
+// smallSetMax linear-scan / map-spill boundary. Used to validate the
+// documented choice (see DESIGN.md); change the constant and re-run to
+// re-tune.
 func BenchmarkSolverSetThresholds(b *testing.B) {
 	for _, width := range []int{smallSetMax / 2, smallSetMax, 2 * smallSetMax, 8 * smallSetMax} {
 		width := width
@@ -147,22 +146,4 @@ func BenchmarkSolverSetThresholds(b *testing.B) {
 			}
 		})
 	}
-	b.Run("queueCompaction", func(b *testing.B) {
-		depth := queueCompactMin / 4
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := newSolver()
-			vars := make([]Var, depth)
-			for j := range vars {
-				vars[j] = s.newVar()
-			}
-			for j := 0; j+1 < depth; j++ {
-				s.addEdge(vars[j], vars[j+1])
-			}
-			for k := 0; k < 16; k++ {
-				s.addToken(vars[0], Token(k))
-			}
-			s.solve()
-		}
-	})
 }

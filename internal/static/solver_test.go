@@ -48,22 +48,23 @@ func TestSolverSmallSetSpill(t *testing.T) {
 // injection does: constraints added after a first fixpoint) still deliver
 // every token exactly once per trigger.
 func TestSolverQueueReuse(t *testing.T) {
+	const first = 2048 // deliveries in the first round
 	s := newSolver()
 	a, b := s.newVar(), s.newVar()
 	s.addEdge(a, b)
 	fired := map[Token]int{}
 	s.onToken(b, func(tok Token) { fired[tok]++ })
-	for i := 0; i < 2*queueCompactMin; i++ {
+	for i := 0; i < first; i++ {
 		s.addToken(a, Token(i))
 	}
 	s.solve()
 	// Second round on a drained queue.
-	for i := 2 * queueCompactMin; i < 2*queueCompactMin+10; i++ {
+	for i := first; i < first+10; i++ {
 		s.addToken(a, Token(i))
 	}
 	s.solve()
-	if len(fired) != 2*queueCompactMin+10 {
-		t.Fatalf("trigger saw %d tokens, want %d", len(fired), 2*queueCompactMin+10)
+	if len(fired) != first+10 {
+		t.Fatalf("trigger saw %d tokens, want %d", len(fired), first+10)
 	}
 	for tok, n := range fired {
 		if n != 1 {

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/corpus"
+	"repro/internal/modules"
+	"repro/internal/testgen"
 )
 
 // sccComponents is the whole-graph oracle of the cycle sweep: an iterative
@@ -152,8 +154,9 @@ func withSweepOracle(t *testing.T, fn func()) sweepOracleStats {
 // representative finds. It runs the static half of the corpus pipeline
 // (hints from approximate interpretation, the incremental baseline and
 // extended solves, and the forked ablation arm where the pipeline runs it),
-// the mega tier at three sizes, and random systems with every epoch forced
-// onto the concurrent scan path.
+// the mega tier at three sizes, the cycle-dense testgen tier (whose rings
+// only sweeps collapse), and random systems with every epoch forced onto
+// the concurrent scan path.
 func TestSweepMatchesFullSweep(t *testing.T) {
 	check := func(name string, st sweepOracleStats) {
 		t.Helper()
@@ -189,6 +192,16 @@ func TestSweepMatchesFullSweep(t *testing.T) {
 			}
 		}))
 	}
+
+	cyclic := testgen.GenCyclicProject(7, 20, 10)
+	check("cyclic", withSweepOracle(t, func() {
+		p := &modules.Project{Name: "cyclic-tier", Files: cyclic.Files, MainEntries: cyclic.Entries, MainPrefix: "/app"}
+		r, err := Analyze(p, Options{Mode: Baseline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("cyclic: %d cycles collapsed", r.Structure.CyclesCollapsed)
+	}))
 
 	savedInline := inlineFrontierMax
 	defer func() { inlineFrontierMax = savedInline }()
@@ -239,8 +252,9 @@ func TestSweepVisitsOnlyWhatChanged(t *testing.T) {
 func collapsed(s *solver, a, b Var) bool { return s.find(a) == s.find(b) }
 
 // TestSweepCollapsesCycleClosedByTailTrigger closes a cycle with an edge a
-// trigger adds in a serial tail, over variables without tokens so neither
-// the prefix push nor lazy cycle detection can see it. The next sweep must.
+// trigger adds in a serial tail, over variables without tokens, after the
+// solve's entry sweep and with no periodic sweep due. The next sweep must
+// collapse it.
 func TestSweepCollapsesCycleClosedByTailTrigger(t *testing.T) {
 	s := newSolver()
 	src, a, b, c := s.newVar(), s.newVar(), s.newVar(), s.newVar()
@@ -266,7 +280,7 @@ func TestSweepCollapsesCycleClosedBehindDeepFrontier(t *testing.T) {
 	const deep = 1100
 	var depths []int
 	saved := sweepCheck
-	sweepCheck = func(s *solver, _ [][]Var) { depths = append(depths, len(s.queue)-s.head) }
+	sweepCheck = func(s *solver, _ [][]Var) { depths = append(depths, len(s.queue)) }
 	defer func() { sweepCheck = saved }()
 
 	s := newSolver()

@@ -1,6 +1,7 @@
 package static
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -61,6 +62,10 @@ type fireKey struct {
 	t Token
 }
 
+// opsShape sizes the rounds of randomShapedOps: each round adds opsMin +
+// [0, opsSpan) random constraints, seeding tokens drawn from [0, tokens).
+type opsShape struct{ opsMin, opsSpan, tokens int }
+
 // randomOps drives one engine through r rounds of randomized constraint
 // additions with a solve step and checkpoint after each round, mirroring
 // how the analysis interleaves injection and solving. solve is the engine's
@@ -71,6 +76,11 @@ type fireKey struct {
 // function of (variable, token) so both engines grow identically. Returns
 // the per-round checkpoints and the trigger fire counts.
 func randomOps(seed int64, s *solver, solve func(*solver), nVars, rounds int) ([]*checkpoint, map[fireKey]int) {
+	return randomShapedOps(seed, s, solve, nVars, rounds, opsShape{60, 120, 40})
+}
+
+// randomShapedOps is randomOps with the round size and token range given.
+func randomShapedOps(seed int64, s *solver, solve func(*solver), nVars, rounds int, shape opsShape) ([]*checkpoint, map[fireKey]int) {
 	rng := rand.New(rand.NewSource(seed))
 	vars := make([]Var, nVars)
 	for i := range vars {
@@ -93,10 +103,10 @@ func randomOps(seed int64, s *solver, solve func(*solver), nVars, rounds int) ([
 	}
 	var cps []*checkpoint
 	for r := 0; r < rounds; r++ {
-		ops := 60 + rng.Intn(120)
+		ops := shape.opsMin + rng.Intn(shape.opsSpan)
 		for i := 0; i < ops; i++ {
 			if rng.Intn(3) == 0 {
-				s.addToken(vars[rng.Intn(nVars)], Token(rng.Intn(40)))
+				s.addToken(vars[rng.Intn(nVars)], Token(rng.Intn(shape.tokens)))
 			} else {
 				s.addEdge(vars[rng.Intn(nVars)], vars[rng.Intn(nVars)])
 			}
@@ -114,6 +124,12 @@ func randomOps(seed int64, s *solver, solve func(*solver), nVars, rounds int) ([
 // checkpoint's frozen views, and trigger deliveries (exactly once per
 // (trigger, token), even when distinct cycle members carry triggers) must
 // all agree.
+//
+// Most collapses happen at solve-entry sweeps, where nothing is pending. The
+// larger arm grows systems whose cycles close mid-solve, so periodic sweeps
+// merge variables with live triggers and deferred pushes; it runs at four
+// workers with every epoch on the concurrent path, and counts those
+// mid-solve collapses to keep the merge path exercised.
 func TestUnifyingSolverMatchesReference(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
@@ -123,37 +139,69 @@ func TestUnifyingSolverMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nVars := 20 + rng.Intn(60)
 		rounds := 1 + rng.Intn(3)
+		matchReference(t, fmt.Sprintf("seed %d", seed), seed, newSolver(), (*solver).solve, nVars, rounds, opsShape{60, 120, 40})
+	}
 
+	savedInline, savedCheck := inlineFrontierMax, sweepCheck
+	defer func() { inlineFrontierMax, sweepCheck = savedInline, savedCheck }()
+	inlineFrontierMax = 0
+	var entry int64
+	midSolve := 0
+	sweepCheck = func(s *solver, comps [][]Var) {
+		if s.iterations > entry {
+			midSolve += len(comps)
+		}
+	}
+	solve := func(s *solver) {
+		entry = s.iterations
+		s.solve()
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nVars := 200 + rng.Intn(200)
 		su := newSolver()
-		sr := newSolver()
-		cpsU, firedU := randomOps(seed, su, (*solver).solve, nVars, rounds)
-		cpsR, firedR := randomOps(seed, sr, (*solver).solveFIFO, nVars, rounds)
+		su.configureParallel(4)
+		matchReference(t, fmt.Sprintf("large seed %d", seed), seed, su, solve, nVars, 3, opsShape{150, 300, 100})
+	}
+	t.Logf("large arm: %d components collapsed mid-solve", midSolve)
+	if midSolve < 50 {
+		t.Errorf("large arm collapsed %d components mid-solve, want at least 50; the merge path under live triggers is untested", midSolve)
+	}
+}
 
-		for v := 0; v < nVars; v++ {
-			gu := sortedTokens(su.tokens(Var(v)))
-			gr := sortedTokens(sr.tokens(Var(v)))
-			if !tokensEqual(gu, gr) {
-				t.Fatalf("seed %d: var %d final sets differ: unifying %v, reference %v", seed, v, gu, gr)
-			}
-			for k := range cpsU {
-				fu := cpsU[k].tokensAt(Var(v))
-				fr := cpsR[k].tokensAt(Var(v))
-				if !tokensEqual(fu, fr) {
-					t.Fatalf("seed %d: var %d checkpoint %d sets differ: unifying %v, reference %v",
-						seed, v, k, fu, fr)
-				}
+// matchReference runs su with solve and a fresh reference solver through
+// the same random rounds and compares them (see
+// TestUnifyingSolverMatchesReference).
+func matchReference(t *testing.T, name string, seed int64, su *solver, solve func(*solver), nVars, rounds int, shape opsShape) {
+	t.Helper()
+	sr := newSolver()
+	cpsU, firedU := randomShapedOps(seed, su, solve, nVars, rounds, shape)
+	cpsR, firedR := randomShapedOps(seed, sr, (*solver).solveFIFO, nVars, rounds, shape)
+
+	for v := 0; v < nVars; v++ {
+		gu := sortedTokens(su.tokens(Var(v)))
+		gr := sortedTokens(sr.tokens(Var(v)))
+		if !tokensEqual(gu, gr) {
+			t.Fatalf("%s: var %d final sets differ: unifying %v, reference %v", name, v, gu, gr)
+		}
+		for k := range cpsU {
+			fu := cpsU[k].tokensAt(Var(v))
+			fr := cpsR[k].tokensAt(Var(v))
+			if !tokensEqual(fu, fr) {
+				t.Fatalf("%s: var %d checkpoint %d sets differ: unifying %v, reference %v",
+					name, v, k, fu, fr)
 			}
 		}
-		if len(firedU) != len(firedR) {
-			t.Fatalf("seed %d: trigger deliveries differ: unifying %d pairs, reference %d", seed, len(firedU), len(firedR))
+	}
+	if len(firedU) != len(firedR) {
+		t.Fatalf("%s: trigger deliveries differ: unifying %d pairs, reference %d", name, len(firedU), len(firedR))
+	}
+	for k, n := range firedU {
+		if n != 1 {
+			t.Fatalf("%s: trigger on var %d fired %d times for token %d", name, k.v, n, k.t)
 		}
-		for k, n := range firedU {
-			if n != 1 {
-				t.Fatalf("seed %d: trigger on var %d fired %d times for token %d", seed, k.v, n, k.t)
-			}
-			if firedR[k] != 1 {
-				t.Fatalf("seed %d: reference missed delivery %v", seed, k)
-			}
+		if firedR[k] != 1 {
+			t.Fatalf("%s: reference missed delivery %v", name, k)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // GenCyclicProject generates a cycle-dense project: rings of modules whose
 // export slots re-export each other around the ring (a directed cycle of
 // subset constraints), populated by mutually recursive local functions. The
-// solver's token flow circulates until lazy cycle detection collapses each
-// ring into one representative, after which the still-queued deliveries are
+// solver's token flow circulates until a cycle sweep collapses each ring
+// into one representative, after which the still-queued deliveries are
 // short-circuited — so an analysis of this project must end with a nonzero
 // redundant_deliveries_skipped counter and one collapsed cycle per ring.
 // It is the regression workload for the solver's cycle-collapsing machinery
