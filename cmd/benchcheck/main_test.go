@@ -149,6 +149,34 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestSkippedMegaGatesPrintRatios checks that a mega gate skipped on a
+// small host still reports the ratio it computed, with its bound.
+func TestSkippedMegaGatesPrintRatios(t *testing.T) {
+	ref := refBench(2)
+	// w1: wall 1000, scan 600, apply 150, tail 200; w4: wall 400, apply 40,
+	// tail 80.
+	want := map[string]string{
+		"mega speedup w1/w4":       "2.50 (want >= 2.00)",
+		"mega parallel share":      "0.75 (want >= 0.60)",
+		"mega serial share":        "0.25 (want <= 0.40)",
+		"mega barrier scale w4/w1": "0.34 (want <= 0.60)",
+	}
+	seen := 0
+	for _, f := range compare(ref, clone(ref)) {
+		w, ok := want[f.gate]
+		if !ok {
+			continue
+		}
+		seen++
+		if f.status != skipped || !strings.HasPrefix(f.detail, w) || !strings.Contains(f.detail, "GOMAXPROCS=2") {
+			t.Errorf("%s: %q %s, want skipped with %q and the host's GOMAXPROCS", f.gate, f.detail, f.status, w)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d mega gate findings, want %d", seen, len(want))
+	}
+}
+
 // flatMega makes the w4 mega row as slow as w1, with most of the w1 solve
 // in the serial tail.
 func flatMega(b *perf.Bench) {

@@ -239,12 +239,6 @@ func decodeFrame(data []byte, wantKind string) ([]byte, bool) {
 
 // ------------------------------------------------------------ fingerprints
 
-// HashBytes returns the lowercase-hex SHA-256 of b.
-func HashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // Fingerprint hashes a sequence of parts with length framing, so part
 // boundaries cannot alias ("ab","c" != "a","bc").
 func Fingerprint(parts ...string) string {

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -14,6 +16,12 @@ import (
 	"repro/internal/modules"
 	"repro/internal/perf"
 )
+
+// hashBytes returns the lowercase-hex SHA-256 of b, a well-formed key.
+func hashBytes(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
 
 func open(t *testing.T) *Store {
 	t.Helper()
@@ -36,7 +44,7 @@ func get(s *Store, kind, key string) (payload []byte, ok bool) {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t)
 	payload := []byte("hello artifact")
-	key := HashBytes(payload)
+	key := hashBytes(payload)
 	if _, ok := get(s, KindHints, key); ok {
 		t.Fatal("empty store reported a hit")
 	}
@@ -65,10 +73,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestNilStoreIsMiss(t *testing.T) {
 	var s *Store
-	if _, ok := get(s, KindHints, HashBytes(nil)); ok {
+	if _, ok := get(s, KindHints, hashBytes(nil)); ok {
 		t.Error("nil store reported a hit")
 	}
-	if err := s.Put(KindHints, HashBytes(nil), []byte("x")); err != nil {
+	if err := s.Put(KindHints, hashBytes(nil), []byte("x")); err != nil {
 		t.Errorf("nil store Put errored: %v", err)
 	}
 }
@@ -111,7 +119,7 @@ func mutateEntry(t *testing.T, s *Store, kind, key string, fn func([]byte) []byt
 
 func TestCorruptedEntryIsMiss(t *testing.T) {
 	payload := []byte("some payload bytes for corruption")
-	key := HashBytes(payload)
+	key := hashBytes(payload)
 
 	cases := []struct {
 		name string
@@ -146,7 +154,7 @@ func TestCorruptedEntryIsMiss(t *testing.T) {
 // cannot decode is a miss, in the store's counters and the perf counters.
 func TestUndecodablePayloadIsMiss(t *testing.T) {
 	s := open(t)
-	key := HashBytes([]byte("not an outcome"))
+	key := hashBytes([]byte("not an outcome"))
 	if err := s.Put(KindOutcome, key, []byte("not an outcome")); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func FuzzDecodeFrame(f *testing.F) {
 func TestKindsDoNotAlias(t *testing.T) {
 	s := open(t)
 	payload := []byte("payload")
-	key := HashBytes(payload)
+	key := hashBytes(payload)
 	if err := s.Put(KindHints, key, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +377,7 @@ func TestConcurrentStores(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < 20; round++ {
 					i := (g*7 + round) % keys
-					key := HashBytes(payload(i))
+					key := hashBytes(payload(i))
 					if got, ok := get(s, KindHints, key); ok && !bytes.Equal(got, payload(i)) {
 						t.Errorf("hit returned wrong payload for key %d", i)
 						return
@@ -385,7 +393,7 @@ func TestConcurrentStores(t *testing.T) {
 	wg.Wait()
 	// After the dust settles every key must load with the right payload.
 	for i := 0; i < keys; i++ {
-		key := HashBytes(payload(i))
+		key := hashBytes(payload(i))
 		got, ok := get(s1, KindHints, key)
 		if !ok || !bytes.Equal(got, payload(i)) {
 			t.Errorf("key %d: Get = %q, %t after concurrent writes", i, got, ok)

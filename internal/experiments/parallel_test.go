@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/perf"
 )
 
 // stripped is an Outcome with nondeterministic fields (wall times) and
@@ -95,10 +96,14 @@ func TestRunBenchmarkParsesOncePerFile(t *testing.T) {
 	if b == nil {
 		t.Fatal("motivating-express not in corpus")
 	}
+	// The project is fresh (corpus.ByName builds a new corpus), so the
+	// process-wide parse counters, reset here, count its parses alone.
+	perf.Global().Reset()
 	if _, err := RunBenchmark(b, true); err != nil {
 		t.Fatal(err)
 	}
-	parses, hits := b.Project.ParseCounts()
+	snap := perf.Global().Snapshot()
+	parses, hits := snap.Parses, snap.ParseCacheHits
 	if parses < int64(len(b.Project.Files)) {
 		t.Errorf("parses = %d, want at least one per project file (%d)", parses, len(b.Project.Files))
 	}
@@ -111,7 +116,7 @@ func TestRunBenchmarkParsesOncePerFile(t *testing.T) {
 	if _, err := corpus.ComputeStats(b); err != nil {
 		t.Fatal(err)
 	}
-	parses2, _ := b.Project.ParseCounts()
+	parses2 := perf.Global().Snapshot().Parses
 	if parses2 != parses {
 		t.Errorf("re-running stats re-parsed: %d → %d", parses, parses2)
 	}

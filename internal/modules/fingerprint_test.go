@@ -115,7 +115,7 @@ func TestFingerprintTracksMutations(t *testing.T) {
 func TestFingerprintDoesNotParse(t *testing.T) {
 	p := cacheProject()
 	fp := p.Fingerprint()
-	if parses, hits := p.ParseCounts(); parses != 0 || hits != 0 {
+	if parses, hits := parseCounts(p); parses != 0 || hits != 0 {
 		t.Fatalf("fingerprint changed the parse counts to %d/%d", parses, hits)
 	}
 	prog, err := p.Parse("/app/index.js")
@@ -125,7 +125,7 @@ func TestFingerprintDoesNotParse(t *testing.T) {
 	if prog == nil {
 		t.Fatal("digest-only entry served a nil parse")
 	}
-	if parses, hits := p.ParseCounts(); parses != 1 || hits != 0 {
+	if parses, hits := parseCounts(p); parses != 1 || hits != 0 {
 		t.Errorf("parse after fingerprint: parses=%d hits=%d, want 1/0", parses, hits)
 	}
 	if p.Fingerprint() != fp {
@@ -138,7 +138,7 @@ func TestFingerprintDoesNotParse(t *testing.T) {
 	if again != prog {
 		t.Error("a fingerprint evicted the parse it shares an entry with")
 	}
-	if parses, hits := p.ParseCounts(); parses != 1 || hits != 1 {
+	if parses, hits := parseCounts(p); parses != 1 || hits != 1 {
 		t.Errorf("repeat parse: parses=%d hits=%d, want 1/1", parses, hits)
 	}
 }
@@ -190,7 +190,7 @@ func TestFingerprintParseConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if parses, _ := p.ParseCounts(); parses != int64(len(paths)) {
+	if parses, _ := parseCounts(p); parses != int64(len(paths)) {
 		t.Errorf("parses = %d, want exactly %d (one per file)", parses, len(paths))
 	}
 }

@@ -76,22 +76,3 @@ func LoadDir(root string) (*Project, error) {
 	p.TestEntries = tests
 	return p, nil
 }
-
-// WriteDir materializes an in-memory project under root on disk (the
-// inverse of LoadDir, used by tooling and tests).
-func (p *Project) WriteDir(root string) error {
-	for path, src := range p.Files {
-		rel := strings.TrimPrefix(path, "/app/")
-		if strings.HasPrefix(path, "/node_modules/") {
-			rel = strings.TrimPrefix(path, "/")
-		}
-		full := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -241,15 +241,6 @@ func (p *Project) PruneParses() {
 	}
 }
 
-// ParseCounts reports how many parses the project's cache performed and how
-// many repeat requests it served from cache.
-func (p *Project) ParseCounts() (parses, hits int64) {
-	c := p.cache()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.parses, c.hits
-}
-
 // SortedPaths returns all file paths in deterministic order.
 func (p *Project) SortedPaths() []string {
 	paths := make([]string, 0, len(p.Files))

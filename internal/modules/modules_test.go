@@ -236,10 +236,29 @@ func TestProjectHelpers(t *testing.T) {
 	}
 }
 
+// writeDir materializes an in-memory project under root on disk, the
+// inverse of LoadDir.
+func writeDir(p *Project, root string) error {
+	for path, src := range p.Files {
+		rel := strings.TrimPrefix(path, "/app/")
+		if strings.HasPrefix(path, "/node_modules/") {
+			rel = strings.TrimPrefix(path, "/")
+		}
+		full := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestLoadDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	p := testProject()
-	if err := p.WriteDir(dir); err != nil {
+	if err := writeDir(p, dir); err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: files landed where expected.

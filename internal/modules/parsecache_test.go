@@ -9,6 +9,15 @@ import (
 	"repro/internal/interp"
 )
 
+// parseCounts reports how many parses p's cache performed and how many
+// repeat requests it served from cache.
+func parseCounts(p *Project) (parses, hits int64) {
+	c := p.cache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parses, c.hits
+}
+
 func cacheProject() *Project {
 	return &Project{
 		Name: "cache-test",
@@ -33,7 +42,7 @@ func TestProjectParseCaching(t *testing.T) {
 	if p1 != p2 {
 		t.Error("repeat Parse returned a different *ast.Program")
 	}
-	parses, hits := p.ParseCounts()
+	parses, hits := parseCounts(p)
 	if parses != 1 || hits != 1 {
 		t.Errorf("parses=%d hits=%d, want 1/1", parses, hits)
 	}
@@ -70,7 +79,7 @@ func TestProjectParseConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	parses, hits := p.ParseCounts()
+	parses, hits := parseCounts(p)
 	if parses != int64(len(paths)) {
 		t.Errorf("parses = %d, want exactly %d (one per file)", parses, len(paths))
 	}
@@ -87,12 +96,12 @@ func TestRegistryUsesSharedCache(t *testing.T) {
 	if _, err := p.Parse("/app/index.js"); err != nil {
 		t.Fatal(err)
 	}
-	parsesBefore, _ := p.ParseCounts()
+	parsesBefore, _ := parseCounts(p)
 	r := NewRegistry(p, interp.New(interp.Options{}))
 	if _, err := r.Load("/app/index.js"); err != nil {
 		t.Fatal(err)
 	}
-	parsesAfter, hits := p.ParseCounts()
+	parsesAfter, hits := parseCounts(p)
 	if parsesAfter != parsesBefore {
 		t.Errorf("registry re-parsed: %d → %d", parsesBefore, parsesAfter)
 	}
@@ -124,7 +133,7 @@ func TestParseCacheContentKeyed(t *testing.T) {
 	if len(after.Body) == len(before.Body) {
 		t.Error("re-parse did not see the appended statement")
 	}
-	parses, _ := p.ParseCounts()
+	parses, _ := parseCounts(p)
 	if parses != 2 {
 		t.Errorf("parses = %d after one edit, want 2", parses)
 	}
@@ -137,7 +146,7 @@ func TestParseCacheContentKeyed(t *testing.T) {
 	if reverted == after || len(reverted.Body) != len(before.Body) {
 		t.Error("reverted file did not get a parse of the original source")
 	}
-	if parses, _ := p.ParseCounts(); parses != 3 {
+	if parses, _ := parseCounts(p); parses != 3 {
 		t.Errorf("parses = %d after revert, want 3", parses)
 	}
 }
@@ -176,11 +185,11 @@ func TestPruneParses(t *testing.T) {
 
 	// The survivor is the right one: re-parsing the builtin is a pure cache
 	// hit, and the edited file parses its current version.
-	parsesBefore, _ := p.ParseCounts()
+	parsesBefore, _ := parseCounts(p)
 	if _, err := p.Parse("node:events"); err != nil {
 		t.Fatal(err)
 	}
-	if parsesAfter, _ := p.ParseCounts(); parsesAfter != parsesBefore {
+	if parsesAfter, _ := parseCounts(p); parsesAfter != parsesBefore {
 		t.Errorf("prune evicted a live parse: %d → %d parses", parsesBefore, parsesAfter)
 	}
 	prog, err := p.Parse("/app/index.js")

@@ -42,12 +42,8 @@ func Parse(file, src string) (prog *ast.Program, err error) {
 	return prog, err
 }
 
-// ParseExpr parses a single expression (used by eval-style entry points and
-// tests). The expression must consume the entire input.
-func ParseExpr(file, src string) (ast.Expr, error) { return parseExpr(lexer.New(file, src), file, 0) }
-
-// parseExpr is ParseExpr over lx for an expression nested depth levels
-// deep.
+// parseExpr parses the single expression lx holds, nested depth levels
+// deep. The expression must consume the entire input.
 func parseExpr(lx *lexer.Lexer, file string, depth int) (e ast.Expr, err error) {
 	toks, lerr := lx.All()
 	if lerr != nil {

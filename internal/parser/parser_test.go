@@ -261,6 +261,10 @@ func TestTemplateLiteral(t *testing.T) {
 	if _, ok := lit.Exprs[1].(*ast.BinaryExpr); !ok {
 		t.Error("second interpolation should be a binary expr")
 	}
+	// An interpolation is one complete expression: an incomplete one and
+	// one with trailing input are errors.
+	parseErr(t, "var s = `${1 +}`;")
+	parseErr(t, "var s = `${1 2}`;")
 }
 
 func TestTemplateLocations(t *testing.T) {
@@ -427,22 +431,6 @@ app.listen = function listen() {
   return server.listen.apply(server, arguments);
 };
 `)
-}
-
-func TestParseExpr(t *testing.T) {
-	e, err := ParseExpr("eval.js", "1 + 2 * 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.(*ast.BinaryExpr); !ok {
-		t.Errorf("got %T", e)
-	}
-	if _, err := ParseExpr("eval.js", "1 +"); err == nil {
-		t.Error("expected error")
-	}
-	if _, err := ParseExpr("eval.js", "1 2"); err == nil {
-		t.Error("expected error for trailing input")
-	}
 }
 
 func TestPrintRoundTrip(t *testing.T) {

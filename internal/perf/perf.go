@@ -79,8 +79,8 @@ type Counters struct {
 	// Epoch-engine activity: epochs crossed, deliveries whose target landed
 	// in a different shard than the source, representatives visited by all
 	// cycle sweeps, and the wall time split between the pipeline phases —
-	// the read-only scan+winnow, the shard-owned parallel apply pass, and
-	// the serial reconciliation tail — and the cycle sweeps between them.
+	// the read-only scan, the shard-owned parallel apply pass, and the
+	// serial reconciliation tail — and the cycle sweeps between them.
 	solverEpochs       atomic.Int64
 	solverCrossShard   atomic.Int64
 	solverSweepVisited atomic.Int64
@@ -268,7 +268,7 @@ type Snapshot struct {
 
 	// Epoch-engine activity. SolverEpochs, SolverCrossShard and
 	// SolverSweepVisited are deterministic at every worker count; the phase
-	// times (scan+winnow / parallel apply / serial tail / cycle sweeps) are
+	// times (scan / parallel apply / serial tail / cycle sweeps) are
 	// scheduling-dependent diagnostics.
 	SolverEpochs       int64   `json:"solver_epochs,omitempty"`
 	SolverCrossShard   int64   `json:"solver_cross_shard_deliveries,omitempty"`

@@ -13,23 +13,24 @@ package static
 //     pass needs for exact effort accounting. Every chunk exists before the
 //     workers start, so they claim chunks through one shared cursor.
 //
-//   - a winnow phase (parallel, partitioned by destination shard) that
-//     resolves same-epoch duplicate proposals to exactly one winner per
-//     (destination, token) pair.
-//
 //   - a shard-owned apply pass (parallel, partitioned by variable shard):
 //     each worker walks every chunk in the fixed barrier order and performs
-//     the mutations it owns — winning token inserts into destinations of its
-//     shards, and source-side bookkeeping (liveness, processed-prefix swaps,
+//     the mutations it owns — token inserts into destinations of its shards,
+//     and source-side bookkeeping (liveness, processed-prefix swaps,
 //     delivered advance, effort accounting into per-worker accumulators) for
 //     frontier deliveries of its shards. A variable's shard is the same
 //     whether it acts as a source or a destination, so all mutation of one
 //     varState stays on one worker, in the same relative order the serial
-//     barrier would have used. Cross-shard effects are not applied here:
-//     queue scheduling and trigger firing are deferred to the tail.
+//     barrier would have used. The apply pass is the one place an insertion
+//     is decided: diamond-shaped graphs propose the same (destination, token)
+//     pair from many sources within one epoch, and the destination's owner,
+//     walking the proposals in replay order, inserts at the first one that
+//     finds the token absent; the later ones find it present. Cross-shard
+//     effects are not applied here: queue scheduling and trigger firing are
+//     deferred to the tail.
 //
 //   - a short serial tail on the solver goroutine that replays the epoch in
-//     the fixed order (shards ascending, per-shard sequence order): winning
+//     the fixed order (shards ascending, per-shard sequence order): won
 //     inserts are scheduled on the delivery queue, and each live delivery's
 //     triggers fire against the epoch-advanced state.
 //     Trigger-added edges push their processed-prefix as next-epoch scan
@@ -71,9 +72,9 @@ import (
 
 const (
 	// shardBits fixes the shard count. 64 shards keep the partition pass
-	// cheap while giving the winnow and apply workers enough grain to
-	// balance: the mega tier's frontiers spread over effectively all shards,
-	// and a chunk never crosses a shard boundary.
+	// cheap while giving the apply workers enough grain to balance: the
+	// mega tier's frontiers spread over effectively all shards, and a chunk
+	// never crosses a shard boundary.
 	shardBits = 6
 	nShards   = 1 << shardBits
 
@@ -84,8 +85,8 @@ const (
 )
 
 // inlineFrontierMax is the frontier size at or below which the epoch runs
-// entirely on the solver goroutine (same scan/winnow/apply/tail algorithm,
-// no goroutine handoff). Results and counters are identical on both paths;
+// entirely on the solver goroutine (same scan/apply/tail algorithm, no
+// goroutine handoff). Results and counters are identical on both paths;
 // this only avoids paying synchronization on the small frontiers that
 // dominate per-module solves of the 141-project corpus. A variable so
 // tests can force the concurrent path under the race detector.
@@ -111,11 +112,10 @@ type ParallelSolveStats struct {
 	AsyncSweeps int64
 	// SweepVisited counts the representatives visited by all cycle sweeps.
 	SweepVisited int64
-	// ScanNS covers the parallelizable read-only phases (scan + winnow);
-	// ApplyNS the parallel shard-owned apply pass; TailNS the serial tail
-	// (log replay, trigger firing). SweepNS is the time spent in cycle
-	// sweeps, the solve-entry ones included, which run between epochs and
-	// so outside all three.
+	// ScanNS covers the parallel read-only scan; ApplyNS the parallel
+	// shard-owned apply pass; TailNS the serial tail (log replay, trigger
+	// firing). SweepNS is the time spent in cycle sweeps, the solve-entry
+	// ones included, which run between epochs and so outside all three.
 	ScanNS  int64
 	ApplyNS int64
 	TailNS  int64
@@ -150,18 +150,20 @@ func (s *solver) findRO(v Var) Var {
 // advanced `delivered`, lim covers the whole epoch, including tokens the
 // old serial barrier could only reach with a per-delivery delta scan.
 //
-// A freshly recorded task references from's token prefix in place: from and
-// to are representatives and tokens[0:lim] is immutable until the next
-// unification. A cycle sweep due while tasks are deferred does not wait for
-// them (that would serialize the push work inline): materializePushes
-// copies each prefix into toks first, after which merges may rebuild token
-// arrays and retire reps freely — partition re-resolves from/to against the
-// post-collapse forest.
+// The scan reads the prefix in place, as tokens[0:lim] of from's current
+// representative, even when a cycle sweep ran after the task was recorded.
+// That read is exact: a representative's prefix below delivered is
+// immutable, so an unmerged from still holds the recorded tokens. A sweep
+// that merges from into r leaves len(r.tokens) ≥ lim, since r gains every
+// token from held; and mergeContents has already given r the from→to edge
+// and queued every token r lacked, so whatever r.tokens[0:lim] delivers to
+// to would arrive anyway. Any of those tokens still pending at r crosses
+// the edge once more when it pops, and the apply pass's membership check
+// turns that second arrival into a no-op.
 type pushTask struct {
 	from Var
 	to   Var
 	lim  int32
-	toks []Token
 }
 
 // Chunk kinds: a chunk scans either a slice of a shard's delivery frontier
@@ -211,37 +213,18 @@ type chunkOut struct {
 	// deliveries entirely, as the serial barrier did.
 	live []bool
 
-	// code is written by the winnow phase, one entry per dests slot. Each
-	// slot is written by exactly one winnow worker (the owner of the
-	// destination's shard), so concurrent writes never alias. The apply pass
-	// may downgrade a winner to winnowStale (same ownership: the destination
-	// shard's worker), which the tail does not schedule.
-	code []int8 // winnowWinner / winnowDup / winnowStale
+	// won is written by the apply pass, one entry per dests slot, by the
+	// owner of the destination's shard only, so concurrent writes never
+	// alias: true when this proposal inserted the token, false when the
+	// destination already held it. The tail schedules exactly the won slots.
+	won []bool
 
 	// Push-chunk output (kind chunkPush): pushToks holds the membership-
-	// negative tokens of each task, delimited by pushEnds; pushCode holds
-	// their winnow verdicts.
+	// negative tokens of each task, delimited by pushEnds; pushWon holds the
+	// apply pass's insert verdicts, as won does for dests.
 	pushToks []Token
 	pushEnds []int32
-	pushCode []int8
-}
-
-// Winnow verdicts for one proposal slot.
-const (
-	winnowWinner = int8(iota) // first proposal of its (dest, token) this epoch: insert
-	winnowDup                 // a later proposal of the same (dest, token): skip
-	// winnowStale marks a winner whose destination already held the token
-	// when the apply pass reached it. No same-epoch insert can race a winner
-	// — winnow guarantees one winner per (dest, token) across both chunk
-	// kinds and scan verified absence at epoch start — so this is a
-	// defensive downgrade path; the tail skips it like a duplicate.
-	winnowStale
-)
-
-// winKey identifies a proposed insertion within an epoch.
-type winKey struct {
-	w Var
-	t Token
+	pushWon  []bool
 }
 
 // applyAcc is one apply-pass worker's effort accumulator. The tail folds
@@ -260,8 +243,8 @@ type applyAcc struct {
 // are owned by the solver goroutine outside the parallel phases; during a
 // scan or apply pass, shardFrontier/chunks are read-only, outs entries are
 // written by exactly one worker each (chunks are claimed exactly once in
-// the scan; the winnow and apply passes partition slots by shard), and the
-// cursor synchronizes claiming.
+// the scan; the apply pass partitions slots by shard), and the cursor
+// synchronizes claiming.
 type parallelEngine struct {
 	workers int
 	stats   ParallelSolveStats
@@ -280,17 +263,7 @@ type parallelEngine struct {
 	deferPush  bool
 	pushTasks  []pushTask
 	pushActive []pushTask
-
-	// Winnow scratch: per-destination-shard stamp maps. An entry is live
-	// only when its value equals winStamp, so epochs never clear them; the
-	// maps are reallocated when they grow past winScratchMax (a memory
-	// bound, invisible to semantics).
-	winStamp int32
-	winTok   [nShards]map[winKey]int32
 }
-
-// winScratchMax bounds a winnow scratch map's size before reallocation.
-const winScratchMax = 1 << 16
 
 func newParallelEngine(workers int) *parallelEngine {
 	if workers < 1 {
@@ -311,8 +284,8 @@ func (s *solver) configureParallel(workers int) {
 
 // solve runs propagation to a fixpoint on the epoch engine. Between epochs
 // it runs the periodic cycle sweeps on the solver goroutine; within an epoch
-// the frontier is scanned, winnowed, and applied in parallel, then
-// reconciled by the serial tail.
+// the frontier is scanned and applied in parallel, then reconciled by the
+// serial tail.
 func (s *solver) solve() {
 	p := s.par
 	// Entry sweep: collapse every cycle the constraint generator (or a
@@ -322,18 +295,13 @@ func (s *solver) solve() {
 	for len(s.queue) > 0 || len(p.pushTasks) > 0 {
 		if s.iterations >= s.nextSweep {
 			s.nextSweep = s.iterations + s.sweepInterval()
-			if s.sweepDue() {
-				// Deferred pushes never wait for the sweep and never run
-				// inline for it: they are materialized (prefixes copied) so
-				// unification cannot invalidate them, and they stay parallel
-				// scan work.
-				p.materializePushes(s)
-				s.collapseAllSCCs()
-			}
+			// Deferred pushes neither wait for the sweep nor run inline
+			// for it: they stay next epoch's parallel scan work, which
+			// reads their prefixes in place (see pushTask).
+			s.collapseAllSCCs()
 		}
 		p.partition(s)
 		nw := p.scan(s)
-		p.winnow(s, nw)
 		p.apply(s, nw)
 		p.tail(s)
 		p.stats.Epochs++
@@ -454,10 +422,12 @@ func (p *parallelEngine) partition(s *solver) {
 	// epoch, chunked by token weight so one wide push cannot unbalance the
 	// scan workers. Their chunks follow the frontier chunks in the fixed
 	// replay order. Endpoints are re-resolved first: a cycle sweep since
-	// the task was recorded may have retired either rep (materialized tasks
-	// only — in-place tasks always precede the next unification). A merge
-	// that joined the two endpoints makes the push internal to one rep;
-	// mergeContents already delivered the tokens, so the task is dropped.
+	// the task was recorded may have retired either rep. The scan then
+	// reads the surviving rep's tokens[0:lim] in place, which is exact: that
+	// rep holds at least lim tokens, already owns the merged edge, and has
+	// queued every token it lacked (see pushTask). A merge that joined the
+	// two endpoints makes the push internal to one rep; mergeContents
+	// already delivered the tokens, so the task is dropped.
 	p.pushActive, p.pushTasks = p.pushTasks, p.pushActive[:0]
 	live := p.pushActive[:0]
 	for _, tk := range p.pushActive {
@@ -482,9 +452,9 @@ func (p *parallelEngine) partition(s *solver) {
 
 // scan runs the read-only proposal phase over every chunk and returns the
 // effective worker count for the epoch (1 when it ran inline), which the
-// winnow and apply phases reuse. Small frontiers (or a single worker) run
-// inline on the solver goroutine; on larger ones each worker claims the
-// next unscanned chunk from the shared cursor until none are left.
+// apply pass reuses. Small frontiers (or a single worker) run inline on the
+// solver goroutine; on larger ones each worker claims the next unscanned
+// chunk from the shared cursor until none are left.
 func (p *parallelEngine) scan(s *solver) int {
 	t0 := time.Now()
 	nc := len(p.chunks)
@@ -584,12 +554,12 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 		out.selfCnt = append(out.selfCnt, self)
 		out.ends = append(out.ends, int32(len(out.dests)))
 	}
-	// Pre-size the winnow/apply verdict arrays; the winnow workers fill
-	// every code slot, the apply pass every live slot.
-	if cap(out.code) < len(out.dests) {
-		out.code = make([]int8, len(out.dests))
+	// Pre-size the apply pass's verdict arrays; it fills every won slot and
+	// every live slot.
+	if cap(out.won) < len(out.dests) {
+		out.won = make([]bool, len(out.dests))
 	}
-	out.code = out.code[:len(out.dests)]
+	out.won = out.won[:len(out.dests)]
 	if cap(out.live) < len(f) {
 		out.live = make([]bool, len(f))
 	}
@@ -597,147 +567,27 @@ func (p *parallelEngine) scanChunk(s *solver, c chunkRef, out *chunkOut) {
 }
 
 // scanPushChunk scans a run of deferred prefix pushes: for each task it
-// membership-filters the token prefix (in place for fresh tasks, the
-// materialized copy after a cycle sweep) against the destination's set.
-// Read-only like the frontier scan — partition resolved the endpoints and
-// both the in-place prefix and the copy are immutable for the epoch.
+// membership-filters from's token prefix, read in place, against the
+// destination's set. Read-only like the frontier scan — partition resolved
+// the endpoints and the prefix is immutable for the epoch.
 func (p *parallelEngine) scanPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	tasks := p.pushActive[c.lo:c.hi]
 	out.pushToks = out.pushToks[:0]
 	out.pushEnds = out.pushEnds[:0]
 	for i := range tasks {
 		tk := tasks[i]
-		toks := tk.toks
-		if toks == nil {
-			toks = s.state(tk.from).tokens[:tk.lim]
-		}
 		dst := s.state(tk.to)
-		for _, t := range toks {
+		for _, t := range s.state(tk.from).tokens[:tk.lim] {
 			if !dst.hasToken(t) {
 				out.pushToks = append(out.pushToks, t)
 			}
 		}
 		out.pushEnds = append(out.pushEnds, int32(len(out.pushToks)))
 	}
-	if cap(out.pushCode) < len(out.pushToks) {
-		out.pushCode = make([]int8, len(out.pushToks))
+	if cap(out.pushWon) < len(out.pushToks) {
+		out.pushWon = make([]bool, len(out.pushToks))
 	}
-	out.pushCode = out.pushCode[:len(out.pushToks)]
-}
-
-// materializePushes detaches every pending deferred push from the solver
-// state it references: the frozen token prefix is copied into the task.
-// Called before a cycle sweep while pushes are pending — merges rebuild
-// token arrays and retire representatives, which would invalidate the
-// in-place prefixes, but a materialized task survives any merge (partition
-// re-resolves its endpoints against the post-collapse forest). This is what
-// lets a sweep run on its cadence without serializing the pending push work
-// inline.
-func (p *parallelEngine) materializePushes(s *solver) {
-	for i := range p.pushTasks {
-		tk := &p.pushTasks[i]
-		if tk.toks != nil {
-			continue
-		}
-		tk.toks = append([]Token(nil), s.state(tk.from).tokens[:tk.lim]...)
-	}
-}
-
-// winnow is the combining phase between scan and apply: it walks every
-// chunk's proposals in exact replay order and, per destination shard,
-// resolves same-epoch duplicates — diamond-shaped graphs propose the same
-// (destination, token) pair from many sources within one epoch, and without
-// this phase every duplicate would cost the apply pass a membership lookup.
-// The first proposal in replay order wins (winnowWinner); later ones are
-// marked winnowDup.
-//
-// Determinism: verdicts for a destination shard depend only on that shard's
-// proposal sequence in fixed chunk order — never on which worker processed
-// the shard — so the apply pass and tail
-// behave (and hence all counters are) identically at every worker count, and
-// identically to running this phase inline. Workers partition by destination
-// shard (shard mod nw), so scratch maps are never shared; verdict slots are
-// written by exactly one worker each.
-func (p *parallelEngine) winnow(s *solver, nw int) {
-	t0 := time.Now()
-	defer func() { p.stats.ScanNS += time.Since(t0).Nanoseconds() }()
-	p.winStamp++
-	// At nw 1 the stride is 1: one walk handles every shard.
-	fanOut(nw, func(wi int) { p.winnowShards(int32(wi), int32(nw)) })
-}
-
-// winnowShards computes the verdicts of every destination shard congruent to
-// first modulo stride, walking all chunks in replay order.
-func (p *parallelEngine) winnowShards(first, stride int32) {
-	stamp := p.winStamp
-	for ci := range p.chunks {
-		c := p.chunks[ci]
-		out := &p.outs[ci]
-		if c.kind == chunkPush {
-			p.winnowPushChunk(c, out, first, stride, stamp)
-			continue
-		}
-		f := p.shardFrontier[c.shard][c.lo:c.hi]
-		pstart := int32(0)
-		for di := range f {
-			d := f[di]
-			pend := out.ends[di]
-			for pi := pstart; pi < pend; pi++ {
-				w := out.dests[pi]
-				sh := shardOfRep(w)
-				if stride > 1 && sh%stride != first {
-					continue
-				}
-				wt := p.winTok[sh]
-				if wt == nil || len(wt) > winScratchMax {
-					wt = make(map[winKey]int32)
-					p.winTok[sh] = wt
-				}
-				key := winKey{w, d.t}
-				if wt[key] != stamp {
-					wt[key] = stamp
-					out.code[pi] = winnowWinner
-				} else {
-					out.code[pi] = winnowDup
-				}
-			}
-			pstart = pend
-		}
-	}
-}
-
-// winnowPushChunk computes verdicts for a push chunk: per-token winner
-// selection against the same (dest, token) stamp maps the frontier
-// proposals use — the shared keying is what makes a cross-kind duplicate
-// (a queued delivery and a prefix push proposing the same insertion) resolve
-// to exactly one winner.
-func (p *parallelEngine) winnowPushChunk(c chunkRef, out *chunkOut, first, stride, stamp int32) {
-	tasks := p.pushActive[c.lo:c.hi]
-	pstart := int32(0)
-	for ti := range tasks {
-		tk := tasks[ti]
-		pend := out.pushEnds[ti]
-		sh := shardOfRep(tk.to)
-		if stride > 1 && sh%stride != first {
-			pstart = pend
-			continue
-		}
-		wt := p.winTok[sh]
-		if wt == nil || len(wt) > winScratchMax {
-			wt = make(map[winKey]int32)
-			p.winTok[sh] = wt
-		}
-		for pi := pstart; pi < pend; pi++ {
-			key := winKey{tk.to, out.pushToks[pi]}
-			if wt[key] != stamp {
-				wt[key] = stamp
-				out.pushCode[pi] = winnowWinner
-			} else {
-				out.pushCode[pi] = winnowDup
-			}
-		}
-		pstart = pend
-	}
+	out.pushWon = out.pushWon[:len(out.pushToks)]
 }
 
 // apply is the shard-owned parallel mutation pass: every worker walks all
@@ -745,7 +595,7 @@ func (p *parallelEngine) winnowPushChunk(c chunkRef, out *chunkOut, first, strid
 // variable it owns (variable shard mod worker count). Ownership covers both
 // roles a variable can play in an epoch — frontier source (liveness,
 // processed-prefix swap, delivered advance, effort accounting) and proposal
-// destination (winning token inserts) — because both key off the same shard,
+// destination (token inserts) — because both key off the same shard,
 // so one varState is only ever touched by one worker, in the same relative
 // order the serial barrier used.
 //
@@ -823,40 +673,37 @@ func (p *parallelEngine) applyWorker(s *solver, wi, nw int) {
 				}
 				out.live[di] = live
 			}
-			// Destination-side winning inserts. A dead delivery never owns a
-			// winner slot — its earlier live duplicate scanned the identical
-			// proposal list and took every (dest, token) stamp first, and
-			// scan-dead deliveries record no proposals at all — so no liveness
-			// check is needed here (and none is possible: the source owner may
-			// not have reached this delivery yet).
+			// Destination-side inserts: the first proposal of a (dest,
+			// token) pair in replay order finds the token absent and inserts
+			// it. A dead delivery never wins — its live duplicate precedes it
+			// in replay order with the identical proposal list, so membership
+			// rejects every one of its proposals, and scan-dead deliveries
+			// record no proposals at all — so no liveness check is needed
+			// here (and none is possible: the source owner may not have
+			// reached this delivery yet).
 			for pi := pstart; pi < pend; pi++ {
-				if out.code[pi] != winnowWinner {
-					continue
-				}
 				w := out.dests[pi]
 				sh := shardOfRep(w)
 				if nw > 1 && int(sh)%nw != wi {
 					continue
 				}
 				ws := s.state(w)
-				if ws.hasToken(d.t) {
-					// Defensive: nothing can insert a winnowed (dest, token)
-					// before its winner (see winnowStale).
-					out.code[pi] = winnowStale
-					continue
+				won := !ws.hasToken(d.t)
+				if won {
+					ws.appendToken(d.t)
+					if sh != c.shard {
+						acc.crossShard++
+					}
 				}
-				ws.appendToken(d.t)
-				if sh != c.shard {
-					acc.crossShard++
-				}
+				out.won[pi] = won
 			}
 			pstart = pend
 		}
 	}
 }
 
-// applyPushChunk performs worker wi's owned share of a push chunk: winning
-// token inserts into each task's destination, with the inline addEdge push's
+// applyPushChunk performs worker wi's owned share of a push chunk: token
+// inserts into each task's destination, with the inline addEdge push's
 // exact accounting — every token of the frozen prefix was one delivery
 // attempt (accumulated by the destination's owner so it is added exactly
 // once).
@@ -874,18 +721,15 @@ func (p *parallelEngine) applyPushChunk(s *solver, c chunkRef, out *chunkOut, ac
 		dst := s.state(tk.to)
 		shFrom := shardOfRep(tk.from)
 		for pi := pstart; pi < pend; pi++ {
-			if out.pushCode[pi] != winnowWinner {
-				continue
-			}
 			t := out.pushToks[pi]
-			if dst.hasToken(t) {
-				out.pushCode[pi] = winnowStale
-				continue
+			won := !dst.hasToken(t)
+			if won {
+				dst.appendToken(t)
+				if sh != shFrom {
+					acc.crossShard++
+				}
 			}
-			dst.appendToken(t)
-			if sh != shFrom {
-				acc.crossShard++
-			}
+			out.pushWon[pi] = won
 		}
 		acc.delivered += int64(tk.lim)
 		pstart = pend
@@ -894,7 +738,7 @@ func (p *parallelEngine) applyPushChunk(s *solver, c chunkRef, out *chunkOut, ac
 
 // tail is the serial reconciliation of one epoch: it replays the epoch in
 // the fixed order (shards ascending, per-shard sequence order). Per live
-// delivery: winning inserts are scheduled on the delivery queue (in slot
+// delivery: won inserts are scheduled on the delivery queue (in slot
 // order, so next epoch's frontier order is scheduling-independent), and
 // the delivery's triggers fire — each against the epoch-advanced state, with the
 // scan-frozen trigger count guaranteeing exactly-once firing (triggers
@@ -929,7 +773,7 @@ func (p *parallelEngine) tail(s *solver) {
 				continue
 			}
 			for pi := pstart; pi < pend; pi++ {
-				if out.code[pi] == winnowWinner {
+				if out.won[pi] {
 					// Inserted by the apply pass; schedule its processing.
 					s.queue = append(s.queue, delivery{out.dests[pi], d.t})
 				}
@@ -947,7 +791,7 @@ func (p *parallelEngine) tail(s *solver) {
 	}
 }
 
-// tailPushChunk schedules a push chunk's winning inserts, in task order.
+// tailPushChunk schedules a push chunk's won inserts, in task order.
 func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 	tasks := p.pushActive[c.lo:c.hi]
 	pstart := int32(0)
@@ -955,7 +799,7 @@ func (p *parallelEngine) tailPushChunk(s *solver, c chunkRef, out *chunkOut) {
 		tk := tasks[ti]
 		pend := out.pushEnds[ti]
 		for pi := pstart; pi < pend; pi++ {
-			if out.pushCode[pi] == winnowWinner {
+			if out.pushWon[pi] {
 				s.queue = append(s.queue, delivery{tk.to, out.pushToks[pi]})
 			}
 		}

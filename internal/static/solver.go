@@ -303,8 +303,8 @@ func (s *solver) addEdge(from, to Var) {
 		// Inside a parallel barrier the prefix push is deferred into a scan
 		// task of the next epoch, so its membership checks run on the
 		// workers instead of serially here. The prefix [0:delivered] is
-		// immutable until the task runs (unification is gated off while
-		// pushes are pending), so recording the bound now is exact.
+		// immutable, and stays exact across a cycle sweep before the task
+		// runs (see pushTask), so recording the bound now is exact.
 		s.par.pushTasks = append(s.par.pushTasks,
 			pushTask{from: from, to: to, lim: int32(st.delivered)})
 		return

@@ -2,6 +2,7 @@ package static
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -324,5 +325,159 @@ func TestSweepCollapsesCycleClosedAfterRestore(t *testing.T) {
 	s.solve()
 	if !collapsed(s, a, b) {
 		t.Error("the cycle closed after restore was not collapsed by the next sweep")
+	}
+}
+
+// TestSweepMergesPendingPushEndpoints pins the in-place read of deferred
+// pushes across a cycle sweep. A tail-time trigger adds a→c while a has a
+// delivered prefix, so a push task is pending; in the same tail it closes a
+// cycle and forces a sweep before the next epoch, so one of the task's
+// endpoints is merged away before the scan reads the prefix. In "source",
+// a is merged into b, which holds more tokens, so the scan reads b's prefix
+// in place; in "pending prefix" that prefix is made of tokens b has not
+// delivered yet; in "destination" only c is merged, into d; in "both" each
+// endpoint is. Every variable's set and every trigger firing must match the
+// FIFO reference solver, at one worker and four, with every epoch on the
+// concurrent scan path.
+func TestSweepMergesPendingPushEndpoints(t *testing.T) {
+	savedInline := inlineFrontierMax
+	defer func() { inlineFrontierMax = savedInline }()
+	inlineFrontierMax = 0
+
+	type system struct {
+		src, a, b, c, d Var
+	}
+	cases := []struct {
+		name string
+		// build adds the base constraints; tail runs inside the src
+		// trigger, after a→c has been added.
+		build    func(s *solver, x system)
+		tail     func(s *solver, x system)
+		from, to bool // which endpoints must be merged away
+	}{
+		{
+			name: "source",
+			build: func(s *solver, x system) {
+				for tok := Token(2); tok <= 4; tok++ {
+					s.addToken(x.b, tok)
+				}
+			},
+			tail: func(s *solver, x system) {
+				s.addEdge(x.a, x.b)
+				s.addEdge(x.b, x.a)
+			},
+			from: true,
+		},
+		{
+			name:  "pending prefix",
+			build: func(s *solver, x system) {},
+			tail: func(s *solver, x system) {
+				for tok := Token(5); tok <= 9; tok++ {
+					s.addToken(x.b, tok)
+				}
+				s.addEdge(x.a, x.b)
+				s.addEdge(x.b, x.a)
+			},
+			from: true,
+		},
+		{
+			name: "destination",
+			build: func(s *solver, x system) {
+				s.addToken(x.d, 2)
+				s.addToken(x.d, 3)
+			},
+			tail: func(s *solver, x system) {
+				s.addEdge(x.c, x.d)
+				s.addEdge(x.d, x.c)
+			},
+			to: true,
+		},
+		{
+			name: "both",
+			build: func(s *solver, x system) {
+				for tok := Token(2); tok <= 4; tok++ {
+					s.addToken(x.b, tok)
+				}
+				s.addToken(x.d, 5)
+				s.addToken(x.d, 6)
+			},
+			tail: func(s *solver, x system) {
+				s.addEdge(x.a, x.b)
+				s.addEdge(x.b, x.a)
+				s.addEdge(x.c, x.d)
+				s.addEdge(x.d, x.c)
+			},
+			from: true,
+			to:   true,
+		},
+	}
+
+	run := func(s *solver, tc int, solve func(*solver)) (system, map[[2]int]int) {
+		x := system{s.newVar(), s.newVar(), s.newVar(), s.newVar(), s.newVar()}
+		fired := map[[2]int]int{}
+		for _, v := range []Var{x.a, x.b, x.c, x.d} {
+			s.onToken(v, func(t Token) { fired[[2]int{int(v), int(t)}]++ })
+		}
+		s.addToken(x.a, 1)
+		cases[tc].build(s, x)
+		s.onToken(x.src, func(Token) {
+			s.addEdge(x.a, x.c)
+			cases[tc].tail(s, x)
+			s.nextSweep = s.iterations // sweep before the next epoch
+		})
+		s.addToken(x.src, 0)
+		solve(s)
+		return x, fired
+	}
+
+	for tc, c := range cases {
+		ref := newSolver()
+		xr, firedRef := run(ref, tc, (*solver).solveFIFO)
+		for _, workers := range []int{1, 4} {
+			// Every pending push whose endpoint a sweep collapses; the
+			// variables are checked once the collapses are done.
+			var fromHit, toHit []Var
+			saved := sweepCheck
+			sweepCheck = func(s *solver, comps [][]Var) {
+				for _, comp := range comps {
+					for _, tk := range s.par.pushTasks {
+						if slices.Contains(comp, tk.from) && slices.Contains(comp, tk.to) {
+							continue // a self-push once collapsed; partition drops it
+						}
+						if slices.Contains(comp, tk.from) {
+							fromHit = append(fromHit, tk.from)
+						}
+						if slices.Contains(comp, tk.to) {
+							toHit = append(toHit, tk.to)
+						}
+					}
+				}
+			}
+			s := newSolver()
+			s.configureParallel(workers)
+			x, fired := run(s, tc, (*solver).solve)
+			sweepCheck = saved
+
+			if c.from && !(slices.Contains(fromHit, x.a) && s.find(x.a) != x.a) {
+				t.Errorf("%s workers %d: no sweep merged the pending push's source away (collapsed sources %v)", c.name, workers, fromHit)
+			}
+			if c.to && !(slices.Contains(toHit, x.c) && s.find(x.c) != x.c) {
+				t.Errorf("%s workers %d: no sweep merged the pending push's destination away (collapsed destinations %v)", c.name, workers, toHit)
+			}
+			for _, pair := range [][2]Var{{x.a, xr.a}, {x.b, xr.b}, {x.c, xr.c}, {x.d, xr.d}} {
+				got, want := sortedTokens(s.tokens(pair[0])), sortedTokens(ref.tokens(pair[1]))
+				if !tokensEqual(got, want) {
+					t.Errorf("%s workers %d: var %d holds %v, reference %v", c.name, workers, pair[0], got, want)
+				}
+			}
+			if !maps.Equal(fired, firedRef) {
+				t.Errorf("%s workers %d: trigger firings %v, reference %v", c.name, workers, fired, firedRef)
+			}
+			for k, n := range fired {
+				if n != 1 {
+					t.Errorf("%s workers %d: trigger firing %v ran %d times", c.name, workers, k, n)
+				}
+			}
+		}
 	}
 }
