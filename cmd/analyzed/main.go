@@ -32,11 +32,14 @@
 // requests against different sessions run their analyses in parallel, and
 // -max-concurrency bounds how many analyses (full, delta, or provenance)
 // may run at once across all sessions — excess requests queue on the
-// global semaphore instead of oversubscribing the host. -solver-workers
-// sets the epoch engine's worker count for every solve; reports are
-// byte-identical at every worker count. A request cannot change it: the
-// count sizes per-analysis buffers, so it is the operator's choice, not the
-// client's.
+// global semaphore instead of oversubscribing the host. An analysis may
+// keep two cores busy: an edit re-runs the pre-analysis on its own
+// goroutine while the baseline constraints are generated and solved
+// (static.DeltaSession.AnalyzeFrom). -max-concurrency still counts
+// analyses, not cores. -solver-workers sets the epoch engine's worker
+// count for every solve; reports are byte-identical at every worker
+// count. A request cannot change it: the count sizes per-analysis buffers,
+// so it is the operator's choice, not the client's.
 package main
 
 import (
@@ -55,6 +58,7 @@ import (
 	"repro/internal/dyncg"
 	"repro/internal/fault"
 	"repro/internal/fuzz"
+	"repro/internal/hints"
 	"repro/internal/modules"
 	"repro/internal/static"
 )
@@ -173,21 +177,40 @@ type session struct {
 	hints    *approx.Result
 }
 
+// runApprox is approx.Run, a variable so tests can make the pre-analysis
+// panic.
+var runApprox = approx.Run
+
 // preAnalysis returns the pre-analysis of the session's current project,
 // memoized per content fingerprint: hints are a function of the whole
 // file set, so they are reused exactly when nothing changed and recomputed
-// as a unit otherwise. Callers hold sess.mu.
+// as a unit otherwise. A superseded memo is released before the new run.
+// Callers hold sess.mu.
 func (sess *session) preAnalysis(deadline time.Duration) (*approx.Result, error) {
 	project := sess.ds.Project()
 	fp := cache.ProjectFingerprint(project)
 	if sess.hints == nil || fp != sess.approxFP {
-		ar, err := approx.Run(project, approx.Options{Deadline: deadline})
+		sess.hints, sess.approxFP = nil, ""
+		ar, err := runApprox(project, approx.Options{Deadline: deadline})
 		if err != nil {
 			return nil, fmt.Errorf("approx: %w", err)
 		}
 		sess.hints, sess.approxFP = ar, fp
 	}
 	return sess.hints, nil
+}
+
+// hintSource is the session's pre-analysis memo as the hint source of an
+// analysis. The analysis joins it before returning, and sess.hints is then
+// nil exactly when the pre-analysis failed. Callers hold sess.mu.
+func (sess *session) hintSource(deadline time.Duration) static.HintSource {
+	return func() (*hints.Hints, map[string]bool, error) {
+		ar, err := sess.preAnalysis(deadline)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ar.Hints, ar.FaultedModules(), nil
+	}
 }
 
 type server struct {
@@ -427,17 +450,15 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 	if err != nil {
 		return nil, fmt.Errorf("dyncg: %w", err)
 	}
-	ar, err := sess.preAnalysis(s.approxDeadline)
-	if err != nil {
-		return nil, err
-	}
-
-	_, ext, err := static.AnalyzeBoth(project, static.Options{
-		Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-		DegradeFiles: ar.FaultedModules(), Provenance: true,
+	_, ext, err := static.AnalyzeBothFrom(project, static.Options{
+		Mode: static.WithHints, EvalHints: true, Provenance: true,
 		SolverWorkers: s.solverWorkers,
-	})
-	if err != nil {
+	}, sess.hintSource(s.approxDeadline))
+	ar := sess.hints
+	switch {
+	case ar == nil:
+		return nil, err
+	case err != nil:
 		return nil, fmt.Errorf("static: %w", err)
 	}
 
@@ -499,15 +520,14 @@ func (s *server) analyze(sess *session, delta *deltaPayload) (resp *analyzeRespo
 	if delta != nil {
 		sess.ds.Update(delta.Changed, delta.Removed)
 	}
-	ar, err := sess.preAnalysis(s.approxDeadline)
-	if err != nil {
+	base, ext, reused, err := sess.ds.AnalyzeFrom(static.Options{
+		Mode: static.WithHints, SolverWorkers: s.solverWorkers,
+	}, sess.hintSource(s.approxDeadline))
+	ar := sess.hints
+	switch {
+	case ar == nil:
 		return nil, err
-	}
-	base, ext, reused, err := sess.ds.Analyze(static.Options{
-		Mode: static.WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules(),
-		SolverWorkers: s.solverWorkers,
-	})
-	if err != nil {
+	case err != nil:
 		return nil, fmt.Errorf("static: %w", err)
 	}
 

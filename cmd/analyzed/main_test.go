@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/approx"
 	"repro/internal/fault"
 	"repro/internal/fuzz"
+	"repro/internal/modules"
 )
 
 func testProjectPayload() *projectPayload {
@@ -587,4 +589,62 @@ func TestProvenanceReportsConcreteRunFaults(t *testing.T) {
 		}
 	}
 	t.Errorf("no concrete-run deadline fault in /provenance faults %q", resp.Faults)
+}
+
+// TestAnalyzeNoopDeltaAfterEditReuses: an edit re-runs the pre-analysis
+// concurrently with the baseline solve and releases the superseded memos;
+// the no-op delta that follows must still answer from the new memo.
+func TestAnalyzeNoopDeltaAfterEditReuses(t *testing.T) {
+	ts := newTestServer(t)
+	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
+	edit := &deltaPayload{Changed: map[string]string{"/app/index.js": "var lib = require('./lib');\nlib.go();\nlib.extra();\n"}}
+	status, edited := post(t, ts, analyzeRequest{Session: full.Session, Delta: edit})
+	if status != http.StatusOK || edited.Reused {
+		t.Fatalf("edit: status = %d, reused = %t", status, edited.Reused)
+	}
+	status, again := post(t, ts, analyzeRequest{Session: full.Session, Delta: &deltaPayload{}})
+	if status != http.StatusOK || !again.Reused {
+		t.Fatalf("no-op delta after an edit: status = %d, reused = %t", status, again.Reused)
+	}
+	if again.Extended != edited.Extended || again.HintCount != edited.HintCount {
+		t.Errorf("reused answer differs from the edit's: %+v vs %+v", again, edited)
+	}
+}
+
+// TestAnalyzePreAnalysisPanicContained: the pre-analysis runs on its own
+// goroutine, yet its panic reaches the request's guard: /analyze answers
+// 500 and the daemon keeps serving.
+func TestAnalyzePreAnalysisPanicContained(t *testing.T) {
+	ts := newTestServer(t)
+	runApprox = func(*modules.Project, approx.Options) (*approx.Result, error) { panic("approx exploded") }
+	t.Cleanup(func() { runApprox = approx.Run })
+
+	body, err := json.Marshal(analyzeRequest{Project: testProjectPayload()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	err = json.NewDecoder(res.Body).Decode(&e)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusInternalServerError ||
+		e.Error != "analysis panicked (contained): approx exploded" {
+		t.Fatalf("status = %d, error = %q (%v), want 500 with the contained panic", res.StatusCode, e.Error, err)
+	}
+
+	res, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panic: status = %d", res.StatusCode)
+	}
+	runApprox = approx.Run
+	if status, resp := post(t, ts, analyzeRequest{Project: testProjectPayload()}); status != http.StatusOK || resp.Extended.CallEdges == 0 {
+		t.Fatalf("analysis after the panic: status = %d, %+v", status, resp.Extended)
+	}
 }

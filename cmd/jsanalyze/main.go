@@ -65,33 +65,17 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		var h *hints.Hints
-		if *hintsFile != "" {
-			f, err := os.Open(*hintsFile)
-			if err != nil {
-				fatal(err)
-			}
-			h, err = hints.ReadJSON(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			ar, err := approx.Run(project, approx.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			h = ar.Hints
-			approxLine = fmt.Sprintf("approx:    %d hints, %d/%d functions visited, %s\n",
-				h.Count(), ar.FunctionsVisited, ar.FunctionsTotal, ar.Duration)
-		}
+		var ar *approx.Result
 		var err error
-		base, ext, err = static.AnalyzeBoth(project, static.Options{
-			Mode: static.WithHints, Hints: h, DisableDPR: *disableDPR,
-			UnknownArgHints: *unknownArgs,
+		base, ext, ar, err = analyzeBoth(project, *hintsFile, approx.Options{}, static.Options{
+			Mode: static.WithHints, DisableDPR: *disableDPR, UnknownArgHints: *unknownArgs,
 		})
 		if err != nil {
 			fatal(err)
+		}
+		if ar != nil {
+			approxLine = fmt.Sprintf("approx:    %d hints, %d/%d functions visited, %s\n",
+				ar.Hints.Count(), ar.FunctionsVisited, ar.FunctionsTotal, ar.Duration)
 		}
 	}
 	fmt.Printf("baseline:  %v  (vars=%d tokens=%d modules=%d, %s)\n",
@@ -133,6 +117,36 @@ func main() {
 			}
 		}
 	}
+}
+
+// analyzeBoth runs baseline and extended as one incremental solve. The
+// hints come from hintsFile when it is set; otherwise the pre-analysis
+// runs, concurrently with the baseline phase, and its result is returned.
+// Modules it faulted in are degraded to baseline-only constraints, as
+// cmd/evaluate and cmd/analyzed degrade them.
+func analyzeBoth(project *modules.Project, hintsFile string, aopts approx.Options, sopts static.Options) (base, ext *static.Result, ar *approx.Result, err error) {
+	src := func() (*hints.Hints, map[string]bool, error) {
+		if hintsFile != "" {
+			h, err := readHints(hintsFile)
+			return h, nil, err
+		}
+		var err error
+		if ar, err = approx.Run(project, aopts); err != nil {
+			return nil, nil, err
+		}
+		return ar.Hints, ar.FaultedModules(), nil
+	}
+	base, ext, err = static.AnalyzeBothFrom(project, sopts, src)
+	return base, ext, ar, err
+}
+
+func readHints(path string) (*hints.Hints, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return hints.ReadJSON(f)
 }
 
 func fatal(err error) {

@@ -115,16 +115,28 @@ func TestWalkSkipChildren(t *testing.T) {
 	}
 }
 
+// countNodes counts the nodes of type T that Walk visits in the tree.
+func countNodes[T Node](n Node) int {
+	count := 0
+	Walk(n, func(n Node) bool {
+		if _, ok := n.(T); ok {
+			count++
+		}
+		return true
+	})
+	return count
+}
+
 func TestCollectors(t *testing.T) {
 	tree := buildTree()
 	if got := len(Functions(tree)); got != 2 {
 		t.Errorf("Functions = %d, want 2", got)
 	}
-	if got := len(CallSites(tree)); got != 2 {
-		t.Errorf("CallSites = %d, want 2", got)
+	if got := countNodes[*CallExpr](tree); got != 2 {
+		t.Errorf("call expressions = %d, want 2", got)
 	}
-	if got := len(NewSites(tree)); got != 1 {
-		t.Errorf("NewSites = %d, want 1", got)
+	if got := countNodes[*NewExpr](tree); got != 1 {
+		t.Errorf("new expressions = %d, want 1", got)
 	}
 	// Source order.
 	fns := Functions(tree)

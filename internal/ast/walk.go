@@ -147,28 +147,3 @@ func Functions(n Node) []*FuncLit {
 	})
 	return out
 }
-
-// CallSites returns every call expression in the tree, in source order.
-// new-expressions are not included; use NewSites for those.
-func CallSites(n Node) []*CallExpr {
-	var out []*CallExpr
-	Walk(n, func(n Node) bool {
-		if c, ok := n.(*CallExpr); ok {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
-// NewSites returns every new-expression in the tree, in source order.
-func NewSites(n Node) []*NewExpr {
-	var out []*NewExpr
-	Walk(n, func(n Node) bool {
-		if c, ok := n.(*NewExpr); ok {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}

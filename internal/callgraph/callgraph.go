@@ -119,41 +119,6 @@ func (g *Graph) Equal(o *Graph) bool {
 	return true
 }
 
-// SliceByFile returns the sub-graph anchored in one file: the call sites
-// written in it (with their edges and enclosing functions) and the function
-// definitions located in it. Chaos tests compare slices between a faulted
-// and a fault-free run to assert that a fault in one module leaves every
-// independent module's results byte-identical.
-func (g *Graph) SliceByFile(file string) *Graph {
-	s := New()
-	for site, encl := range g.Sites {
-		if site.File == file {
-			s.Sites[site] = encl
-		}
-	}
-	for site, set := range g.Edges {
-		if site.File != file {
-			continue
-		}
-		cs := make(map[FuncID]bool, len(set))
-		for f := range set {
-			cs[f] = true
-		}
-		s.Edges[site] = cs
-	}
-	for f := range g.Funcs {
-		if f.File == file {
-			s.Funcs[f] = true
-		}
-	}
-	for site := range g.NativeResolved {
-		if site.File == file {
-			s.NativeResolved[site] = true
-		}
-	}
-	return s
-}
-
 // MarkNativeResolved records that site resolved to a modeled native.
 func (g *Graph) MarkNativeResolved(site loc.Loc) { g.NativeResolved[site] = true }
 

@@ -113,54 +113,51 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	// Pre-analysis, possibly from the hint-set artifact layer (hit when the
 	// project is unchanged but a static/dyncg option invalidated the
 	// outcome record). Only fault-free pre-analyses are ever cached, so a
-	// hit implies no degraded modules.
-	var hintSet *hints.Hints
-	var degrade map[string]bool
-	gotApprox := false
-	if hintsCacheKey != "" {
-		if rec, h, ok := loadApprox(opts.Cache, hintsCacheKey); ok {
-			hintSet = h
-			out.HintCount = rec.HintCount
-			out.VisitedRatio = rec.VisitedRatio
-			out.ApproxTime = time.Duration(rec.DurationNS)
-			gotApprox = true
+	// hit implies no degraded modules. It is the hint source of the
+	// incremental solve and runs concurrently with the baseline phase; the
+	// solve joins it before returning, and nothing reads the fields of out
+	// it writes before then.
+	var approxErr error
+	preAnalysis := func() (*hints.Hints, map[string]bool, error) {
+		if hintsCacheKey != "" {
+			if rec, h, ok := loadApprox(opts.Cache, hintsCacheKey); ok {
+				out.HintCount = rec.HintCount
+				out.VisitedRatio = rec.VisitedRatio
+				out.ApproxTime = time.Duration(rec.DurationNS)
+				return h, nil, nil
+			}
 		}
-	}
-	if !gotApprox {
-		approxAlloc := perf.TotalAllocBytes()
 		ar, err := approx.Run(b.Project, approx.Options{Deadline: opts.ApproxDeadline})
 		if err != nil {
-			return nil, fmt.Errorf("%s: approx: %w", b.Project.Name, err)
+			approxErr = fmt.Errorf("%s: approx: %w", b.Project.Name, err)
+			return nil, nil, approxErr
 		}
 		out.HintCount = ar.Hints.Count()
 		out.VisitedRatio = ar.VisitedRatio()
 		out.ApproxTime = ar.Duration
 		perf.Global().AddPhase(perf.PhaseApprox, ar.Duration)
-		perf.Global().AddPhaseAlloc(perf.PhaseApprox, perf.TotalAllocBytes()-approxAlloc)
-
-		hintSet = ar.Hints
-		degrade = ar.FaultedModules()
 		out.Faults = append(out.Faults, ar.Faults...)
 		if hintsCacheKey != "" && len(ar.Faults) == 0 {
-			storeApprox(opts.Cache, hintsCacheKey, out.HintCount, out.VisitedRatio, out.ApproxTime, hintSet)
+			storeApprox(opts.Cache, hintsCacheKey, out.HintCount, out.VisitedRatio, out.ApproxTime, ar.Hints)
 		}
+		return ar.Hints, ar.FaultedModules(), nil
 	}
 
 	var base, ext, abl *static.Result
-	sopts := static.Options{
-		Mode: static.WithHints, Hints: hintSet, DegradeFiles: degrade,
-		SolverWorkers: opts.SolverWorkers,
-	}
+	sopts := static.Options{Mode: static.WithHints, SolverWorkers: opts.SolverWorkers}
 	// The §4 name-only arm rides on the incremental solve of every dynamic-CG
-	// benchmark when requested; AnalyzeBothAndAblation runs its third phase
-	// only when the degraded hints carry [DPW] write hints.
+	// benchmark when requested; AnalyzeBothAndAblationFrom runs its third
+	// phase only when the degraded hints carry [DPW] write hints.
 	wantAbl := opts.WithAblation && opts.WithDynCG && b.HasDynCG
 	if wantAbl {
-		base, ext, abl, err = static.AnalyzeBothAndAblation(b.Project, sopts)
+		base, ext, abl, err = static.AnalyzeBothAndAblationFrom(b.Project, sopts, preAnalysis)
 	} else {
-		base, ext, err = static.AnalyzeBoth(b.Project, sopts)
+		base, ext, err = static.AnalyzeBothFrom(b.Project, sopts, preAnalysis)
 	}
-	if err != nil {
+	switch {
+	case approxErr != nil:
+		return nil, approxErr
+	case err != nil:
 		return nil, fmt.Errorf("%s: baseline+extended: %w", b.Project.Name, err)
 	}
 	out.Faults = append(out.Faults, ext.Faults...)
@@ -169,6 +166,8 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	out.Base = base.Metrics()
 	out.baseReach = sortedFuncs(base.Graph.Reachable(base.MainEntries))
 	perf.Global().AddPhase(perf.PhaseBaseline, base.Duration)
+	// The baseline result's allocation includes the concurrent
+	// pre-analysis (see perf.Snapshot.PhaseAllocBytes).
 	perf.Global().AddPhaseAlloc(perf.PhaseBaseline, base.AllocBytes)
 	out.ExtendedTime = ext.Duration
 	out.Ext = ext.Metrics()

@@ -478,12 +478,10 @@ var o = new Thing();
 	if len(fns) != 2 {
 		t.Errorf("functions = %d, want 2", len(fns))
 	}
-	calls := ast.CallSites(prog)
-	if len(calls) != 3 {
-		t.Errorf("call sites = %d, want 3", len(calls))
+	if calls := countNodes[*ast.CallExpr](prog); calls != 3 {
+		t.Errorf("call sites = %d, want 3", calls)
 	}
-	news := ast.NewSites(prog)
-	if len(news) != 1 {
-		t.Errorf("new sites = %d, want 1", len(news))
+	if news := countNodes[*ast.NewExpr](prog); news != 1 {
+		t.Errorf("new sites = %d, want 1", news)
 	}
 }

@@ -34,6 +34,11 @@ const (
 
 var phaseNames = [numPhases]string{"parse", "approx", "baseline", "extended", "dyncg"}
 
+// allocNames names the phase_alloc_bytes entries (see
+// Snapshot.PhaseAllocBytes). Approximate interpretation and the baseline
+// phase share one entry, and PhaseApprox has no entry of its own.
+var allocNames = [numPhases]string{"parse", "", "approx+baseline", "extended", "dyncg"}
+
 func (p Phase) String() string {
 	if p < 0 || p >= numPhases {
 		return fmt.Sprintf("phase(%d)", int(p))
@@ -185,8 +190,12 @@ func (c *Counters) AddFaults(faults, degraded int) {
 	c.modulesDegraded.Add(int64(degraded))
 }
 
-// AddPhaseAlloc accrues heap-allocation bytes to a phase.
+// AddPhaseAlloc accrues heap-allocation bytes to a phase. PhaseApprox and
+// PhaseBaseline accrue to the same entry, "approx+baseline".
 func (c *Counters) AddPhaseAlloc(p Phase, bytes int64) {
+	if p == PhaseApprox {
+		p = PhaseBaseline
+	}
 	if p >= 0 && p < numPhases {
 		c.phaseAllocBytes[p].Add(bytes)
 	}
@@ -292,7 +301,12 @@ type Snapshot struct {
 	DeltaModulesRean  int64 `json:"delta_modules_reanalyzed,omitempty"`
 
 	// Phase wall times, and the allocation of each phase that recorded
-	// any; a phase whose allocation is not measured is left out.
+	// any; a phase whose allocation is not measured is left out. Phase
+	// wall times may overlap: approximate interpretation runs concurrently
+	// with the baseline phase (static.AnalyzeBothFrom). Allocation is read
+	// as deltas of the process-wide runtime.MemStats.TotalAlloc, which
+	// cannot split two phases running at the same time, so those two are
+	// reported as one entry, "approx+baseline".
 	PhaseMS         map[string]float64 `json:"phase_ms,omitempty"`
 	PhaseAllocBytes map[string]int64   `json:"phase_alloc_bytes,omitempty"`
 }
@@ -339,7 +353,7 @@ func (c *Counters) Snapshot() Snapshot {
 			if s.PhaseAllocBytes == nil {
 				s.PhaseAllocBytes = map[string]int64{}
 			}
-			s.PhaseAllocBytes[p.String()] = b
+			s.PhaseAllocBytes[allocNames[p]] = b
 		}
 	}
 	return s
@@ -382,8 +396,12 @@ func (s Snapshot) Render(w io.Writer) {
 	}
 	for p := Phase(0); p < numPhases; p++ {
 		fmt.Fprintf(w, "%-9s phase:     %.1f ms", p.String(), s.PhaseMS[p.String()])
-		if b, ok := s.PhaseAllocBytes[p.String()]; ok {
-			fmt.Fprintf(w, "  (%.1f MB alloc)", float64(b)/(1<<20))
+		if b, ok := s.PhaseAllocBytes[allocNames[p]]; ok {
+			fmt.Fprintf(w, "  (%.1f MB alloc", float64(b)/(1<<20))
+			if allocNames[p] != p.String() {
+				fmt.Fprintf(w, ", %s", allocNames[p])
+			}
+			fmt.Fprint(w, ")")
 		}
 		fmt.Fprintln(w)
 	}

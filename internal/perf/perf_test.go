@@ -43,7 +43,7 @@ func TestIncrementalAndAllocCounters(t *testing.T) {
 	var c Counters
 	c.AddIncrementalSolve(100, 200, 10, 20)
 	c.AddIncrementalSolve(1, 2, 3, 4)
-	c.AddPhaseAlloc(PhaseBaseline, 1<<20)
+	c.AddPhaseAlloc(PhaseApprox, 1<<20)
 	c.AddPhaseAlloc(PhaseBaseline, 1<<20)
 	c.AddPhaseAlloc(PhaseExtended, 512)
 	c.AddPhaseAlloc(Phase(-1), 999) // out of range: ignored
@@ -53,7 +53,8 @@ func TestIncrementalAndAllocCounters(t *testing.T) {
 		s.SolveIterationsDelta != 13 || s.TokensDeliveredDelta != 24 {
 		t.Errorf("incremental split wrong: %+v", s)
 	}
-	if s.PhaseAllocBytes["baseline"] != 2<<20 || s.PhaseAllocBytes["extended"] != 512 {
+	// Approx and baseline run concurrently and share one entry.
+	if len(s.PhaseAllocBytes) != 2 || s.PhaseAllocBytes["approx+baseline"] != 2<<20 || s.PhaseAllocBytes["extended"] != 512 {
 		t.Errorf("phase allocs wrong: %v", s.PhaseAllocBytes)
 	}
 
@@ -129,8 +130,8 @@ func TestSnapshotJSONAndRender(t *testing.T) {
 	}
 	// Only the phase that recorded allocation reports it: parse allocation
 	// is not measured, so it is absent rather than a measured 0.
-	if len(back.PhaseAllocBytes) != 1 || back.PhaseAllocBytes["baseline"] != 3<<20 {
-		t.Errorf("phase allocs = %v, want only baseline", back.PhaseAllocBytes)
+	if len(back.PhaseAllocBytes) != 1 || back.PhaseAllocBytes["approx+baseline"] != 3<<20 {
+		t.Errorf("phase allocs = %v, want only approx+baseline", back.PhaseAllocBytes)
 	}
 
 	var out strings.Builder

@@ -144,9 +144,7 @@ func runAccessorWakeRow(t *testing.T, row accessorWakeRow, workers int) {
 			}
 		}
 	}
-	if err := a.generate(); err != nil {
-		t.Fatal(err)
-	}
+	a.generate()
 	check(0)
 	a.injectHints()
 	check(1)
@@ -188,9 +186,7 @@ func TestAccessorWakeRestore(t *testing.T) {
 	getX, getY := accName{accGet, "x"}, accName{accGet, "y"}
 
 	a := newAnalyzer(project, Options{Mode: Baseline})
-	if err := a.generate(); err != nil {
-		t.Fatal(err)
-	}
+	a.generate()
 	if _, ok := a.dynReads[idx(8, 12)]; !ok {
 		t.Fatalf("no dynamic read at %v", idx(8, 12))
 	}
@@ -251,9 +247,7 @@ func TestAccessorWakeRestore(t *testing.T) {
 func TestAccessorNoProducerCorpusProject(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		a := newAnalyzer(corpus.Motivating(), Options{Mode: Baseline, SolverWorkers: workers})
-		if err := a.generate(); err != nil {
-			t.Fatal(err)
-		}
+		a.generate()
 		a.s.solve()
 		reads := 0
 		for n, w := range a.accessors {
@@ -286,9 +280,7 @@ func TestAccessorWakeProvenanceContext(t *testing.T) {
 		Files: map[string]string{"/app/index.js": "var o = {};\nvar v = o.x;\n" +
 			"Object.defineProperty(o, 'x', { get: function g() { return 1; } });\n"}}
 	a := newAnalyzer(project, Options{Mode: Baseline, Provenance: true})
-	if err := a.generate(); err != nil {
-		t.Fatal(err)
-	}
+	a.generate()
 	a.s.solve()
 	oTok, ok := a.siteToken[appLoc("index.js", 1, 9)]
 	if !ok {

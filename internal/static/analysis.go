@@ -107,7 +107,9 @@ type Result struct {
 	// AllocBytes is the heap allocated while this analysis (or, for the
 	// incremental path, this phase of it) ran — a process-global
 	// runtime.MemStats TotalAlloc delta, so exact in single-threaded runs
-	// and approximate when other goroutines allocate concurrently.
+	// and approximate when other goroutines allocate concurrently. The
+	// incremental baseline result's figure includes the hint source, which
+	// runs concurrently with it and cannot be told apart.
 	AllocBytes int64
 	// Faults records contained failures of this phase (currently only
 	// unparsable project files, skipped instead of failing the run).
@@ -333,11 +335,9 @@ func (a *analyzer) recordParallelStats() ParallelSolveStats {
 // hint-consuming rules only add constraints on top, via genEvalHints and
 // injectHints before solving (or, in the incremental path, as deltas after
 // the baseline fixpoint).
-func (a *analyzer) generate() error {
+func (a *analyzer) generate() {
 	a.setupNativeTokens()
-	if err := a.collectModules(); err != nil {
-		return err
-	}
+	a.collectModules()
 	a.paths = make([]string, 0, len(a.progs))
 	for p := range a.progs {
 		a.paths = append(a.paths, p)
@@ -346,7 +346,6 @@ func (a *analyzer) generate() error {
 	for _, path := range a.paths {
 		a.genModule(path, a.progs[path])
 	}
-	return nil
 }
 
 // mainEntries returns the reachability roots: the module functions of the
@@ -375,9 +374,7 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	start := time.Now()
 	alloc0 := perf.TotalAllocBytes()
 	a := newAnalyzer(project, opts)
-	if err := a.generate(); err != nil {
-		return nil, err
-	}
+	a.generate()
 
 	// §6 extension: analyze dynamically generated code observed by the
 	// pre-analysis as additional code of its module.
@@ -490,7 +487,7 @@ func (a *analyzer) evalResultVar(module string) Var {
 
 // collectModules parses every project file plus the transitive closure of
 // statically resolvable built-in module requires (whole-program analysis).
-func (a *analyzer) collectModules() error {
+func (a *analyzer) collectModules() {
 	var queue []string
 	for _, path := range a.project.SortedPaths() {
 		queue = append(queue, path)
@@ -542,7 +539,6 @@ func (a *analyzer) collectModules() error {
 			return true
 		})
 	}
-	return nil
 }
 
 // ------------------------------------------------------------ token helpers

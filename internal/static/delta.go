@@ -38,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/hints"
 	"repro/internal/modules"
 	"repro/internal/perf"
 )
@@ -51,10 +52,10 @@ type DeltaSession struct {
 	// files is the last analyzed file set (path to source), used to count
 	// how many modules an edit actually dirtied.
 	files map[string]string
-	// fp fingerprints every input of the last analysis; base/ext are its
-	// memoized results.
-	fp        string
-	base, ext *Result
+	// projFP is the project fingerprint of the last analysis and fp
+	// fingerprints every input of it; base/ext are its memoized results.
+	projFP, fp string
+	base, ext  *Result
 }
 
 // NewDeltaSession wraps a project for delta re-analysis. The project is
@@ -93,21 +94,51 @@ func (s *DeltaSession) Update(changed map[string]string, removed []string) {
 // number of dirtied modules is recorded in the perf counters, and the new
 // results are memoized.
 func (s *DeltaSession) Analyze(opts Options) (base, ext *Result, reused bool, err error) {
+	return s.AnalyzeFrom(opts, opts.hintSource())
+}
+
+// AnalyzeFrom is Analyze with the hints, and the modules whose hints are
+// degraded, taken from src instead of opts.Hints and opts.DegradeFiles.
+// While the project fingerprint is that of the memoized analysis, src runs
+// first, on the caller, because the hints decide whether the memo is
+// reused: a no-op delta costs one call of src. Once the project changed,
+// the memo can never match again, so it is released before the re-solve,
+// and src runs concurrently with the baseline phase (see AnalyzeBothFrom).
+// Like AnalyzeBothFrom, an error from src wins over an analysis error.
+func (s *DeltaSession) AnalyzeFrom(opts Options, src HintSource) (base, ext *Result, reused bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	fp := s.inputFingerprint(opts)
-	if s.base != nil && fp == s.fp {
-		return s.base, s.ext, true, nil
+	projFP := s.project.Fingerprint()
+	if s.base != nil && projFP == s.projFP {
+		h, degrade, err := src()
+		if err != nil {
+			return nil, nil, false, err
+		}
+		opts.Hints, opts.DegradeFiles = h, degrade
+		if s.inputFingerprint(projFP, opts) == s.fp {
+			return s.base, s.ext, true, nil
+		}
+		src = opts.hintSource()
 	}
+	s.base, s.ext, s.projFP, s.fp = nil, nil, "", ""
 
 	perf.Global().AddDeltaModules(s.dirty())
 
-	base, ext, err = AnalyzeBoth(s.project, opts)
+	// The hints the re-solve consumed are part of its input fingerprint.
+	// The source records them on its goroutine; AnalyzeBothFrom joins it
+	// before returning.
+	record := func() (*hints.Hints, map[string]bool, error) {
+		h, degrade, err := src()
+		opts.Hints, opts.DegradeFiles = h, degrade
+		return h, degrade, err
+	}
+	base, ext, err = AnalyzeBothFrom(s.project, opts, record)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	s.base, s.ext, s.fp, s.files = base, ext, fp, maps.Clone(s.project.Files)
+	s.base, s.ext, s.files = base, ext, maps.Clone(s.project.Files)
+	s.projFP, s.fp = projFP, s.inputFingerprint(projFP, opts)
 	return base, ext, false, nil
 }
 
@@ -137,14 +168,14 @@ func (s *DeltaSession) dirtyCount() int {
 }
 
 // inputFingerprint hashes every input the analysis outcome depends on: the
-// project fingerprint (file set and entry configuration, see
+// project fingerprint projFP (file set and entry configuration, see
 // modules.Project.Fingerprint), the hints, and all outcome-affecting
 // options. Every variable-length section is prefixed by its element count
 // and every string is length-framed, so section boundaries cannot alias
 // with entry values. SolverWorkers is deliberately excluded — the epoch
 // engine is report- and counter-identical at every worker count (see
 // Options.SolverWorkers).
-func (s *DeltaSession) inputFingerprint(opts Options) string {
+func (s *DeltaSession) inputFingerprint(projFP string, opts Options) string {
 	h := sha256.New()
 	var lenBuf [8]byte
 	wr := func(str string) {
@@ -156,7 +187,7 @@ func (s *DeltaSession) inputFingerprint(opts Options) string {
 		binary.BigEndian.PutUint64(lenBuf[:], uint64(n))
 		h.Write(lenBuf[:])
 	}
-	wr(s.project.Fingerprint())
+	wr(projFP)
 	wr(fmt.Sprintf("opts %d %t %t %t %t", opts.Mode,
 		opts.DisableDPR, opts.EvalHints, opts.UnknownArgHints, opts.Provenance))
 	if opts.Hints != nil {

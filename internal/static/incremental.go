@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/hints"
 	"repro/internal/loc"
 	"repro/internal/modules"
 	"repro/internal/perf"
@@ -46,7 +47,18 @@ import (
 // (solver-effort counters in the extended result are cumulative across
 // both phases, which is the point: the baseline work is not redone).
 func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Result, err error) {
-	baseline, extended, _, err = analyzeBothArms(project, opts, false)
+	return AnalyzeBothFrom(project, opts, opts.hintSource())
+}
+
+// AnalyzeBothFrom is AnalyzeBoth with the hints, and the modules whose
+// hints are degraded, taken from src instead of opts.Hints and
+// opts.DegradeFiles. src runs on its own goroutine while the baseline
+// constraints are generated and solved, and is joined before the first
+// read of hints (see analyzeBothArms); a panic in src is re-raised on the
+// caller, and an error from src is returned in preference to an error of
+// the baseline phase.
+func AnalyzeBothFrom(project *modules.Project, opts Options, src HintSource) (baseline, extended *Result, err error) {
+	baseline, extended, _, err = analyzeBothArms(project, opts, src, false)
 	return baseline, extended, err
 }
 
@@ -68,38 +80,94 @@ func AnalyzeBoth(project *modules.Project, opts Options) (baseline, extended *Re
 // opts must not request EvalHints or Provenance: the snapshot does not
 // cover eval-generated frames or the provenance journal.
 func AnalyzeBothAndAblation(project *modules.Project, opts Options) (baseline, extended, ablation *Result, err error) {
+	return AnalyzeBothAndAblationFrom(project, opts, opts.hintSource())
+}
+
+// AnalyzeBothAndAblationFrom is AnalyzeBothAndAblation with the hints taken
+// from src, which runs concurrently with the baseline phase as in
+// AnalyzeBothFrom.
+func AnalyzeBothAndAblationFrom(project *modules.Project, opts Options, src HintSource) (baseline, extended, ablation *Result, err error) {
 	if opts.EvalHints {
 		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot fork an EvalHints delta")
 	}
 	if opts.Provenance {
 		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot fork a provenance journal")
 	}
-	return analyzeBothArms(project, opts, true)
+	return analyzeBothArms(project, opts, src, true)
 }
 
-func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) (baseline, extended, ablation *Result, err error) {
+// HintSource produces the hints an extended analysis consumes and the
+// modules whose hints are degraded (Options.Hints and Options.DegradeFiles),
+// typically by running approximate interpretation or reading its memo.
+type HintSource func() (*hints.Hints, map[string]bool, error)
+
+// hintSource is the source that returns the hints opts already holds.
+func (opts Options) hintSource() HintSource {
+	return func() (*hints.Hints, map[string]bool, error) {
+		return opts.Hints, opts.DegradeFiles, nil
+	}
+}
+
+// hintJob is a HintSource running on its own goroutine.
+type hintJob struct {
+	done     chan struct{}
+	hints    *hints.Hints
+	degrade  map[string]bool
+	err      error
+	panicked bool
+	panicVal any
+}
+
+// startHints runs src on a new goroutine, recovering its panic so that
+// join can re-raise it on the caller.
+func startHints(src HintSource) *hintJob {
+	j := &hintJob{done: make(chan struct{})}
+	go func() {
+		defer close(j.done)
+		defer func() {
+			if r := recover(); r != nil {
+				j.panicked, j.panicVal = true, r
+			}
+		}()
+		j.hints, j.degrade, j.err = src()
+	}()
+	return j
+}
+
+// join waits for the source and returns its result, re-raising its panic.
+func (j *hintJob) join() (*hints.Hints, map[string]bool, error) {
+	<-j.done
+	if j.panicked {
+		panic(j.panicVal)
+	}
+	return j.hints, j.degrade, j.err
+}
+
+// analyzeBothArms runs the incremental solve with the hints of src. Phase 1
+// builds its analyzer with baseline options, which read neither Hints nor
+// DegradeFiles, so src runs concurrently with constraint generation and the
+// baseline solve and is joined just before phase 2 first reads hints. The
+// result is the one a sequential run (src, then the solve) produces: the
+// two share only the project's parse cache and the perf counters, both
+// safe for concurrent use, and each file version parses once whoever asks
+// first. The goroutine is joined on every return path, a panicking phase 1
+// included.
+func analyzeBothArms(project *modules.Project, opts Options, src HintSource, withAblation bool) (baseline, extended, ablation *Result, err error) {
 	if opts.Mode == Baseline {
 		return nil, nil, nil, fmt.Errorf("static: AnalyzeBoth requires a hint-consuming mode")
 	}
-	if opts.Hints == nil {
-		return nil, nil, nil, fmt.Errorf("static: mode %d requires hints", opts.Mode)
-	}
-	// Degradation happens before either phase: modules whose pre-analysis
-	// faulted contribute only baseline constraints (see Options.DegradeFiles),
-	// so the resumed extended solve injects no hint anchored in them.
-	opts.Hints = opts.Hints.WithoutFiles(opts.DegradeFiles)
+	alloc0 := perf.TotalAllocBytes()
+	job := startHints(src)
+	defer func() { <-job.done }()
 
 	// Phase 1 — the baseline system, exactly as Analyze(Baseline) runs it.
 	// Constraint generation is mode-independent and solve-time behaviors
 	// consult a.opts, so solving with baseline options up to the first
 	// fixpoint reproduces the standalone baseline analysis bit for bit.
 	start := time.Now()
-	alloc0 := perf.TotalAllocBytes()
 	a := newAnalyzer(project, Options{Mode: Baseline, SolverWorkers: opts.SolverWorkers,
 		Provenance: opts.Provenance})
-	if err := a.generate(); err != nil {
-		return nil, nil, nil, err
-	}
+	a.generate()
 	preSolveTokens := len(a.tokens)
 	baseSolveStart := time.Now()
 	a.s.solve()
@@ -122,9 +190,22 @@ func analyzeBothArms(project *modules.Project, opts Options, withAblation bool) 
 		SolveWall:       baseSolveWall,
 		AnalyzedModules: len(a.progs),
 		Duration:        time.Since(start),
-		AllocBytes:      perf.TotalAllocBytes() - alloc0,
 		Faults:          a.faults,
 	}
+
+	// Join the hint source. Degradation happens before the hint-consuming
+	// phases: modules whose pre-analysis faulted contribute only baseline
+	// constraints (see Options.DegradeFiles), so the resumed extended solve
+	// injects no hint anchored in them.
+	h, degrade, err := job.join()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if h == nil {
+		return nil, nil, nil, fmt.Errorf("static: mode %d requires hints", opts.Mode)
+	}
+	baseline.AllocBytes = perf.TotalAllocBytes() - alloc0
+	opts.Hints, opts.DegradeFiles = h.WithoutFiles(degrade), degrade
 
 	// Only [DPW] write hints distinguish the name-only arm from the
 	// relational one; when it differs, snapshot the baseline fixpoint so the

@@ -90,8 +90,8 @@ type Object struct {
 	Class string
 	Proto *Object
 
-	props map[string]*Prop
-	keys  []string // insertion order of props
+	props map[string]*Prop // nil until the first property is written
+	keys  []string         // insertion order of props
 
 	// Elems is the element storage for Class == ClassArray.
 	Elems []Value
@@ -159,17 +159,17 @@ type NativeFunc func(h Host, this Value, args []Value) (Value, error)
 
 // NewObject returns a plain object with the given prototype.
 func NewObject(proto *Object) *Object {
-	return &Object{Class: ClassObject, Proto: proto, props: map[string]*Prop{}}
+	return &Object{Class: ClassObject, Proto: proto}
 }
 
 // NewArray returns an array object with the given elements and prototype.
 func NewArray(proto *Object, elems []Value) *Object {
-	return &Object{Class: ClassArray, Proto: proto, props: map[string]*Prop{}, Elems: elems}
+	return &Object{Class: ClassArray, Proto: proto, Elems: elems}
 }
 
 // NewFunction returns a function object for fn with the given prototype.
 func NewFunction(proto *Object, fn *FuncData) *Object {
-	return &Object{Class: ClassFunction, Proto: proto, props: map[string]*Prop{}, Fn: fn}
+	return &Object{Class: ClassFunction, Proto: proto, Fn: fn}
 }
 
 // NewNative returns a native function object.
@@ -271,6 +271,9 @@ func (o *Object) Set(key string, v Value) {
 		// the evaluator handles setter invocation before calling Set.
 		return
 	}
+	if o.props == nil {
+		o.props = map[string]*Prop{}
+	}
 	o.props[key] = &Prop{Value: v, Enumerable: true, Writable: true}
 	o.keys = append(o.keys, key)
 }
@@ -285,6 +288,9 @@ func (o *Object) DefineProp(key string, p *Prop) {
 			o.Elems[i] = p.Value
 			return
 		}
+	}
+	if o.props == nil {
+		o.props = map[string]*Prop{}
 	}
 	if _, found := o.props[key]; !found {
 		o.keys = append(o.keys, key)
@@ -653,14 +659,14 @@ func inspect(v Value, depth int, quote bool) string {
 // Scope is a lexical environment: a chain of frames mapping names to
 // shared value cells, so closures observe later mutations.
 type Scope struct {
-	vars   map[string]*Value
+	vars   map[string]*Value // nil until the first Declare
 	parent *Scope
 }
 
 // NewScope returns a child scope of parent (parent may be nil for the
 // global scope).
 func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: map[string]*Value{}, parent: parent}
+	return &Scope{parent: parent}
 }
 
 // Parent returns the enclosing scope (nil at the root).
@@ -671,6 +677,9 @@ func (s *Scope) Declare(name string, v Value) {
 	if cell, ok := s.vars[name]; ok {
 		*cell = v
 		return
+	}
+	if s.vars == nil {
+		s.vars = map[string]*Value{}
 	}
 	cell := new(Value)
 	*cell = v
