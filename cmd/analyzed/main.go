@@ -5,7 +5,7 @@
 //
 //	POST   /analyze {"project": {...}}                  full analysis, opens a session
 //	POST   /analyze {"session": "s-1", "delta": {...}}  file-delta re-analysis
-//	GET    /provenance?session=s-1                      root-cause attribution of missed edges
+//	GET    /provenance?session=s-1                      why the reported graph misses edges
 //	DELETE /session?id=s-1                              close a session
 //	GET    /healthz                                     liveness
 //	GET    /stats                                       session count
@@ -15,6 +15,15 @@
 // so a delta request re-parses only the files it changed, reuses the
 // memoized hint set when the content fingerprint is unchanged, and skips
 // the solve entirely for no-op deltas.
+//
+// /provenance explains the graph /analyze reports, not a graph of its own:
+// it asks the same session for the same analysis (same options, hints and
+// degradation, no §6 eval-code hints) with the provenance journal kept,
+// then runs the project concretely for ground truth and attributes every
+// dynamic edge the extended graph misses. The journal is observational,
+// so the session's memo serves both endpoints: /analyze then /provenance
+// solves once more to keep the journal, a later no-op /analyze or
+// /provenance solves nothing, and the next edit re-solves without it.
 //
 // Residency is bounded: at most -max-sessions sessions stay resident
 // (opening one more evicts the least recently used), and a client can
@@ -129,20 +138,22 @@ type provenanceCause struct {
 
 // provenanceResponse is the GET /provenance response: every dynamic call
 // edge the session's extended graph misses, attributed to a root cause via
-// the provenance journal, plus the ranked fix list. Faults lists the
+// the provenance journal, plus the ranked fix list. Extended summarizes
+// the graph explained, the one /analyze reports. Faults lists the
 // contained failures of the concrete run, the pre-analysis and the
 // extended solve, in that order: a concrete run cut short (a deadline
 // fault) is an incomplete ground truth, so its missed edges are a lower
 // bound.
 type provenanceResponse struct {
 	Session      string            `json:"session"`
+	Extended     graphSummary      `json:"extended"`
 	MissedEdges  int               `json:"missed_edges"`
 	Unattributed int               `json:"unattributed"`
 	Causes       []provenanceCause `json:"causes,omitempty"`
 	Fixes        []string          `json:"fixes,omitempty"`
 	Faults       []string          `json:"faults,omitempty"`
-	// Journal sizes of the provenance-enabled solve that produced the
-	// attribution (constraint-edge records / token-insertion records).
+	// Journal sizes of the explained solve (constraint-edge records /
+	// token-insertion records).
 	JournalEdges   int     `json:"journal_edges"`
 	JournalInserts int     `json:"journal_inserts"`
 	DurationMS     float64 `json:"duration_ms"`
@@ -347,7 +358,8 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // evictLRULocked removes least-recently-used sessions until there is room
 // to add one more, so the resident set (each pinning a full project, its
-// parse cache, and two memoized Results) cannot grow without bound.
+// parse cache, and two memoized Results, journaled after a /provenance)
+// cannot grow without bound.
 // Callers hold s.mu. An evicted session with a request in flight finishes
 // that request on the orphaned value and is freed afterwards.
 func (s *server) evictLRULocked() {
@@ -388,10 +400,8 @@ func (s *server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProvenance answers "why is this edge missing?" for a resident
-// session: GET /provenance?session=s-1. It executes the project concretely
-// for ground truth (each entry module under the -approx-deadline budget),
-// re-solves with the provenance journal enabled, and attributes every
-// dynamic call edge the extended static graph lacks.
+// session: GET /provenance?session=s-1, about the extended graph /analyze
+// reports for it (see provenance).
 func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET only"})
@@ -424,12 +434,11 @@ func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// provenance runs the attribution pipeline on the session's resident
-// project, under the same per-session lock and panic guard as analyze.
-// The provenance-enabled solve is a fresh AnalyzeBoth run with EvalHints
-// and Provenance, not the resident delta session: a journal describes
-// exactly the run that produced it, so it cannot be patched across deltas
-// the way fixpoints can. The concrete run shares the pre-analysis
+// provenance explains the session's reported graph, under the same
+// per-session lock and panic guard as analyze. The analysis is the one
+// /analyze runs, with the provenance journal kept: the session's memo
+// answers it when it already holds a journal and re-solves once when it
+// does not. Only the concrete run is extra. It shares the pre-analysis
 // deadline, so a project that never terminates cannot hold a
 // -max-concurrency slot forever: its entry becomes a deadline fault.
 func (s *server) provenance(sess *session) (resp *provenanceResponse, err error) {
@@ -444,26 +453,18 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 	defer sess.mu.Unlock()
 
 	start := time.Now()
+	_, ext, _, ar, err := s.solve(sess, true)
+	if err != nil {
+		return nil, err
+	}
 	project := sess.ds.Project()
-
 	dr, err := dyncg.Build(project, dyncg.Options{Deadline: s.approxDeadline})
 	if err != nil {
 		return nil, fmt.Errorf("dyncg: %w", err)
 	}
-	_, ext, err := static.AnalyzeBothFrom(project, static.Options{
-		Mode: static.WithHints, EvalHints: true, Provenance: true,
-		SolverWorkers: s.solverWorkers,
-	}, sess.hintSource(s.approxDeadline))
-	ar := sess.hints
-	switch {
-	case ar == nil:
-		return nil, err
-	case err != nil:
-		return nil, fmt.Errorf("static: %w", err)
-	}
 
 	causes := fuzz.AttributeMissedEdges(project, dr.Graph, ar, ext)
-	resp = &provenanceResponse{MissedEdges: len(causes)}
+	resp = &provenanceResponse{Extended: summarize(ext), MissedEdges: len(causes)}
 	for _, rc := range causes {
 		if rc.Cause == fuzz.CauseUnattributed {
 			resp.Unattributed++
@@ -490,9 +491,7 @@ func (s *server) provenance(sess *session) (resp *provenanceResponse, err error)
 			resp.Faults = append(resp.Faults, f.String())
 		}
 	}
-	if ext.Provenance != nil {
-		resp.JournalEdges, resp.JournalInserts = ext.Provenance.Records()
-	}
+	resp.JournalEdges, resp.JournalInserts = ext.Provenance.Records()
 	resp.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 	return resp, nil
 }
@@ -520,15 +519,9 @@ func (s *server) analyze(sess *session, delta *deltaPayload) (resp *analyzeRespo
 	if delta != nil {
 		sess.ds.Update(delta.Changed, delta.Removed)
 	}
-	base, ext, reused, err := sess.ds.AnalyzeFrom(static.Options{
-		Mode: static.WithHints, SolverWorkers: s.solverWorkers,
-	}, sess.hintSource(s.approxDeadline))
-	ar := sess.hints
-	switch {
-	case ar == nil:
+	base, ext, reused, ar, err := s.solve(sess, false)
+	if err != nil {
 		return nil, err
-	case err != nil:
-		return nil, fmt.Errorf("static: %w", err)
 	}
 
 	resp = &analyzeResponse{
@@ -547,6 +540,23 @@ func (s *server) analyze(sess *session, delta *deltaPayload) (resp *analyzeRespo
 		resp.Faults = append(resp.Faults, f.String())
 	}
 	return resp, nil
+}
+
+// solve runs (or reuses) the session's analysis under the options every
+// endpoint shares, keeping the provenance journal when journal is set, and
+// returns it with the pre-analysis its hints came from. Callers hold
+// sess.mu.
+func (s *server) solve(sess *session, journal bool) (base, ext *static.Result, reused bool, ar *approx.Result, err error) {
+	base, ext, reused, err = sess.ds.AnalyzeFrom(static.Options{
+		Mode: static.WithHints, SolverWorkers: s.solverWorkers, Provenance: journal,
+	}, sess.hintSource(s.approxDeadline))
+	switch ar = sess.hints; {
+	case ar == nil:
+		return nil, nil, false, nil, err
+	case err != nil:
+		return nil, nil, false, nil, fmt.Errorf("static: %w", err)
+	}
+	return base, ext, reused, ar, nil
 }
 
 func summarize(res *static.Result) graphSummary {

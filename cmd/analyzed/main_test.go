@@ -15,9 +15,11 @@ import (
 	"time"
 
 	"repro/internal/approx"
+	"repro/internal/corpus"
 	"repro/internal/fault"
 	"repro/internal/fuzz"
 	"repro/internal/modules"
+	"repro/internal/perf"
 )
 
 func testProjectPayload() *projectPayload {
@@ -515,6 +517,75 @@ func TestProvenanceEndpoint(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /provenance: status = %d, want 405", res.StatusCode)
+	}
+}
+
+func getProvenance(t *testing.T, ts *httptest.Server, session string) provenanceResponse {
+	t.Helper()
+	res, err := http.Get(ts.URL + "/provenance?session=" + session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("/provenance status = %d", res.StatusCode)
+	}
+	var resp provenanceResponse
+	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	return resp
+}
+
+// TestProvenanceExplainsReportedGraph: /provenance explains the extended
+// graph /analyze reported, not one solved with other options. mini-schema
+// is the corpus project whose graph grows under the §6 eval-code hints
+// (20 → 22 call edges), which /analyze does not use.
+func TestProvenanceExplainsReportedGraph(t *testing.T) {
+	ts := newTestServer(t)
+	p := corpus.ByName("mini-schema").Project
+	status, full := post(t, ts, analyzeRequest{Project: &projectPayload{
+		Name: p.Name, Files: p.Files, MainEntries: p.MainEntries,
+		TestEntries: p.TestEntries, MainPrefix: p.MainPrefix,
+	}})
+	if status != http.StatusOK {
+		t.Fatalf("/analyze status = %d", status)
+	}
+	if full.Extended.CallEdges != 20 {
+		t.Fatalf("/analyze reports %d call edges, want 20", full.Extended.CallEdges)
+	}
+	prov := getProvenance(t, ts, full.Session)
+	if prov.Extended != full.Extended {
+		t.Errorf("/provenance explained %+v, /analyze reported %+v", prov.Extended, full.Extended)
+	}
+	if prov.JournalEdges == 0 {
+		t.Error("/provenance explained an unjournaled solve")
+	}
+}
+
+// TestProvenanceSharesSessionMemo: the journal is observational, so the
+// session's memo serves /analyze and /provenance alike. After /analyze and
+// /provenance, a no-op /analyze is reused and a second /provenance runs no
+// solve.
+func TestProvenanceSharesSessionMemo(t *testing.T) {
+	ts := newTestServer(t)
+	_, full := post(t, ts, analyzeRequest{Project: testProjectPayload()})
+	first := getProvenance(t, ts, full.Session)
+	status, again := post(t, ts, analyzeRequest{Session: full.Session, Delta: &deltaPayload{}})
+	if status != http.StatusOK || !again.Reused {
+		t.Fatalf("no-op /analyze after /provenance: status = %d, reused = %t", status, again.Reused)
+	}
+	if again.Extended != full.Extended {
+		t.Errorf("reused answer differs: %+v vs %+v", again.Extended, full.Extended)
+	}
+	iters := perf.Global().Snapshot().SolveIterations
+	second := getProvenance(t, ts, full.Session)
+	if solved := perf.Global().Snapshot().SolveIterations - iters; solved != 0 {
+		t.Errorf("second /provenance ran a solve (%d iterations)", solved)
+	}
+	if second.Extended != first.Extended || second.JournalEdges != first.JournalEdges ||
+		second.JournalInserts != first.JournalInserts {
+		t.Errorf("second /provenance differs: %+v vs %+v", second, first)
 	}
 }
 

@@ -86,7 +86,7 @@ func main() {
 		exts     = flag.Bool("extensions", false, "§6 extensions: unknown-arg hints, eval-code hints, hint reuse")
 		scale    = flag.Bool("scale", false, "scalability: per-phase time by program size")
 		summary  = flag.Bool("summary", false, "aggregate summary statistics")
-		whyMiss  = flag.Bool("why-missed", false, "root-cause every dynamic edge the extended static graph misses (provenance engine) and print the ranked fix list")
+		whyMiss  = flag.Bool("why-missed", false, "root-cause every dynamic edge the reported extended graph misses (the Table 2 run, journaled; honours -approx-deadline, -dyncg-deadline and -solver-workers) and print the ranked fix list")
 		csvDir   = flag.String("csv", "", "also write figure/table data as CSV files into this directory")
 		workers  = flag.Int("workers", 0, "parallel benchmark workers (0 = NumCPU)")
 		solverW  = flag.Int("solver-workers", 0, "epoch-engine scan workers per benchmark (0 and 1 both mean one worker — reports are identical at every value)")
@@ -129,7 +129,11 @@ func main() {
 		if *quick {
 			benches = corpus.WithDynCG()
 		}
-		rep, err := experiments.RunWhyMissed(benches, *solverW)
+		rep, err := experiments.RunWhyMissed(benches, experiments.Options{
+			ApproxDeadline: *approxDeadline,
+			DynCGDeadline:  *dyncgDeadline,
+			SolverWorkers:  *solverW,
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evaluate: why-missed:", err)
 			os.Exit(1)

@@ -71,7 +71,7 @@ type Outcome struct {
 // (incrementally — see RunBenchmarkOpts), and (if available and requested)
 // the dynamic call graph.
 func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
-	return runBenchmark(b, Options{WithDynCG: withDyn})
+	return runBenchmark(b, Options{WithDynCG: withDyn}, nil)
 }
 
 // runBenchmark evaluates one benchmark. Baseline and extended run as one
@@ -86,7 +86,12 @@ func RunBenchmark(b *corpus.Benchmark, withDyn bool) (*Outcome, error) {
 // sources) degrade the faulted modules to baseline-only constraints in the
 // static phases and are reported on the Outcome and in the perf counters;
 // the benchmark still completes.
-func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
+//
+// A non-nil jr asks the run to keep the provenance journal of its
+// extended solve and to hand jr what root-cause attribution reads (see
+// RunWhyMissed). Such a run must not set opts.Cache, whose hits skip the
+// phases jr records, or opts.WithAblation, whose arm refuses a journal.
+func runBenchmark(b *corpus.Benchmark, opts Options, jr *journaledRun) (*Outcome, error) {
 	// Whole-outcome reuse: an unchanged project (same content fingerprint,
 	// same outcome-shaping options) skips every phase. On a miss, the
 	// modules about to be re-analyzed are counted.
@@ -137,6 +142,9 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		out.ApproxTime = ar.Duration
 		perf.Global().AddPhase(perf.PhaseApprox, ar.Duration)
 		out.Faults = append(out.Faults, ar.Faults...)
+		if jr != nil {
+			jr.ar = ar
+		}
 		if hintsCacheKey != "" && len(ar.Faults) == 0 {
 			storeApprox(opts.Cache, hintsCacheKey, out.HintCount, out.VisitedRatio, out.ApproxTime, ar.Hints)
 		}
@@ -144,7 +152,7 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 	}
 
 	var base, ext, abl *static.Result
-	sopts := static.Options{Mode: static.WithHints, SolverWorkers: opts.SolverWorkers}
+	sopts := static.Options{Mode: static.WithHints, SolverWorkers: opts.SolverWorkers, Provenance: jr != nil}
 	// The §4 name-only arm rides on the incremental solve of every dynamic-CG
 	// benchmark when requested; AnalyzeBothAndAblationFrom runs its third
 	// phase only when the degraded hints carry [DPW] write hints.
@@ -184,6 +192,9 @@ func runBenchmark(b *corpus.Benchmark, opts Options) (*Outcome, error) {
 		out.BaseAcc = callgraph.CompareWithDynamic(base.Graph, dr.Graph)
 		out.ExtAcc = callgraph.CompareWithDynamic(ext.Graph, dr.Graph)
 		out.Faults = append(out.Faults, dr.Faults...)
+		if jr != nil {
+			jr.ext, jr.dyn = ext, dr.Graph
+		}
 		if wantAbl {
 			out.hasAbl = true
 			out.ablEdges = abl.Graph.NumEdges()
@@ -275,7 +286,7 @@ func RunCorpusOpts(bs []*corpus.Benchmark, opts Options) ([]*Outcome, error) {
 	outs := make([]*Outcome, len(bs))
 	if workers <= 1 {
 		for i, b := range bs {
-			o, err := runBenchmark(b, opts)
+			o, err := runBenchmark(b, opts, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -293,7 +304,7 @@ func RunCorpusOpts(bs []*corpus.Benchmark, opts Options) ([]*Outcome, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				o, err := runBenchmark(bs[i], opts)
+				o, err := runBenchmark(bs[i], opts, nil)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

@@ -50,7 +50,7 @@ func TestRunBenchmark(t *testing.T) {
 // TestFullPipeline runs every phase of the evaluation on the paper's
 // example, the §4 ablation arm included.
 func TestFullPipeline(t *testing.T) {
-	o, err := runBenchmark(corpus.ByName("motivating-express"), Options{WithDynCG: true, WithAblation: true})
+	o, err := runBenchmark(corpus.ByName("motivating-express"), Options{WithDynCG: true, WithAblation: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

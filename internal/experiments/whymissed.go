@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"repro/internal/approx"
+	"repro/internal/callgraph"
 	"repro/internal/corpus"
-	"repro/internal/dyncg"
 	"repro/internal/fuzz"
 	"repro/internal/static"
 )
@@ -51,37 +51,38 @@ func (r *WhyMissedReport) Unattributed() int {
 	return n
 }
 
-// RunWhyMissed runs the full pipeline — dynamic call graph, approximate
-// interpretation, incremental baseline→extended analysis with provenance —
-// on every benchmark with dynamic ground truth and attributes each missed
-// edge via the provenance journal. solverWorkers is the epoch engine's
-// worker count (attribution output is identical at every value).
-func RunWhyMissed(bs []*corpus.Benchmark, solverWorkers int) (*WhyMissedReport, error) {
+// journaledRun is what root-cause attribution reads from one benchmark's
+// run: its pre-analysis, its extended result with the provenance journal,
+// and its dynamic call graph.
+type journaledRun struct {
+	ar  *approx.Result
+	ext *static.Result
+	dyn *callgraph.Graph
+}
+
+// RunWhyMissed evaluates every benchmark with dynamic ground truth under
+// the report's options, with the provenance journal on, and attributes
+// each dynamic edge its extended graph misses to a root cause. The graph
+// explained is the one Table 2 reports: same hints, degradation,
+// deadlines and solver workers, and no §6 eval-code hints. Benchmarks run
+// one at a time, whatever opts.Workers says, so that one journal is live
+// at a time; opts.Cache and opts.WithAblation are ignored (a cache hit
+// skips the run that would be explained, and the ablation arm refuses a
+// journal). Attribution output is identical at every solver worker count.
+func RunWhyMissed(bs []*corpus.Benchmark, opts Options) (*WhyMissedReport, error) {
+	opts.WithDynCG, opts.WithAblation, opts.Cache = true, false, nil
 	rep := &WhyMissedReport{}
 	var all []fuzz.RootCause
 	for _, b := range bs {
 		if !b.HasDynCG {
 			continue
 		}
-		name := b.Project.Name
-		dr, err := dynGraph(b, dyncg.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: dyncg: %w", name, err)
+		var jr journaledRun
+		if _, err := runBenchmark(b, opts, &jr); err != nil {
+			return nil, err
 		}
-		ar, err := approx.Run(b.Project, approx.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: approx: %w", name, err)
-		}
-		_, ext, err := static.AnalyzeBoth(b.Project, static.Options{
-			Mode: static.WithHints, Hints: ar.Hints, EvalHints: true,
-			DegradeFiles:  ar.FaultedModules(),
-			SolverWorkers: solverWorkers, Provenance: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: static: %w", name, err)
-		}
-		causes := fuzz.AttributeMissedEdges(b.Project, dr.Graph, ar, ext)
-		rep.Benchmarks = append(rep.Benchmarks, BenchmarkAttribution{Name: name, Causes: causes})
+		causes := fuzz.AttributeMissedEdges(b.Project, jr.dyn, jr.ar, jr.ext)
+		rep.Benchmarks = append(rep.Benchmarks, BenchmarkAttribution{Name: b.Project.Name, Causes: causes})
 		all = append(all, causes...)
 	}
 	rep.Fixes = fuzz.RankFixes(all)

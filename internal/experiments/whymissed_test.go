@@ -18,7 +18,7 @@ func TestWhyMissedAttributionComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus pipeline; skipped with -short")
 	}
-	rep, err := RunWhyMissed(corpus.All(), soundnessSolverWorkers(t))
+	rep, err := RunWhyMissed(corpus.All(), Options{SolverWorkers: soundnessSolverWorkers(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWhyMissedDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("three corpus sweeps; skipped with -short")
 	}
 	render := func(workers int) string {
-		rep, err := RunWhyMissed(corpus.All(), workers)
+		rep, err := RunWhyMissed(corpus.All(), Options{SolverWorkers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -243,6 +243,12 @@ func mergeLocs(a, b []loc.Loc) []loc.Loc {
 // provenance enabled and attributes every missed dynamic edge. Used by the
 // cmd/fuzz annotator to embed causes in reproducer headers and by the test
 // that keeps the open reproducers' recorded causes honest.
+//
+// Unlike evaluate -why-missed and the daemon's /provenance, which journal
+// the run they explain, this solve is its own: a reproducer file records
+// only the program, so there is no earlier run to reuse. It solves the
+// way the fuzz oracles do, with EvalHints, because that is the run that
+// found the reproducer.
 func AttributeRepro(r *Repro) ([]RootCause, error) {
 	project := newFuzzProject(r.Files, r.Entries)
 	dyn, err := dyncg.Build(project, dyncg.Options{})

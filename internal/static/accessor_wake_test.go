@@ -171,7 +171,7 @@ func runAccessorWakeRow(t *testing.T, row accessorWakeRow, workers int) {
 // from a snapshot, in which a Reflect.get that only the delta's [DPR] hint
 // resolves also queues a read of $get$y. restore must put $get$x back to
 // sleep and restore both waiting lists; a second delta over the restored
-// state finds the getter edge again, as the public AnalyzeBothAndAblation
+// state finds the getter edge again, as the public AnalyzeBothAndAblationFrom
 // arms do.
 func TestAccessorWakeRestore(t *testing.T) {
 	idx := func(line, col int) loc.Loc { return appLoc("index.js", line, col) }
@@ -231,12 +231,13 @@ func TestAccessorWakeRestore(t *testing.T) {
 	}
 	delta("second arm")
 
-	_, ext, abl, err := AnalyzeBothAndAblation(project, Options{Mode: WithHints, Hints: h})
+	opts := Options{Mode: WithHints, Hints: h}
+	_, ext, abl, err := AnalyzeBothAndAblationFrom(project, opts, opts.hintSource())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ext.Graph.HasEdge(readSite, getter) || !abl.Graph.HasEdge(readSite, getter) {
-		t.Errorf("AnalyzeBothAndAblation: getter edge extended %v, ablation %v",
+		t.Errorf("AnalyzeBothAndAblationFrom: getter edge extended %v, ablation %v",
 			ext.Graph.HasEdge(readSite, getter), abl.Graph.HasEdge(readSite, getter))
 	}
 }

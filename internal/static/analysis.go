@@ -65,7 +65,7 @@ type Options struct {
 	// observational — call graphs, metrics, and effort counters are
 	// byte-identical with it on or off — and costs one nil pointer check
 	// per constraint when disabled. Incompatible with the forked ablation
-	// arm (AnalyzeBothAndAblation), whose snapshot does not cover the
+	// arm (AnalyzeBothAndAblationFrom), whose snapshot does not cover the
 	// journal.
 	Provenance bool
 	// DegradeFiles names modules whose pre-analysis faulted (panic,
@@ -390,33 +390,40 @@ func Analyze(project *modules.Project, opts Options) (*Result, error) {
 	a.s.solve()
 	solveWall := time.Since(solveStart)
 
-	iters, delivered := a.s.stats()
-	perf.Global().AddSolve(iters, delivered)
-	ss := a.s.structure()
-	perf.Global().AddSolveStructure(ss.CyclesCollapsed, ss.VarsUnified,
-		ss.EdgesDeduped, ss.RedundantSkipped)
-	pstats := a.recordParallelStats()
-
-	res := &Result{
-		Graph:           a.cg,
-		MainEntries:     a.mainEntries(),
-		NumVars:         a.s.numVars(),
-		NumTokens:       len(a.tokens),
-		SolveIterations: iters,
-		TokensDelivered: delivered,
-		Structure:       ss,
-		Parallel:        pstats,
-		SolveWall:       solveWall,
-		AnalyzedModules: len(a.progs),
-		Duration:        time.Since(start),
-		AllocBytes:      perf.TotalAllocBytes() - alloc0,
-		Faults:          a.faults,
-		DegradedModules: degradedList(opts.DegradeFiles),
-	}
+	res := a.result(a.cg, a.mainEntries(), start, solveWall)
+	res.AllocBytes = perf.TotalAllocBytes() - alloc0
+	perf.Global().AddSolve(res.SolveIterations, res.TokensDelivered)
+	perf.Global().AddSolveStructure(res.Structure.CyclesCollapsed, res.Structure.VarsUnified,
+		res.Structure.EdgesDeduped, res.Structure.RedundantSkipped)
+	a.recordParallelStats()
 	if a.s.prov != nil {
 		res.Provenance = newProvenance(a)
 	}
 	return res, nil
+}
+
+// result describes the drained fixpoint the analyzer stands at, as the
+// Result of a phase that started at start and spent solveWall in the
+// solver, with graph as its call graph. Sizes and effort counters are
+// cumulative over the analyzer's phases; AllocBytes and Provenance are
+// left to the caller.
+func (a *analyzer) result(graph *callgraph.Graph, entries []callgraph.FuncID, start time.Time, solveWall time.Duration) *Result {
+	iters, delivered := a.s.stats()
+	return &Result{
+		Graph:           graph,
+		MainEntries:     entries,
+		NumVars:         a.s.numVars(),
+		NumTokens:       len(a.tokens),
+		SolveIterations: iters,
+		TokensDelivered: delivered,
+		Structure:       a.s.structure(),
+		Parallel:        a.s.parallelStats(),
+		SolveWall:       solveWall,
+		AnalyzedModules: len(a.progs),
+		Duration:        time.Since(start),
+		Faults:          a.faults,
+		DegradedModules: degradedList(a.opts.DegradeFiles),
+	}
 }
 
 // degradedList returns the degradation set as a sorted slice for reporting.

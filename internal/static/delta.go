@@ -89,7 +89,9 @@ func (s *DeltaSession) Update(changed map[string]string, removed []string) {
 // Analyze runs (or reuses) the incremental baseline+extended analysis of
 // the session's current file set. When no analysis input changed since the
 // last call — file contents, options, hints — the memoized results are
-// returned with reused=true and zero solver work. Otherwise the project is
+// returned with reused=true and zero solver work. A journaled memo also
+// answers a request without Options.Provenance, but a request for a
+// journal re-solves an unjournaled memo. Otherwise the project is
 // re-analyzed with a warm parse cache (only dirty files re-parse), the
 // number of dirtied modules is recorded in the perf counters, and the new
 // results are memoized.
@@ -116,7 +118,7 @@ func (s *DeltaSession) AnalyzeFrom(opts Options, src HintSource) (base, ext *Res
 			return nil, nil, false, err
 		}
 		opts.Hints, opts.DegradeFiles = h, degrade
-		if s.inputFingerprint(projFP, opts) == s.fp {
+		if s.inputFingerprint(projFP, opts) == s.fp && (!opts.Provenance || s.ext.Provenance != nil) {
 			return s.base, s.ext, true, nil
 		}
 		src = opts.hintSource()
@@ -172,9 +174,11 @@ func (s *DeltaSession) dirtyCount() int {
 // modules.Project.Fingerprint), the hints, and all outcome-affecting
 // options. Every variable-length section is prefixed by its element count
 // and every string is length-framed, so section boundaries cannot alias
-// with entry values. SolverWorkers is deliberately excluded — the epoch
-// engine is report- and counter-identical at every worker count (see
-// Options.SolverWorkers).
+// with entry values. SolverWorkers and Provenance are deliberately
+// excluded: the epoch engine is report- and counter-identical at every
+// worker count (see Options.SolverWorkers), and the journal only observes
+// the solve (see Options.Provenance). AnalyzeFrom checks the journal
+// separately.
 func (s *DeltaSession) inputFingerprint(projFP string, opts Options) string {
 	h := sha256.New()
 	var lenBuf [8]byte
@@ -188,8 +192,8 @@ func (s *DeltaSession) inputFingerprint(projFP string, opts Options) string {
 		h.Write(lenBuf[:])
 	}
 	wr(projFP)
-	wr(fmt.Sprintf("opts %d %t %t %t %t", opts.Mode,
-		opts.DisableDPR, opts.EvalHints, opts.UnknownArgHints, opts.Provenance))
+	wr(fmt.Sprintf("opts %d %t %t %t", opts.Mode,
+		opts.DisableDPR, opts.EvalHints, opts.UnknownArgHints))
 	if opts.Hints != nil {
 		var hj bytes.Buffer
 		_ = opts.Hints.WriteJSON(&hj)

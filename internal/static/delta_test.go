@@ -129,6 +129,44 @@ func TestDeltaSessionOptionsInvalidate(t *testing.T) {
 	}
 }
 
+// TestDeltaSessionJournalMemo: the provenance journal is observational, so
+// a journaled memo answers a request without one. A request for a journal
+// re-solves an unjournaled memo, and an edit re-solves without a journal
+// when none is asked for.
+func TestDeltaSessionJournalMemo(t *testing.T) {
+	s := NewDeltaSession(deltaProject())
+	plain := Options{Mode: WithHints, Hints: hints.New()}
+	journaled := plain
+	journaled.Provenance = true
+	_, extJ, _, err := s.Analyze(journaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ext, reused, err := s.Analyze(plain)
+	if err != nil || !reused || ext != extJ {
+		t.Fatalf("journaled memo did not answer an unjournaled request: reused=%t err=%v", reused, err)
+	}
+
+	s.Update(map[string]string{"/app/index.js": "var lib = require('./lib');\nlib.extra();\n"}, nil)
+	_, ext, reused, err = s.Analyze(plain)
+	if err != nil || reused {
+		t.Fatalf("edit served the memo: reused=%t err=%v", reused, err)
+	}
+	if ext.Provenance != nil {
+		t.Error("unjournaled re-solve after an edit kept a journal")
+	}
+	_, extJ, reused, err = s.Analyze(journaled)
+	if err != nil || reused {
+		t.Fatalf("unjournaled memo answered a journaled request: reused=%t err=%v", reused, err)
+	}
+	if extJ.Provenance == nil {
+		t.Error("journaled re-solve carries no journal")
+	}
+	if !extJ.Graph.Equal(ext.Graph) {
+		t.Error("journaled re-solve changed the call graph")
+	}
+}
+
 func TestDeltaSessionDirtyCount(t *testing.T) {
 	s := NewDeltaSession(deltaProject())
 	opts := Options{Mode: WithHints, Hints: hints.New()}

@@ -62,30 +62,24 @@ func AnalyzeBothFrom(project *modules.Project, opts Options, src HintSource) (ba
 	return baseline, extended, err
 }
 
-// AnalyzeBothAndAblation is AnalyzeBoth plus a third arm: the §4 name-only
-// ablation, forked from a snapshot of the baseline fixpoint, so the three
-// results (baseline, relational-extended, name-only) cost one baseline
-// solve plus two deltas instead of the three full solves of running them
-// separately. The ablation result's call graph and metrics are identical to
-// a from-scratch Analyze(Options{Mode: AblationNameOnly, Hints: opts.Hints}):
-// both arms are monotone extensions of the same baseline fixpoint, so each
-// resumes to the least fixpoint of its own constraint system, and name-only
-// injection reads no solved state (only generation-time site tokens,
-// filtered by the same eligibility watermarks both paths share). The
-// baseline and extended results are those of AnalyzeBoth, effort counters
-// included. When the degraded hints carry no [DPW] write hints the two hint
-// systems are identical, and the extended result is returned as the
-// ablation result without a third phase.
+// AnalyzeBothAndAblationFrom is AnalyzeBothFrom plus a third arm: the §4
+// name-only ablation, forked from a snapshot of the baseline fixpoint, so
+// the three results (baseline, relational-extended, name-only) cost one
+// baseline solve plus two deltas instead of the three full solves of
+// running them separately. The ablation result's call graph and metrics are
+// identical to a from-scratch Analyze(Options{Mode: AblationNameOnly,
+// Hints: h}) for the hints h of src: both arms are monotone extensions of
+// the same baseline fixpoint, so each resumes to the least fixpoint of its
+// own constraint system, and name-only injection reads no solved state
+// (only generation-time site tokens, filtered by the same eligibility
+// watermarks both paths share). The baseline and extended results are
+// those of AnalyzeBothFrom, effort counters included. When the degraded
+// hints carry no [DPW] write hints the two hint systems are identical, and
+// the extended result is returned as the ablation result without a third
+// phase.
 //
 // opts must not request EvalHints or Provenance: the snapshot does not
 // cover eval-generated frames or the provenance journal.
-func AnalyzeBothAndAblation(project *modules.Project, opts Options) (baseline, extended, ablation *Result, err error) {
-	return AnalyzeBothAndAblationFrom(project, opts, opts.hintSource())
-}
-
-// AnalyzeBothAndAblationFrom is AnalyzeBothAndAblation with the hints taken
-// from src, which runs concurrently with the baseline phase as in
-// AnalyzeBothFrom.
 func AnalyzeBothAndAblationFrom(project *modules.Project, opts Options, src HintSource) (baseline, extended, ablation *Result, err error) {
 	if opts.EvalHints {
 		return nil, nil, nil, fmt.Errorf("static: ablation arm cannot fork an EvalHints delta")
@@ -172,26 +166,9 @@ func analyzeBothArms(project *modules.Project, opts Options, src HintSource, wit
 	baseSolveStart := time.Now()
 	a.s.solve()
 	baseSolveWall := time.Since(baseSolveStart)
-	baseStructure := a.s.structure()
-	baseParallel := a.s.parallelStats()
-	baseVars := a.s.numVars()
-	baseIters, baseDelivered := a.s.stats()
-	postSolveTokens := len(a.tokens)
 	entries := a.mainEntries()
-	baseline = &Result{
-		Graph:           a.cg.Clone(),
-		MainEntries:     entries,
-		NumVars:         baseVars,
-		NumTokens:       postSolveTokens,
-		SolveIterations: baseIters,
-		TokensDelivered: baseDelivered,
-		Structure:       baseStructure,
-		Parallel:        baseParallel,
-		SolveWall:       baseSolveWall,
-		AnalyzedModules: len(a.progs),
-		Duration:        time.Since(start),
-		Faults:          a.faults,
-	}
+	baseline = a.result(a.cg.Clone(), entries, start, baseSolveWall)
+	postSolveTokens := baseline.NumTokens
 
 	// Join the hint source. Degradation happens before the hint-consuming
 	// phases: modules whose pre-analysis faulted contribute only baseline
@@ -231,28 +208,10 @@ func analyzeBothArms(project *modules.Project, opts Options, src HintSource, wit
 	a.injectModuleHintDeltas()
 	deltaSolveStart := time.Now()
 	a.s.solve()
-	deltaSolveWall := time.Since(deltaSolveStart)
-
-	iters, delivered := a.s.stats()
-	perf.Global().AddIncrementalSolve(baseIters, baseDelivered,
-		iters-baseIters, delivered-baseDelivered)
-
-	extended = &Result{
-		Graph:           a.cg,
-		MainEntries:     entries,
-		NumVars:         a.s.numVars(),
-		NumTokens:       len(a.tokens),
-		SolveIterations: iters,
-		TokensDelivered: delivered,
-		Structure:       a.s.structure(),
-		Parallel:        a.s.parallelStats(),
-		SolveWall:       deltaSolveWall,
-		AnalyzedModules: len(a.progs),
-		Duration:        time.Since(deltaStart),
-		AllocBytes:      perf.TotalAllocBytes() - deltaAlloc0,
-		Faults:          a.faults,
-		DegradedModules: degradedList(opts.DegradeFiles),
-	}
+	extended = a.result(a.cg, entries, deltaStart, time.Since(deltaSolveStart))
+	extended.AllocBytes = perf.TotalAllocBytes() - deltaAlloc0
+	perf.Global().AddIncrementalSolve(baseline.SolveIterations, baseline.TokensDelivered,
+		extended.SolveIterations-baseline.SolveIterations, extended.TokensDelivered-baseline.TokensDelivered)
 	if a.s.prov != nil {
 		extended.Provenance = newProvenance(a)
 	}
@@ -272,25 +231,10 @@ func analyzeBothArms(project *modules.Project, opts Options, src HintSource, wit
 		a.injectModuleHintDeltas()
 		ablSolveStart := time.Now()
 		a.s.solve()
-		ablSolveWall := time.Since(ablSolveStart)
-		ablIters, ablDelivered := a.s.stats()
-		perf.Global().AddIncrementalSolve(0, 0, ablIters-iters, ablDelivered-delivered)
-		ablation = &Result{
-			Graph:           a.cg,
-			MainEntries:     entries,
-			NumVars:         a.s.numVars(),
-			NumTokens:       len(a.tokens),
-			SolveIterations: ablIters,
-			TokensDelivered: ablDelivered,
-			Structure:       a.s.structure(),
-			Parallel:        a.s.parallelStats(),
-			SolveWall:       ablSolveWall,
-			AnalyzedModules: len(a.progs),
-			Duration:        time.Since(ablStart),
-			AllocBytes:      perf.TotalAllocBytes() - ablAlloc0,
-			Faults:          a.faults,
-			DegradedModules: degradedList(opts.DegradeFiles),
-		}
+		ablation = a.result(a.cg, entries, ablStart, time.Since(ablSolveStart))
+		ablation.AllocBytes = perf.TotalAllocBytes() - ablAlloc0
+		perf.Global().AddIncrementalSolve(0, 0, ablation.SolveIterations-extended.SolveIterations,
+			ablation.TokensDelivered-extended.TokensDelivered)
 	case withAblation:
 		ablation = extended
 	}

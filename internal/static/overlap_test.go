@@ -103,7 +103,7 @@ func checkOverlapped(t *testing.T, b *corpus.Benchmark) {
 	opts := Options{Mode: WithHints, Hints: seq.Hints, DegradeFiles: seq.FaultedModules()}
 	var base, ext, abl *Result
 	if b.HasDynCG {
-		base, ext, abl, err = AnalyzeBothAndAblation(b.Project, opts)
+		base, ext, abl, err = AnalyzeBothAndAblationFrom(b.Project, opts, opts.hintSource())
 	} else {
 		base, ext, err = AnalyzeBoth(b.Project, opts)
 	}

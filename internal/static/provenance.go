@@ -426,25 +426,6 @@ func (p *Provenance) WriteFrontier(recv Var) []loc.Loc {
 	return sortedLocs(found)
 }
 
-// ProtoClosureSites returns the allocation sites of the non-native tokens
-// in the receiver's value-or-prototype closure — the candidate hint-write
-// targets for a missing member flow.
-func (p *Provenance) ProtoClosureSites(recv Var) []loc.Loc {
-	found := map[loc.Loc]bool{}
-	for t := range p.protoClosure(recv) {
-		info := p.a.tokens[t]
-		switch info.kind {
-		case tokObject, tokProto:
-			if info.site.Valid() {
-				found[info.site] = true
-			}
-		case tokFunction:
-			found[info.fn.Loc] = true
-		}
-	}
-	return sortedLocs(found)
-}
-
 // protoClosure collects ⟦recv⟧ plus everything reachable through internal
 // prototype variables.
 func (p *Provenance) protoClosure(recv Var) map[Token]bool {

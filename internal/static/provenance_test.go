@@ -172,11 +172,10 @@ func TestProvenanceAblationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = AnalyzeBothAndAblation(project, Options{
-		Mode: WithHints, Hints: ar.Hints, Provenance: true,
-	})
+	opts := Options{Mode: WithHints, Hints: ar.Hints, Provenance: true}
+	_, _, _, err = AnalyzeBothAndAblationFrom(project, opts, opts.hintSource())
 	if err == nil {
-		t.Fatal("AnalyzeBothAndAblation accepted Provenance")
+		t.Fatal("AnalyzeBothAndAblationFrom accepted Provenance")
 	}
 	if !strings.Contains(err.Error(), "provenance") {
 		t.Errorf("rejection does not name provenance: %v", err)
@@ -216,4 +215,23 @@ runAll();
 		t.Errorf("middleware dispatch stack[i]() not resolved to handler; targets: %v",
 			ext.Graph.Targets(site))
 	}
+}
+
+// ProtoClosureSites returns the allocation sites of the non-native tokens
+// in the receiver's value-or-prototype closure — the candidate hint-write
+// targets for a missing member flow.
+func (p *Provenance) ProtoClosureSites(recv Var) []loc.Loc {
+	found := map[loc.Loc]bool{}
+	for t := range p.protoClosure(recv) {
+		info := p.a.tokens[t]
+		switch info.kind {
+		case tokObject, tokProto:
+			if info.site.Valid() {
+				found[info.site] = true
+			}
+		case tokFunction:
+			found[info.fn.Loc] = true
+		}
+	}
+	return sortedLocs(found)
 }

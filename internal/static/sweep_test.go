@@ -176,7 +176,7 @@ func TestSweepMatchesFullSweep(t *testing.T) {
 			}
 			opts := Options{Mode: WithHints, Hints: ar.Hints, DegradeFiles: ar.FaultedModules()}
 			if b.HasDynCG {
-				_, _, _, err = AnalyzeBothAndAblation(b.Project, opts)
+				_, _, _, err = AnalyzeBothAndAblationFrom(b.Project, opts, opts.hintSource())
 			} else {
 				_, _, err = AnalyzeBoth(b.Project, opts)
 			}

@@ -309,7 +309,7 @@ func TestSolverSnapshotRestoresFixpoint(t *testing.T) {
 }
 
 // TestAblationArmMatchesFromScratch checks the forked third phase of
-// AnalyzeBothAndAblation against a from-scratch name-only analysis on every
+// AnalyzeBothAndAblationFrom against a from-scratch name-only analysis on every
 // write-hint benchmark of the dynamic-CG subset (the projects whose
 // ablation arm actually differs from the relational one), and that the
 // baseline and extended arms are not disturbed by sharing a solver with it.
@@ -324,9 +324,9 @@ func TestAblationArmMatchesFromScratch(t *testing.T) {
 			continue
 		}
 		opts := Options{Mode: WithHints, Hints: ar.Hints}
-		base2, ext2, abl2, err := AnalyzeBothAndAblation(b.Project, opts)
+		base2, ext2, abl2, err := AnalyzeBothAndAblationFrom(b.Project, opts, opts.hintSource())
 		if err != nil {
-			t.Fatalf("%s: AnalyzeBothAndAblation: %v", b.Project.Name, err)
+			t.Fatalf("%s: AnalyzeBothAndAblationFrom: %v", b.Project.Name, err)
 		}
 		abl1, err := Analyze(b.Project, Options{Mode: AblationNameOnly, Hints: ar.Hints})
 		if err != nil {
@@ -367,7 +367,7 @@ func TestAblationArmMatchesFromScratch(t *testing.T) {
 // TestAblationForkLeavesArmsUnchanged checks that asking for the ablation
 // arm does not change the other two: on every write-hint benchmark of the
 // dynamic-CG subset, the baseline and extended results of
-// AnalyzeBothAndAblation equal those of AnalyzeBoth — graphs, system size,
+// AnalyzeBothAndAblationFrom equal those of AnalyzeBoth — graphs, system size,
 // effort, structure and the deterministic epoch-engine counters.
 func TestAblationForkLeavesArmsUnchanged(t *testing.T) {
 	same := func(name, arm string, want, got *Result) {
@@ -386,7 +386,7 @@ func TestAblationForkLeavesArmsUnchanged(t *testing.T) {
 				r.Parallel.Epochs, r.Parallel.CrossShard, r.Parallel.SweepVisited}
 		}
 		if w, g := of(want), of(got); w != g {
-			t.Errorf("%s: %s counters differ:\n AnalyzeBoth            %+v\n AnalyzeBothAndAblation %+v", name, arm, w, g)
+			t.Errorf("%s: %s counters differ:\n AnalyzeBoth                %+v\n AnalyzeBothAndAblationFrom %+v", name, arm, w, g)
 		}
 	}
 	checked := 0
@@ -403,9 +403,9 @@ func TestAblationForkLeavesArmsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: AnalyzeBoth: %v", b.Project.Name, err)
 		}
-		base2, ext2, _, err := AnalyzeBothAndAblation(b.Project, opts)
+		base2, ext2, _, err := AnalyzeBothAndAblationFrom(b.Project, opts, opts.hintSource())
 		if err != nil {
-			t.Fatalf("%s: AnalyzeBothAndAblation: %v", b.Project.Name, err)
+			t.Fatalf("%s: AnalyzeBothAndAblationFrom: %v", b.Project.Name, err)
 		}
 		same(b.Project.Name, "baseline", base1, base2)
 		same(b.Project.Name, "extended", ext1, ext2)
